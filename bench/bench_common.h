@@ -73,29 +73,60 @@ scaledConvDescs(const Model& m, int64_t divisor)
     return out;
 }
 
+/**
+ * One conv layer compiled as its own model (singleConvModel), on the
+ * same CompiledModel path InferenceSession runs, so a per-layer figure
+ * times the engine selectConvEngine() picks for it. A lone conv is the
+ * model's first conv; first_layer_rate is pinned to connectivity_rate
+ * so it is pruned like the inner layer it stands for.
+ */
+struct ConvLayerModel
+{
+    ConvLayerModel(const ConvDesc& d, FrameworkKind kind, const DeviceSpec& dev,
+                   CompileOptions opts = {})
+        : desc(d), model(singleConvModel(d, opts.seed), kind, dev, innerLayer(opts)),
+          input(Shape{1, d.cin, d.h, d.w})
+    {
+        Rng rng(opts.seed);
+        input.fillUniform(rng, -1.0f, 1.0f);
+    }
+
+    /** Median conv-engine time (ms) over reps() after one warmup. */
+    double timeMs() const { return model.convOnlyTimeMs(input, 1, reps()); }
+
+    /** Effective (non-zero) MACs per run. */
+    int64_t effectiveMacs() const
+    {
+        return model.convNonZeros() * desc.outH() * desc.outW();
+    }
+
+    /** Achieved GFLOPS counting effective MACs only. */
+    double gflops(double time_ms) const
+    {
+        return time_ms > 0.0 ? 2.0 * static_cast<double>(effectiveMacs()) / (time_ms * 1e6)
+                             : 0.0;
+    }
+
+    ConvDesc desc;
+    CompiledModel model;
+    Tensor input;
+
+  private:
+    static CompileOptions innerLayer(CompileOptions opts)
+    {
+        opts.first_layer_rate = opts.connectivity_rate;
+        return opts;
+    }
+};
+
 /** Sum of per-layer conv times (ms) for a framework on a device. */
 inline double
 convStackTimeMs(const std::vector<ConvDesc>& descs, FrameworkKind kind,
                 const DeviceSpec& dev, const CompileOptions& opts = {})
 {
     double total = 0.0;
-    for (const auto& d : descs) {
-        if (d.groups != 1 && (kind == FrameworkKind::kCsrSparse ||
-                              kind == FrameworkKind::kPatDnn)) {
-            // Depthwise layers stay dense in the sparse engines (the
-            // paper prunes CONV layers with full connectivity).
-            CompiledConvLayer layer(d, FrameworkKind::kPatDnnDense, dev, opts);
-            total += layer.timeMs(1, reps());
-            continue;
-        }
-        if (d.groups != 1) {
-            CompiledConvLayer layer(d, FrameworkKind::kTfliteLike, dev, opts);
-            total += layer.timeMs(1, reps());
-            continue;
-        }
-        CompiledConvLayer layer(d, kind, dev, opts);
-        total += layer.timeMs(1, reps());
-    }
+    for (const auto& d : descs)
+        total += ConvLayerModel(d, kind, dev, opts).timeMs();
     return total;
 }
 

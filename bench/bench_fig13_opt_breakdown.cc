@@ -33,18 +33,29 @@ timeConfig(const ConvDesc& d, const DeviceSpec& dev, bool reorder, bool lre,
         opts.default_tuning.unroll_oc = lre ? 4 : 1;
         opts.default_tuning.filters_per_task = 64;
     }
-    CompiledConvLayer layer(d, FrameworkKind::kPatDnn, dev, opts);
+    bench::ConvLayerModel layer(d, FrameworkKind::kPatDnn, dev, opts);
     if (!tune)
-        return layer.timeMs(1, bench::reps());
-    // GA auto-tuning (Section 5.5) on top of reorder+LRE.
+        return layer.timeMs();
+    // GA auto-tuning (Section 5.5) on top of reorder+LRE. A candidate
+    // is timed by rebuilding the layer from its exported state with the
+    // candidate's tuning: no re-pruning, same weights.
+    auto time_with = [&](const TuneParams& p, int reps) {
+        std::vector<CompiledLayerState> states = layer.model.exportState();
+        for (CompiledLayerState& st : states)
+            st.tuning = p;
+        CompiledModel tuned(FrameworkKind::kPatDnn, dev, std::move(states),
+                            layer.model.outputNode(), layer.model.tunedIsa(),
+                            layer.model.compileOptions());
+        return tuned.convOnlyTimeMs(layer.input, 1, reps);
+    };
     TunerConfig tc;
     tc.population = 8;
     tc.generations = 2;
     tc.measure_reps = 1;
     std::function<double(const TuneParams&)> measure =
-        [&](const TuneParams& p) { return layer.timeWithParams(p, 1); };
+        [&](const TuneParams& p) { return time_with(p, 1); };
     TuneResult r = tuneLayer(measure, TuneSpace{}, tc);
-    return layer.timeWithParams(r.best, bench::reps());
+    return time_with(r.best, bench::reps());
 }
 
 void

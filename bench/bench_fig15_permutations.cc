@@ -19,9 +19,8 @@ gflopsFor(const ConvDesc& d, const DeviceSpec& dev, LoopPermutation perm,
     opts.default_tuning.permute = perm;
     opts.default_tuning.blocked = blocked;
     opts.default_tuning.tile_oh = 8;
-    CompiledConvLayer layer(d, FrameworkKind::kPatDnn, dev, opts);
-    double ms = layer.timeMs(1, bench::reps());
-    return layer.gflops(ms);
+    bench::ConvLayerModel layer(d, FrameworkKind::kPatDnn, dev, opts);
+    return layer.gflops(layer.timeMs());
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
  * @file
  * Fig. 17 reproduction.
  *
- * (a) Dense backend check without Winograd: the packed tiled GEMM
- *     (rt/gemm_packed.h, the run path) vs the register-blocked naive
- *     GEMM it replaced, whole VGG conv stack on CPU and GPU-like —
- *     the packed backend's >= 2x acceptance gate at stack level.
+ * (a) Dense backend without Winograd, whole VGG conv stack on CPU and
+ *     GPU-like: the packed tiled f32 GEMM (rt/gemm_packed.h, the run
+ *     path) vs its int8 quantized form.
  * (b) Per-layer GFLOPS of the pattern engine (counting only the MACs
  *     it actually executes) vs the packed dense baseline (no
  *     Winograd) — the paper's claim: comparable on CPU, better on
@@ -18,14 +17,12 @@ using namespace patdnn;
 
 namespace {
 
-enum class DenseMode { kNaive, kPackedF32, kPackedI8 };
-
 /** Dense im2col time (the no-Winograd dense baseline): the packed
- * tiled GEMM run path, the retained pre-packing naive GEMM, or the
- * int8 quantized GEMM (activation scale taken from the input absmax,
- * as the calibrator would on this one-tensor "batch"). */
+ * tiled f32 GEMM run path, or the int8 quantized GEMM (activation
+ * scale taken from the input absmax, as the calibrator would on this
+ * one-tensor "batch"). */
 double
-denseNoWinoMs(const ConvDesc& d, const DeviceSpec& dev, DenseMode mode)
+denseNoWinoMs(const ConvDesc& d, const DeviceSpec& dev, bool int8)
 {
     Rng rng(3);
     Tensor w(Shape{d.cout, d.cin, d.kh, d.kw});
@@ -33,16 +30,14 @@ denseNoWinoMs(const ConvDesc& d, const DeviceSpec& dev, DenseMode mode)
     Tensor in(Shape{1, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
     Tensor out = makeConvOutput(d, 1);
-    if (mode == DenseMode::kPackedI8) {
+    if (int8) {
         ActivationCalibrator cal(CalibrationMethod::kAbsMax);
         cal.observe(in);
         Im2colConv engine(d, &w, dev, TuneParams{}, cal.scale());
         return medianTimeMs([&] { engine.run(in, out); }, 1, bench::reps());
     }
     Im2colConv engine(d, &w, dev);
-    if (mode == DenseMode::kPackedF32)
-        return medianTimeMs([&] { engine.run(in, out); }, 1, bench::reps());
-    return medianTimeMs([&] { engine.runNaive(in, out); }, 1, bench::reps());
+    return medianTimeMs([&] { engine.run(in, out); }, 1, bench::reps());
 }
 
 }  // namespace
@@ -53,30 +48,24 @@ main()
     bench::banner("Fig. 17", "GFLOPS: PatDNN pattern vs optimized dense");
     auto layers = vggUniqueLayers(bench::spatialScale());
 
-    // --- (a) whole-stack dense w/o Winograd: packed vs naive GEMM ---
+    // --- (a) whole-stack dense w/o Winograd: packed f32 vs int8 ---
     std::printf("--- (a) dense VGG conv stack, Winograd off (ms) ---\n");
     {
-        Table t({"Device", "naive GEMM", "packed GEMM", "packed i8",
-                 "naive/packed", "f32/i8"});
+        Table t({"Device", "packed GEMM", "packed i8", "f32/i8"});
         for (bool gpu : {false, true}) {
             DeviceSpec dev = gpu ? makeGpuDevice() : makeCpuDevice(8);
-            double naive = 0.0, packed = 0.0, packed_i8 = 0.0;
+            double packed = 0.0, packed_i8 = 0.0;
             for (const auto& d : layers) {
-                naive += denseNoWinoMs(d, dev, DenseMode::kNaive);
-                packed += denseNoWinoMs(d, dev, DenseMode::kPackedF32);
-                packed_i8 += denseNoWinoMs(d, dev, DenseMode::kPackedI8);
+                packed += denseNoWinoMs(d, dev, false);
+                packed_i8 += denseNoWinoMs(d, dev, true);
             }
-            t.addRow({gpu ? "GPU-like" : "CPU", Table::num(naive, 1),
-                      Table::num(packed, 1), Table::num(packed_i8, 1),
-                      Table::num(naive / packed, 2) + "x",
+            t.addRow({gpu ? "GPU-like" : "CPU", Table::num(packed, 1),
+                      Table::num(packed_i8, 1),
                       Table::num(packed / packed_i8, 2) + "x"});
         }
         t.print();
-        std::printf("(the packed tile-kernel GEMM replaced the naive one on "
-                    "every dense run path; the naive column is the retained "
-                    "comparison point — see docs/KERNELS.md. packed i8 is the "
-                    "quantized path: same im2col, i8 panels + "
-                    "SimdOps::gemm_tile_i8, f32 requant epilogue)\n\n");
+        std::printf("(packed i8 is the quantized path: same im2col, i8 panels "
+                    "+ SimdOps::gemm_tile_i8, f32 requant epilogue)\n\n");
     }
 
     // --- (b) per-layer GFLOPS, pattern vs dense ---
@@ -85,10 +74,10 @@ main()
         DeviceSpec dev = gpu ? makeGpuDevice() : makeCpuDevice(8);
         Table t({"Layer", "Dense (no Wino)", "Pattern", "Pattern/Dense"});
         for (const auto& d : layers) {
-            CompiledConvLayer dense(d, FrameworkKind::kTvmLike, dev);
-            CompiledConvLayer pattern(d, FrameworkKind::kPatDnn, dev);
-            double dms = dense.timeMs(1, bench::reps());
-            double pms = pattern.timeMs(1, bench::reps());
+            bench::ConvLayerModel dense(d, FrameworkKind::kTvmLike, dev);
+            bench::ConvLayerModel pattern(d, FrameworkKind::kPatDnn, dev);
+            double dms = dense.timeMs();
+            double pms = pattern.timeMs();
             double dg = dense.gflops(dms);
             double pg = pattern.gflops(pms);
             t.addRow({d.name, Table::num(dg, 2), Table::num(pg, 2),

@@ -7,7 +7,7 @@
  */
 #include <benchmark/benchmark.h>
 
-#include "core/patdnn.h"
+#include "bench_common.h"
 
 namespace patdnn {
 namespace {
@@ -136,52 +136,42 @@ BM_FkrAndFkwBuild(benchmark::State& state)
 }
 BENCHMARK(BM_FkrAndFkwBuild);
 
+/** One conv compiled as its own model; each iteration's time is the
+ * conv engine call alone (convOnlyTimeMs), as in the figure benches. */
+void
+runConvLayer(benchmark::State& state, const bench::ConvLayerModel& layer)
+{
+    for (auto _ : state)
+        state.SetIterationTime(layer.model.convOnlyTimeMs(layer.input, 0, 1) / 1e3);
+    state.SetItemsProcessed(state.iterations() * layer.effectiveMacs());
+}
+
 void
 BM_PatternConvLayer(benchmark::State& state)
 {
     ConvDesc d{"m", 64, 64, 3, 3, 28, 28, 1, 1, 1, 1};
     DeviceSpec dev = makeCpuDevice(static_cast<int>(state.range(0)));
-    CompiledConvLayer layer(d, FrameworkKind::kPatDnn, dev);
-    Tensor in(Shape{1, d.cin, d.h, d.w});
-    Rng rng(4);
-    in.fillUniform(rng, -1.0f, 1.0f);
-    Tensor out = makeConvOutput(d, 1);
-    for (auto _ : state) {
-        layer.run(in, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * layer.effectiveMacs());
+    runConvLayer(state, bench::ConvLayerModel(d, FrameworkKind::kPatDnn, dev));
 }
-BENCHMARK(BM_PatternConvLayer)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_PatternConvLayer)->Arg(1)->Arg(4)->Arg(8)->UseManualTime();
 
 void
 BM_Im2colDenseLayer(benchmark::State& state)
 {
     ConvDesc d{"m", 64, 64, 3, 3, 28, 28, 1, 1, 1, 1};
-    DeviceSpec dev = makeCpuDevice(4);
-    CompiledConvLayer layer(d, FrameworkKind::kTvmLike, dev);
-    Tensor in(Shape{1, d.cin, d.h, d.w});
-    Rng rng(5);
-    in.fillUniform(rng, -1.0f, 1.0f);
-    Tensor out = makeConvOutput(d, 1);
-    for (auto _ : state) {
-        layer.run(in, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * layer.effectiveMacs());
+    runConvLayer(state, bench::ConvLayerModel(d, FrameworkKind::kTvmLike,
+                                              makeCpuDevice(4)));
 }
-BENCHMARK(BM_Im2colDenseLayer);
+BENCHMARK(BM_Im2colDenseLayer)->UseManualTime();
 
 /**
- * Packed tiled GEMM (rt/gemm_packed.h, the run path) vs the
- * register-blocked pre-packing GEMM it replaced (Im2colConv::runNaive,
- * kept callable exactly for this comparison) on zoo-representative
- * dense shapes: the VGG first conv (3->64 3x3 @ 32x32, where dense
- * executors do the whole work), a mid-net conv, and an FC-like 1x1.
- * The acceptance gate for the packed backend is >= 2x on AVX2 here.
+ * The packed tiled GEMM (rt/gemm_packed.h, the dense run path) on
+ * zoo-representative shapes: the VGG first conv (3->64 3x3 @ 32x32,
+ * where dense executors do the whole work), a mid-net conv, and an
+ * FC-like 1x1.
  */
 void
-BM_DenseGemmConv(benchmark::State& state, ConvDesc d, bool packed)
+BM_DenseGemmConv(benchmark::State& state, ConvDesc d)
 {
     Rng rng(9);
     Tensor w(Shape{d.cout, d.cinPerGroup(), d.kh, d.kw});
@@ -192,28 +182,18 @@ BM_DenseGemmConv(benchmark::State& state, ConvDesc d, bool packed)
     Im2colConv engine(d, &w, dev);
     Tensor out = makeConvOutput(d, 1);
     for (auto _ : state) {
-        if (packed)
-            engine.run(in, out);
-        else
-            engine.runNaive(in, out);
+        engine.run(in, out);
         benchmark::DoNotOptimize(out.data());
     }
     int64_t macs = d.outH() * d.outW() * d.cout * d.cinPerGroup() * d.kh * d.kw;
     state.SetItemsProcessed(state.iterations() * macs);
-    state.SetLabel(packed ? "packed" : "naive");
 }
-BENCHMARK_CAPTURE(BM_DenseGemmConv, first_conv_naive,
-                  ConvDesc{"c1", 3, 64, 3, 3, 32, 32, 1, 1, 1, 1}, false);
 BENCHMARK_CAPTURE(BM_DenseGemmConv, first_conv_packed,
-                  ConvDesc{"c1", 3, 64, 3, 3, 32, 32, 1, 1, 1, 1}, true);
-BENCHMARK_CAPTURE(BM_DenseGemmConv, mid_conv_naive,
-                  ConvDesc{"c8", 128, 128, 3, 3, 16, 16, 1, 1, 1, 1}, false);
+                  ConvDesc{"c1", 3, 64, 3, 3, 32, 32, 1, 1, 1, 1});
 BENCHMARK_CAPTURE(BM_DenseGemmConv, mid_conv_packed,
-                  ConvDesc{"c8", 128, 128, 3, 3, 16, 16, 1, 1, 1, 1}, true);
-BENCHMARK_CAPTURE(BM_DenseGemmConv, fc_like_naive,
-                  ConvDesc{"fc", 256, 256, 1, 1, 8, 8, 1, 0, 1, 1}, false);
+                  ConvDesc{"c8", 128, 128, 3, 3, 16, 16, 1, 1, 1, 1});
 BENCHMARK_CAPTURE(BM_DenseGemmConv, fc_like_packed,
-                  ConvDesc{"fc", 256, 256, 1, 1, 8, 8, 1, 0, 1, 1}, true);
+                  ConvDesc{"fc", 256, 256, 1, 1, 8, 8, 1, 0, 1, 1});
 
 /**
  * Int8 quantized dense conv (k-pair i8 panels + SimdOps::gemm_tile_i8

@@ -22,23 +22,19 @@ schemeLayerMs(PruneScheme scheme, const DeviceSpec& dev)
     const ConvDesc& d = layers[4];  // L5 = [256,128,3,3].
     switch (scheme) {
       case PruneScheme::kNonStructured:
-        return CompiledConvLayer(d, FrameworkKind::kCsrSparse, dev)
-            .timeMs(1, bench::reps());
+        return bench::ConvLayerModel(d, FrameworkKind::kCsrSparse, dev).timeMs();
       case PruneScheme::kFilter:
       case PruneScheme::kChannel: {
         // Structured pruning shrinks the dense layer by the rate.
         ConvDesc shrunk = d;
         shrunk.cout = static_cast<int64_t>(d.cout / 2.25);
-        return CompiledConvLayer(shrunk, FrameworkKind::kPatDnnDense, dev)
-            .timeMs(1, bench::reps());
+        return bench::ConvLayerModel(shrunk, FrameworkKind::kPatDnnDense, dev).timeMs();
       }
       case PruneScheme::kPattern:
       case PruneScheme::kConnectivity:
-        return CompiledConvLayer(d, FrameworkKind::kPatDnn, dev)
-            .timeMs(1, bench::reps());
+        return bench::ConvLayerModel(d, FrameworkKind::kPatDnn, dev).timeMs();
       default:
-        return CompiledConvLayer(d, FrameworkKind::kPatDnnDense, dev)
-            .timeMs(1, bench::reps());
+        return bench::ConvLayerModel(d, FrameworkKind::kPatDnnDense, dev).timeMs();
     }
 }
 

@@ -28,10 +28,17 @@ double
 stackMs(const std::vector<ConvDesc>& descs, FrameworkKind kind,
         const DeviceSpec& dev)
 {
+    // Each layer runs alone as a one-conv model, pruned like the inner
+    // layer it stands for (a lone conv would otherwise count as first).
+    CompileOptions opts;
+    opts.first_layer_rate = opts.connectivity_rate;
+    Rng rng(1);
     double total = 0.0;
     for (const auto& d : descs) {
-        CompiledConvLayer layer(d, kind, dev);
-        total += layer.timeMs(1, 2);
+        CompiledModel layer(singleConvModel(d, opts.seed), kind, dev, opts);
+        Tensor in(Shape{1, d.cin, d.h, d.w});
+        in.fillUniform(rng, -1.0f, 1.0f);
+        total += layer.convOnlyTimeMs(in, 1, 2);
     }
     return total;
 }

@@ -138,7 +138,7 @@ main()
         ServerStats stats = registry->stats(name);
         table.addRow({name, Table::num(stats.completed, 0),
                       Table::num(stats.batches, 0), Table::num(stats.avg_batch),
-                      Table::num(stats.p50_ms), Table::num(stats.p99_ms),
+                      Table::num(stats.latency.p50), Table::num(stats.latency.p99),
                       Table::num(stats.deadline_exceeded, 0)});
     }
     table.print();

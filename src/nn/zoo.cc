@@ -1,6 +1,7 @@
 #include "nn/zoo.h"
 
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace patdnn {
 namespace {
@@ -281,6 +282,24 @@ vggUniqueLayers(int64_t spatial_divisor)
     for (auto& l : layers)
         l.check();
     return layers;
+}
+
+Model
+singleConvModel(const ConvDesc& desc, uint64_t seed)
+{
+    desc.check();
+    Model m("conv-" + desc.name, "synthetic");
+    Layer conv;
+    conv.kind = OpKind::kConv;
+    conv.name = desc.name;
+    conv.conv = desc;
+    int64_t fan_in = desc.cinPerGroup() * desc.kh * desc.kw;
+    Rng rng(seed + static_cast<uint64_t>(desc.cout * 131 + desc.cin));
+    conv.weight = Tensor(Shape{desc.cout, desc.cinPerGroup(), desc.kh, desc.kw});
+    conv.weight.fillHe(rng, fan_in);
+    conv.bias = Tensor(Shape{desc.cout});
+    m.addLayer(std::move(conv));
+    return m;
 }
 
 int64_t

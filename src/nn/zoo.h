@@ -64,6 +64,14 @@ Model buildByShortName(const std::string& short_name, Dataset ds,
  */
 std::vector<ConvDesc> vggUniqueLayers(int64_t spatial_divisor = 1);
 
+/**
+ * A model holding the one conv layer `desc` and nothing else: how a
+ * single layer is compiled, timed and profiled through CompiledModel.
+ * Weights are He-initialized from Rng(seed + cout * 131 + cin); the
+ * bias is zero.
+ */
+Model singleConvModel(const ConvDesc& desc, uint64_t seed);
+
 /** Count of conv layers excluding ResNet projection shortcuts. */
 int64_t mainPathConvCount(const Model& m);
 

@@ -10,14 +10,14 @@
 #pragma once
 
 #include "nn/conv_desc.h"
-#include "rt/conv_ref.h"
+#include "rt/conv_engine.h"
 #include "rt/device.h"
 #include "sparse/csr.h"
 
 namespace patdnn {
 
 /** Direct sparse convolution over CSR weights. */
-class CsrConv
+class CsrConv : public ConvEngine
 {
   public:
     CsrConv(ConvDesc desc, CsrWeights csr, DeviceSpec device)
@@ -26,7 +26,8 @@ class CsrConv
     {
     }
 
-    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
+    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
+    const char* name() const override { return "csr"; }
 
     const CsrWeights& weights() const { return csr_; }
 

@@ -10,14 +10,14 @@ namespace patdnn {
 
 Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                        TuneParams tuning)
-    : desc_(std::move(desc)), weight_(weight), device_(std::move(device)),
-      tuning_(tuning), ops_(&resolveSimdOps(device_.simd_isa))
+    : desc_(std::move(desc)), device_(std::move(device)),
+      ops_(&resolveSimdOps(device_.simd_isa))
 {
     int64_t opg = desc_.coutPerGroup();
     int64_t k_dim = desc_.cinPerGroup() * desc_.kh * desc_.kw;
     int64_t n_dim = desc_.outH() * desc_.outW();
     blocking_ = gemmBlockingFor(*ops_, k_dim, n_dim, device_.tile_budget_kb,
-                                tuning_.gemm_kc, tuning_.gemm_nc);
+                                tuning.gemm_kc, tuning.gemm_nc);
     // Weights are row-major [cout, cinPerGroup*kh*kw], so each group is
     // a contiguous [opg x k_dim] LHS; pack all groups back to back.
     int64_t per_group = packedLhsElems(opg, k_dim, ops_->gemm_mr);
@@ -30,8 +30,8 @@ Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
 Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                        TuneParams tuning, float act_scale,
                        std::vector<float> weight_scales)
-    : desc_(std::move(desc)), weight_(weight), device_(std::move(device)),
-      tuning_(tuning), ops_(&resolveSimdOps(device_.simd_isa)),
+    : desc_(std::move(desc)), device_(std::move(device)),
+      ops_(&resolveSimdOps(device_.simd_isa)),
       quantized_(true), act_scale_(act_scale)
 {
     PATDNN_CHECK_GT(act_scale_, 0.0f,
@@ -40,7 +40,7 @@ Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
     int64_t k_dim = desc_.cinPerGroup() * desc_.kh * desc_.kw;
     int64_t n_dim = desc_.outH() * desc_.outW();
     blocking_ = gemmBlockingForI8(*ops_, k_dim, n_dim, device_.tile_budget_kb,
-                                  tuning_.gemm_kc, tuning_.gemm_nc);
+                                  tuning.gemm_kc, tuning.gemm_nc);
     // Quantize once (per-cout channel scales), then pack each group's
     // [opg x k_dim] i8 block into k-pair LHS panels. The stored scales
     // win over derived ones so restored artifacts are authoritative.
@@ -218,84 +218,6 @@ Im2colConv::runQuantized(const Tensor& in, Tensor& out,
                                         bias, ep.relu, obase + m * n_dim);
                     }
                 });
-        }
-    }
-}
-
-void
-Im2colConv::runNaive(const Tensor& in, Tensor& out, const Epilogue& ep) const
-{
-    const ConvDesc& d = desc_;
-    int64_t n = in.shape().dim(0);
-    int64_t oh = d.outH(), ow = d.outW();
-    int64_t opg = d.coutPerGroup();
-    int64_t k_dim = d.cinPerGroup() * d.kh * d.kw;
-    int64_t n_dim = oh * ow;
-    const Tensor& weight = *weight_;
-
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < d.groups; ++g) {
-            Tensor cols = im2col(d, in, b, g);
-            // GEMM: [opg x k_dim] * [k_dim x n_dim], parallel over rows
-            // of the output with 4-row register blocking.
-            device_.pool().parallelChunks(opg, [&](int64_t begin, int64_t end) {
-                int64_t m = begin;
-                for (; m + 4 <= end; m += 4) {
-                    int64_t oc = g * opg + m;
-                    const float* w0 = weight.data() + (oc + 0) * k_dim;
-                    const float* w1 = weight.data() + (oc + 1) * k_dim;
-                    const float* w2 = weight.data() + (oc + 2) * k_dim;
-                    const float* w3 = weight.data() + (oc + 3) * k_dim;
-                    float* o0 = out.data() + ((b * d.cout + oc + 0) * n_dim);
-                    float* o1 = out.data() + ((b * d.cout + oc + 1) * n_dim);
-                    float* o2 = out.data() + ((b * d.cout + oc + 2) * n_dim);
-                    float* o3 = out.data() + ((b * d.cout + oc + 3) * n_dim);
-                    float b0 = ep.bias ? (*ep.bias)[oc + 0] : 0.0f;
-                    float b1 = ep.bias ? (*ep.bias)[oc + 1] : 0.0f;
-                    float b2 = ep.bias ? (*ep.bias)[oc + 2] : 0.0f;
-                    float b3 = ep.bias ? (*ep.bias)[oc + 3] : 0.0f;
-                    std::fill(o0, o0 + n_dim, b0);
-                    std::fill(o1, o1 + n_dim, b1);
-                    std::fill(o2, o2 + n_dim, b2);
-                    std::fill(o3, o3 + n_dim, b3);
-                    for (int64_t k = 0; k < k_dim; ++k) {
-                        float v0 = w0[k], v1 = w1[k], v2 = w2[k], v3 = w3[k];
-                        if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f)
-                            continue;
-                        const float* col = cols.data() + k * n_dim;
-                        for (int64_t j = 0; j < n_dim; ++j) {
-                            float cv = col[j];
-                            o0[j] += v0 * cv;
-                            o1[j] += v1 * cv;
-                            o2[j] += v2 * cv;
-                            o3[j] += v3 * cv;
-                        }
-                    }
-                }
-                for (; m < end; ++m) {
-                    int64_t oc = g * opg + m;
-                    const float* wr = weight.data() + oc * k_dim;
-                    float* optr = out.data() + ((b * d.cout + oc) * n_dim);
-                    float bias = ep.bias ? (*ep.bias)[oc] : 0.0f;
-                    std::fill(optr, optr + n_dim, bias);
-                    for (int64_t k = 0; k < k_dim; ++k) {
-                        float v = wr[k];
-                        if (v == 0.0f)
-                            continue;
-                        const float* col = cols.data() + k * n_dim;
-                        for (int64_t j = 0; j < n_dim; ++j)
-                            optr[j] += v * col[j];
-                    }
-                }
-                if (ep.relu) {
-                    for (int64_t m2 = begin; m2 < end; ++m2) {
-                        int64_t oc = g * opg + m2;
-                        float* optr = out.data() + ((b * d.cout + oc) * n_dim);
-                        for (int64_t j = 0; j < n_dim; ++j)
-                            optr[j] = std::max(0.0f, optr[j]);
-                    }
-                }
-            });
         }
     }
 }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "nn/conv_desc.h"
-#include "rt/conv_ref.h"
+#include "rt/conv_engine.h"
 #include "rt/device.h"
 #include "rt/gemm_packed.h"
 #include "rt/lr.h"
@@ -23,7 +23,7 @@
 namespace patdnn {
 
 /** Dense conv via im2col and a packed, cache-blocked, tiled GEMM. */
-class Im2colConv
+class Im2colConv : public ConvEngine
 {
   public:
     /**
@@ -49,15 +49,12 @@ class Im2colConv
                TuneParams tuning, float act_scale,
                std::vector<float> weight_scales = {});
 
-    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
-
-    /**
-     * The pre-packing register-blocked GEMM this backend replaced.
-     * Kept callable as the bench/test comparison point (bench_micro's
-     * packed-vs-naive columns, the ≥2x acceptance gate) — not used on
-     * any run path.
-     */
-    void runNaive(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
+    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
+    const char* name() const override { return "im2col"; }
+    Precision precision() const override
+    {
+        return quantized_ ? Precision::kInt8 : Precision::kF32;
+    }
 
     /** Expose im2col for testing: [cin*kh*kw, outH*outW] column matrix. */
     static Tensor im2col(const ConvDesc& d, const Tensor& in, int64_t batch_index,
@@ -66,22 +63,11 @@ class Im2colConv
     /** The cache-blocking factors in effect (heuristic or tuned). */
     const GemmBlocking& blocking() const { return blocking_; }
 
-    /** True when this engine runs the int8 GEMM path. */
-    bool quantized() const { return quantized_; }
-
-    /** Calibrated input scale (quantized mode; 0 otherwise). */
-    float actScale() const { return act_scale_; }
-
-    /** Per-output-channel weight scales (empty unless quantized). */
-    const std::vector<float>& weightScales() const { return wscales_; }
-
   private:
     void runQuantized(const Tensor& in, Tensor& out, const Epilogue& ep) const;
 
     ConvDesc desc_;
-    const Tensor* weight_;
     DeviceSpec device_;
-    TuneParams tuning_;
     const SimdOps* ops_;   ///< Resolved kernel table (never null).
     Tensor packed_w_;      ///< [groups][lhs-tile panels] packed filters (f32).
     GemmBlocking blocking_;

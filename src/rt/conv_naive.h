@@ -7,13 +7,13 @@
 #pragma once
 
 #include "nn/conv_desc.h"
-#include "rt/conv_ref.h"
+#include "rt/conv_engine.h"
 #include "rt/device.h"
 
 namespace patdnn {
 
 /** Untuned dense direct convolution on a device. */
-class NaiveConv
+class NaiveConv : public ConvEngine
 {
   public:
     NaiveConv(ConvDesc desc, const Tensor* weight, DeviceSpec device)
@@ -22,7 +22,9 @@ class NaiveConv
     }
 
     /** Run for a batch-1 (or batch-N) NCHW input. */
-    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
+    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
+    const char* name() const override { return "naive"; }
+    bool usesSimdTable() const override { return false; }
 
   private:
     ConvDesc desc_;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "nn/conv_desc.h"
-#include "rt/conv_ref.h"
+#include "rt/conv_engine.h"
 #include "rt/device.h"
 #include "rt/lr.h"
 #include "rt/microkernels.h"
@@ -60,7 +60,7 @@ PatternPlan preparePatternPlan(const FkwLayer& fkw, const LayerwiseRep& lr,
                                const DeviceSpec& device);
 
 /** The pattern-based executor. */
-class PatternConv
+class PatternConv : public ConvEngine
 {
   public:
     /**
@@ -70,7 +70,8 @@ class PatternConv
     PatternConv(ConvDesc desc, const FkwLayer* fkw, LayerwiseRep lr,
                 DeviceSpec device);
 
-    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
+    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
+    const char* name() const override { return "pattern"; }
 
     const PatternPlan& plan() const { return plan_; }
     const LayerwiseRep& lr() const { return lr_; }

@@ -69,25 +69,18 @@ transformOutput(const float m[16], float y[4])
 
 WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                            TuneParams tuning)
-    : desc_(std::move(desc)), weight_(weight), device_(std::move(device)),
-      tuning_(tuning), ops_(&resolveSimdOps(device_.simd_isa))
+    : desc_(std::move(desc)), device_(std::move(device)),
+      ops_(&resolveSimdOps(device_.simd_isa))
 {
-    winograd_ok_ = desc_.kh == 3 && desc_.kw == 3 && desc_.stride == 1 &&
-                   desc_.dilation == 1 && desc_.groups == 1;
-    if (!winograd_ok_) {
-        // Build the fallback once: it packs its filter matrix in its
-        // constructor, which must not happen per run().
-        fallback_ = std::make_unique<Im2colConv>(desc_, weight_, device_,
-                                                 tuning_);
-        return;
-    }
-    transformed_ = Tensor(Shape{16, desc_.cout, desc_.cin});
+    PATDNN_CHECK(applies(desc_), "Winograd needs a stride-1 3x3 conv");
+    // U is read only while packing, so it lives just for construction.
+    Tensor transformed(Shape{16, desc_.cout, desc_.cin});
     for (int64_t oc = 0; oc < desc_.cout; ++oc) {
         for (int64_t ic = 0; ic < desc_.cin; ++ic) {
             float u[16];
             transformFilter(weight->data() + (oc * desc_.cin + ic) * 9, u);
             for (int t = 0; t < 16; ++t)
-                transformed_[(static_cast<int64_t>(t) * desc_.cout + oc) *
+                transformed[(static_cast<int64_t>(t) * desc_.cout + oc) *
                                  desc_.cin + ic] = u[t];
         }
     }
@@ -95,12 +88,12 @@ WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec devic
     // panels for the stage-2 GEMMs.
     int64_t tiles = ((desc_.outH() + 1) / 2) * ((desc_.outW() + 1) / 2);
     blocking_ = gemmBlockingFor(*ops_, desc_.cin, tiles,
-                                device_.tile_budget_kb, tuning_.gemm_kc,
-                                tuning_.gemm_nc);
+                                device_.tile_budget_kb, tuning.gemm_kc,
+                                tuning.gemm_nc);
     int64_t per_t = packedLhsElems(desc_.cout, desc_.cin, ops_->gemm_mr);
     packed_u_ = Tensor(Shape{16 * per_t});
     for (int t = 0; t < 16; ++t)
-        packLhsTiles(transformed_.data() + static_cast<int64_t>(t) *
+        packLhsTiles(transformed.data() + static_cast<int64_t>(t) *
                          desc_.cout * desc_.cin,
                      desc_.cout, desc_.cin, desc_.cin, ops_->gemm_mr,
                      packed_u_.data() + t * per_t);
@@ -108,16 +101,6 @@ WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec devic
 
 void
 WinogradConv::run(const Tensor& in, Tensor& out, const Epilogue& ep) const
-{
-    if (!winograd_ok_) {
-        fallback_->run(in, out, ep);
-        return;
-    }
-    runWinograd(in, out, ep);
-}
-
-void
-WinogradConv::runWinograd(const Tensor& in, Tensor& out, const Epilogue& ep) const
 {
     const ConvDesc& d = desc_;
     int64_t n = in.shape().dim(0);

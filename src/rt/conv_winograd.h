@@ -2,7 +2,8 @@
  * @file
  * Winograd F(2x2, 3x3) convolution: the hand-optimized dense path the
  * paper enables "for all dense runs" (Section 6.1) and the MNN-like
- * facade's fast 3x3 kernel. Falls back to im2col for non-3x3/stride>1.
+ * facade's fast 3x3 kernel. It applies to stride-1 3x3 convs only
+ * (applies()); selectConvEngine() runs every other geometry on im2col.
  * The 16 per-tile-position stage-2 GEMMs run on the same packed
  * SimdOps::gemm_tile kernel as the im2col backend (rt/gemm_packed.h):
  * the transformed filters are packed once at construction, the
@@ -11,39 +12,38 @@
 #pragma once
 
 #include "nn/conv_desc.h"
-#include "rt/conv_im2col.h"
-#include "rt/conv_ref.h"
+#include "rt/conv_engine.h"
 #include "rt/device.h"
 #include "rt/gemm_packed.h"
 #include "rt/lr.h"
 
 namespace patdnn {
 
-/** Winograd F(2x2,3x3) executor with dense-GEMM fallback. */
-class WinogradConv
+/** Winograd F(2x2,3x3) executor; only for geometries where applies(). */
+class WinogradConv : public ConvEngine
 {
   public:
+    /** Transforms and packs the filters; `desc` must satisfy applies(). */
     WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                  TuneParams tuning = {});
 
-    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const;
+    /** True if the geometry has a Winograd F(2x2,3x3) form: ungrouped,
+     * undilated 3x3 at stride 1. */
+    static bool applies(const ConvDesc& d)
+    {
+        return d.kh == 3 && d.kw == 3 && d.stride == 1 && d.dilation == 1 &&
+               d.groups == 1;
+    }
 
-    /** True if the geometry takes the Winograd fast path. */
-    bool usesWinograd() const { return winograd_ok_; }
+    void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
+    const char* name() const override { return "winograd"; }
 
   private:
-    void runWinograd(const Tensor& in, Tensor& out, const Epilogue& ep) const;
-
     ConvDesc desc_;
-    const Tensor* weight_;
     DeviceSpec device_;
-    TuneParams tuning_;
-    bool winograd_ok_ = false;
-    Tensor transformed_;  ///< [16, cout, cin] pre-transformed filters U.
     const SimdOps* ops_ = nullptr;  ///< Resolved kernel table.
     Tensor packed_u_;     ///< 16 packed LHS tile-panel sets of U.
     GemmBlocking blocking_;
-    std::unique_ptr<Im2colConv> fallback_;  ///< Built once when !winograd_ok_.
 };
 
 }  // namespace patdnn

@@ -26,16 +26,6 @@ frameworkName(FrameworkKind kind)
     return "unknown";
 }
 
-const char*
-precisionName(Precision p)
-{
-    switch (p) {
-      case Precision::kF32: return "f32";
-      case Precision::kInt8: return "i8";
-    }
-    return "unknown";
-}
-
 namespace {
 
 bool
@@ -45,16 +35,15 @@ isSparseKind(FrameworkKind kind)
 }
 
 /** Conv layers the kInt8 knob applies to: ungrouped dense-GEMM layers
- * of the packed-backend kinds. Pattern/CSR storage and grouped convs
+ * of the packed-backend kinds. The sparse kinds and grouped convs
  * (naive engine) stay f32 — the precision knob targets the dense GEMM
  * backend, not the sparse formats. */
 bool
-denseQuantEligible(FrameworkKind kind, bool has_fkw, const ConvDesc& conv)
+denseQuantEligible(FrameworkKind kind, const ConvDesc& conv)
 {
-    if (has_fkw || conv.groups != 1)
-        return false;
-    return kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kMnnLike ||
-           kind == FrameworkKind::kPatDnnDense;
+    return conv.groups == 1 &&
+           (kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kMnnLike ||
+            kind == FrameworkKind::kPatDnnDense);
 }
 
 /** Joint-prune a conv weight copy per the compile options. */
@@ -70,130 +59,6 @@ pruneWeightsForCompile(Tensor& weight, const PatternSet& set,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// CompiledConvLayer
-// ---------------------------------------------------------------------------
-
-CompiledConvLayer::CompiledConvLayer(const ConvDesc& desc, FrameworkKind kind,
-                                     DeviceSpec device, CompileOptions opts)
-    : desc_(desc), kind_(kind), device_(std::move(device)), opts_(std::move(opts))
-{
-    desc_.check();
-    Rng rng(opts_.seed + static_cast<uint64_t>(desc_.cout * 131 + desc_.cin));
-    weight_ = Tensor(Shape{desc_.cout, desc_.cinPerGroup(), desc_.kh, desc_.kw});
-    weight_.fillHe(rng, desc_.cinPerGroup() * desc_.kh * desc_.kw);
-    input_ = Tensor(Shape{1, desc_.cin, desc_.h, desc_.w});
-    input_.fillUniform(rng, -1.0f, 1.0f);
-
-    if (isSparseKind(kind_)) {
-        PatternSet set = canonicalPatternSet(opts_.pattern_count);
-        // Refine with the layer's own natural-pattern statistics when
-        // the kernels are 3x3, matching the training-stage pattern-set
-        // design.
-        if (desc_.kh == 3 && desc_.kw == 3) {
-            std::vector<const Tensor*> ws = {&weight_};
-            set = designPatternSet(ws, opts_.pattern_count);
-        }
-        PatternAssignment asg =
-            pruneWeightsForCompile(weight_, set, opts_, /*first_layer=*/false);
-        if (kind_ == FrameworkKind::kPatDnn) {
-            FkrOptions fkr_opts;
-            fkr_opts.reorder_filters = opts_.opts.reorder;
-            fkr_opts.similarity_within_group = opts_.opts.reorder;
-            fkr_opts.reorder_kernels = opts_.opts.reorder;
-            FkrResult fkr = filterKernelReorder(asg, fkr_opts);
-            fkw_ = std::make_unique<FkwLayer>(buildFkw(weight_, set, asg, fkr));
-            LayerwiseRep lr;
-            lr.device = device_.gpu_like ? "GPU" : "CPU";
-            lr.conv = desc_;
-            lr.opts = opts_.opts;
-            lr.tuning = opts_.default_tuning;
-            for (int p = 0; p < set.size(); ++p)
-                lr.pattern_types.push_back(p);
-            pattern_ = std::make_unique<PatternConv>(desc_, fkw_.get(), lr, device_);
-        } else {
-            csr_ = std::make_unique<CsrConv>(desc_, buildCsr(weight_), device_);
-        }
-        return;
-    }
-
-    switch (kind_) {
-      case FrameworkKind::kTfliteLike:
-        naive_ = std::make_unique<NaiveConv>(desc_, &weight_, device_);
-        break;
-      case FrameworkKind::kTvmLike:
-        // TVM-like: scheduled im2col+GEMM (no hand-written Winograd).
-        im2col_ = std::make_unique<Im2colConv>(desc_, &weight_, device_,
-                                               opts_.default_tuning);
-        break;
-      case FrameworkKind::kMnnLike:
-      case FrameworkKind::kPatDnnDense:
-        winograd_ = std::make_unique<WinogradConv>(desc_, &weight_, device_,
-                                                   opts_.default_tuning);
-        if (!winograd_->usesWinograd()) {
-            // Drop the non-applicable engine (it carries a packed
-            // fallback of its own) instead of packing weights twice.
-            winograd_.reset();
-            im2col_ = std::make_unique<Im2colConv>(desc_, &weight_, device_,
-                                                   opts_.default_tuning);
-        }
-        break;
-      default:
-        PATDNN_CHECK(false, "unsupported single-layer kind");
-    }
-}
-
-void
-CompiledConvLayer::run(const Tensor& in, Tensor& out) const
-{
-    if (pattern_) {
-        pattern_->run(in, out);
-    } else if (csr_) {
-        csr_->run(in, out);
-    } else if (naive_) {
-        naive_->run(in, out);
-    } else if (winograd_ && winograd_->usesWinograd()) {
-        winograd_->run(in, out);
-    } else {
-        PATDNN_CHECK(im2col_ != nullptr, "no executor");
-        im2col_->run(in, out);
-    }
-}
-
-double
-CompiledConvLayer::timeMs(int warmup, int reps) const
-{
-    Tensor out = makeConvOutput(desc_, 1);
-    return medianTimeMs([&] { run(input_, out); }, warmup, reps);
-}
-
-int64_t
-CompiledConvLayer::effectiveMacs() const
-{
-    int64_t nnz = weight_.countNonZero();
-    return nnz * desc_.outH() * desc_.outW();
-}
-
-double
-CompiledConvLayer::gflops(double time_ms) const
-{
-    if (time_ms <= 0.0)
-        return 0.0;
-    double flops = 2.0 * static_cast<double>(effectiveMacs());
-    return flops / (time_ms * 1e6);
-}
-
-double
-CompiledConvLayer::timeWithParams(const TuneParams& params, int reps) const
-{
-    PATDNN_CHECK(pattern_ != nullptr, "timeWithParams needs the pattern engine");
-    LayerwiseRep lr = pattern_->lr();
-    lr.tuning = params;
-    PatternConv engine(desc_, fkw_.get(), lr, device_);
-    Tensor out = makeConvOutput(desc_, 1);
-    return medianTimeMs([&] { engine.run(input_, out); }, 1, reps);
-}
 
 // ---------------------------------------------------------------------------
 // Workspace
@@ -308,7 +173,6 @@ struct CompiledModel::Executor
     ConvDesc conv;
     Tensor weight;  ///< Conv/fc weights (pruned copy for sparse kinds).
     Tensor bias;
-    Epilogue ep;
     int64_t pool_k = 2, pool_stride = 2;
     int64_t in_features = 0, out_features = 0;
     std::vector<int> inputs;
@@ -318,12 +182,8 @@ struct CompiledModel::Executor
     OptSwitches opts;    ///< Pattern-engine switches.
     bool quantized = false;            ///< Run the int8 dense path.
     float act_scale = 0.0f;            ///< Calibrated input scale.
-    std::vector<float> weight_scales;  ///< Restore-path override scales.
-    std::unique_ptr<PatternConv> pattern;
-    std::unique_ptr<NaiveConv> naive;
-    std::unique_ptr<Im2colConv> im2col;
-    std::unique_ptr<WinogradConv> winograd;
-    std::unique_ptr<CsrConv> csr;
+    std::vector<float> weight_scales;  ///< Per-output-channel scales.
+    std::unique_ptr<ConvEngine> engine;  ///< Conv nodes only.
 
     // Attribution strings for RunProfile rows and trace spans,
     // precomputed at compile/restore time (labelExecutor) so the run
@@ -336,63 +196,46 @@ struct CompiledModel::Executor
 
 CompiledModel::~CompiledModel() = default;
 
-void
-CompiledModel::attachConvEngines(Executor& ex) const
+/**
+ * The conv-engine selection table; the first matching row wins.
+ *
+ *   layer                                       engine
+ *   has FKW storage (kPatDnn, 3x3, ungrouped)   pattern
+ *   kCsrSparse, ungrouped                       csr
+ *   int8 record, denseQuantEligible()           im2col (i8)
+ *   grouped, or kTfliteLike                     naive
+ *   kTvmLike                                    im2col
+ *   WinogradConv::applies()                     winograd
+ *   otherwise                                   im2col
+ *
+ * Int8 layers always run quantized im2col: Winograd's transform-domain
+ * arithmetic does not survive int8. kTvmLike stands for scheduled
+ * im2col+GEMM, so it never takes the hand-written Winograd path.
+ */
+std::unique_ptr<ConvEngine>
+CompiledModel::selectConvEngine(const Executor& ex) const
 {
-    ex.ep.bias = ex.bias.numel() > 0 ? &ex.bias : nullptr;
-    ex.ep.relu = ex.fused_relu;
+    const ConvDesc& c = ex.conv;
     if (ex.fkw) {
         LayerwiseRep lr;
         lr.device = device_.gpu_like ? "GPU" : "CPU";
-        lr.conv = ex.conv;
+        lr.conv = c;
         lr.opts = ex.opts;
         lr.tuning = ex.tuning;
         for (size_t p = 0; p < ex.fkw->patterns.size(); ++p)
             lr.pattern_types.push_back(static_cast<int>(p));
-        ex.pattern =
-            std::make_unique<PatternConv>(ex.conv, ex.fkw.get(), lr, device_);
-        return;
+        return std::make_unique<PatternConv>(c, ex.fkw.get(), lr, device_);
     }
-    if (kind_ == FrameworkKind::kCsrSparse && ex.conv.groups == 1) {
-        ex.csr = std::make_unique<CsrConv>(ex.conv, buildCsr(ex.weight), device_);
-        return;
-    }
-    if (ex.quantized && denseQuantEligible(kind_, false, ex.conv)) {
-        // Int8 dense path: always the quantized im2col engine —
-        // Winograd's transform-domain arithmetic does not survive int8,
-        // so Winograd-eligible layers run quantized im2col too.
-        ex.im2col = std::make_unique<Im2colConv>(
-            ex.conv, &ex.weight, device_, ex.tuning, ex.act_scale,
-            ex.weight_scales);
-        return;
-    }
-    switch (kind_) {
-      case FrameworkKind::kTfliteLike:
-        ex.naive = std::make_unique<NaiveConv>(ex.conv, &ex.weight, device_);
-        break;
-      case FrameworkKind::kTvmLike:
-        if (ex.conv.groups == 1)
-            ex.im2col = std::make_unique<Im2colConv>(ex.conv, &ex.weight,
-                                                     device_, ex.tuning);
-        else
-            ex.naive = std::make_unique<NaiveConv>(ex.conv, &ex.weight, device_);
-        break;
-      default:
-        if (ex.conv.groups == 1) {
-            ex.winograd = std::make_unique<WinogradConv>(ex.conv, &ex.weight,
-                                                         device_, ex.tuning);
-            if (!ex.winograd->usesWinograd()) {
-                // Drop the non-applicable engine (it carries a packed
-                // fallback of its own) instead of packing weights twice.
-                ex.winograd.reset();
-                ex.im2col = std::make_unique<Im2colConv>(ex.conv, &ex.weight,
-                                                         device_, ex.tuning);
-            }
-        } else {
-            ex.naive = std::make_unique<NaiveConv>(ex.conv, &ex.weight, device_);
-        }
-        break;
-    }
+    if (kind_ == FrameworkKind::kCsrSparse && c.groups == 1)
+        return std::make_unique<CsrConv>(c, buildCsr(ex.weight), device_);
+    if (ex.quantized && denseQuantEligible(kind_, c))
+        return std::make_unique<Im2colConv>(c, &ex.weight, device_, ex.tuning,
+                                            ex.act_scale, ex.weight_scales);
+    if (c.groups != 1 || kind_ == FrameworkKind::kTfliteLike)
+        return std::make_unique<NaiveConv>(c, &ex.weight, device_);
+    if (kind_ != FrameworkKind::kTvmLike && WinogradConv::applies(c))
+        return std::make_unique<WinogradConv>(c, &ex.weight, device_, ex.tuning);
+    return std::make_unique<Im2colConv>(c, &ex.weight, device_, ex.tuning);
 }
 
 void
@@ -404,25 +247,10 @@ CompiledModel::labelExecutor(Executor& ex, size_t id) const
         ex.label = opKindName(ex.kind) + "#" + std::to_string(id);
     switch (ex.kind) {
       case OpKind::kConv:
-        if (ex.pattern) {
-            ex.kind_name = "pattern";
-        } else if (ex.csr) {
-            ex.kind_name = "csr";
-        } else if (ex.naive) {
-            ex.kind_name = "naive";
-        } else if (ex.winograd && ex.winograd->usesWinograd()) {
-            ex.kind_name = "winograd";
-        } else if (ex.im2col) {
-            ex.kind_name = "im2col";
-        }
-        // The sparse engines and the packed-GEMM dense engines
-        // (im2col, winograd stage-2) dispatch through the SIMD kernel
-        // tables; only the tflite-like naive baseline stays
-        // engine-internal scalar code.
-        if (ex.pattern || ex.csr || ex.im2col || ex.winograd)
+        ex.kind_name = ex.engine->name();
+        if (ex.engine->usesSimdTable())
             ex.isa_name = isaName(resolveSimdOps(device_.simd_isa).isa);
-        if (ex.im2col && ex.im2col->quantized())
-            ex.prec_name = precisionName(Precision::kInt8);
+        ex.prec_name = precisionName(ex.engine->precision());
         break;
       case OpKind::kBatchNorm:      ex.kind_name = "bn"; break;
       case OpKind::kReLU:           ex.kind_name = "relu"; break;
@@ -489,11 +317,14 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
                     ex->tuning = cached;
             }
             ex->opts = opts.opts;
-            bool can_sparse = isSparseKind(kind_) && n.conv.groups == 1;
-            if (can_sparse) {
+            if (isSparseKind(kind_) && n.conv.groups == 1) {
                 PatternAssignment asg = pruneWeightsForCompile(
                     ex->weight, set, opts, first_conv);
-                if (kind_ == FrameworkKind::kPatDnn) {
+                // Kernel patterns exist for 3x3 kernels only (PCONV):
+                // any other conv keeps its connectivity-pruned dense
+                // weights and runs a dense engine.
+                if (kind_ == FrameworkKind::kPatDnn && n.conv.kh == 3 &&
+                    n.conv.kw == 3) {
                     FkrOptions fkr_opts;
                     fkr_opts.reorder_filters = opts.opts.reorder;
                     fkr_opts.similarity_within_group = opts.opts.reorder;
@@ -503,7 +334,7 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
                         buildFkw(ex->weight, set, asg, fkr));
                 }
             }
-            attachConvEngines(*ex);
+            ex->engine = selectConvEngine(*ex);
             first_conv = false;
         } else if (n.kind == OpKind::kFullyConnected) {
             ex->weight = n.weight;
@@ -544,7 +375,7 @@ CompiledModel::quantizeDenseConvLayers()
             continue;
         if (first_conv == nullptr)
             first_conv = exp.get();
-        if (denseQuantEligible(kind_, exp->fkw != nullptr, exp->conv))
+        if (denseQuantEligible(kind_, exp->conv))
             any_eligible = true;
     }
     if (first_conv == nullptr || !any_eligible)
@@ -568,7 +399,7 @@ CompiledModel::quantizeDenseConvLayers()
         if (!exp || exp->kind != OpKind::kConv)
             continue;
         Executor& ex = *exp;
-        if (!denseQuantEligible(kind_, ex.fkw != nullptr, ex.conv))
+        if (!denseQuantEligible(kind_, ex.conv))
             continue;
         ActivationCalibrator calibrator(cal.method, cal.percentile);
         int src = ex.inputs.empty() ? -1 : ex.inputs[0];
@@ -576,10 +407,8 @@ CompiledModel::quantizeDenseConvLayers()
                                    : ws.value(static_cast<size_t>(src)));
         ex.quantized = true;
         ex.act_scale = calibrator.scale();
-        ex.weight_scales.clear();  // Derived from the weights on attach.
-        ex.winograd.reset();
-        ex.im2col.reset();
-        attachConvEngines(ex);
+        ex.weight_scales = quantizeWeightsPerChannel(ex.weight).scales;
+        ex.engine = selectConvEngine(ex);
         labelExecutor(ex, id);
     }
 }
@@ -621,7 +450,7 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
             // the "absent" marker — note numel() is 1 for rank 0.)
             if (ex->fkw && ex->weight.shape().rank() == 0)
                 ex->weight = fkwToDense(*ex->fkw);
-            attachConvEngines(*ex);
+            ex->engine = selectConvEngine(*ex);
         }
         labelExecutor(*ex, id);
         executors_[id] = std::move(ex);
@@ -723,14 +552,14 @@ CompiledModel::exportState() const
         st.bias = ex.bias;
         st.tuning = ex.tuning;
         st.opts = ex.opts;
-        if (ex.im2col && ex.im2col->quantized()) {
+        if (ex.engine && ex.engine->precision() == Precision::kInt8) {
             // Persist the calibrated scales, not the quantized bytes:
             // the f32 weights below re-quantize deterministically on
             // restore, so the artifact stays loadable as f32 by older
             // readers.
             st.quantized = true;
-            st.act_scale = ex.im2col->actScale();
-            st.weight_scales = ex.im2col->weightScales();
+            st.act_scale = ex.act_scale;
+            st.weight_scales = ex.weight_scales;
         }
         if (ex.fkw)
             st.fkw = std::make_unique<FkwLayer>(*ex.fkw);  // FKW replaces dense.
@@ -774,17 +603,11 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
             Tensor& y = ws.fresh(
                 id, Shape{x.shape().dim(0), ex.conv.cout, ex.conv.outH(),
                           ex.conv.outW()});
+            Epilogue ep;
+            ep.bias = ex.bias.numel() > 0 ? &ex.bias : nullptr;
+            ep.relu = ex.fused_relu;
             Timer t;
-            if (ex.pattern)
-                ex.pattern->run(x, y, ex.ep);
-            else if (ex.csr)
-                ex.csr->run(x, y, ex.ep);
-            else if (ex.naive)
-                ex.naive->run(x, y, ex.ep);
-            else if (ex.winograd && ex.winograd->usesWinograd())
-                ex.winograd->run(x, y, ex.ep);
-            else
-                ex.im2col->run(x, y, ex.ep);
+            ex.engine->run(x, y, ep);
             conv_total += t.elapsedMs();
             break;
           }

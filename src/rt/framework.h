@@ -31,6 +31,7 @@
 #include "obs/profile.h"
 #include "prune/quant.h"
 #include "rt/conv_csr.h"
+#include "rt/conv_engine.h"
 #include "rt/conv_im2col.h"
 #include "rt/conv_naive.h"
 #include "rt/conv_pattern.h"
@@ -54,16 +55,6 @@ enum class FrameworkKind
 
 /** Display name used in bench output. */
 std::string frameworkName(FrameworkKind kind);
-
-/** Numeric precision of the dense conv executors. */
-enum class Precision : uint32_t
-{
-    kF32 = 0,   ///< f32 packed GEMM (the default).
-    kInt8 = 1,  ///< i8×i8→i32 packed GEMM with f32 requant epilogue.
-};
-
-/** Display name ("f32" / "i8"), as shown in RunProfile tables. */
-const char* precisionName(Precision p);
 
 /** Activation-scale calibration knobs for Precision::kInt8 compiles.
  * Compilation first builds the f32 engines, runs a synthetic
@@ -127,9 +118,9 @@ struct CompileOptions
  * CompiledModel::exportState() and consumed by the state-restoring
  * constructor and the serve/ model-artifact (de)serializer.
  *
- * For kPatDnn conv layers only the FKW storage plus tuned parameters
- * are carried (the dense weight view is reconstructed on restore); all
- * other layers carry their dense tensors.
+ * For kPatDnn 3x3 conv layers only the FKW storage plus tuned
+ * parameters are carried (the dense weight view is reconstructed on
+ * restore); all other layers carry their dense tensors.
  */
 struct CompiledLayerState
 {
@@ -142,7 +133,7 @@ struct CompiledLayerState
     int64_t in_features = 0, out_features = 0;
     Tensor weight;                 ///< Dense weights (empty for pattern convs).
     Tensor bias;
-    std::unique_ptr<FkwLayer> fkw; ///< Pattern-engine storage (kPatDnn convs).
+    std::unique_ptr<FkwLayer> fkw; ///< Pattern-engine storage (kPatDnn 3x3 convs).
     TuneParams tuning;             ///< Pattern-engine tuned parameters.
     OptSwitches opts;              ///< Pattern-engine switches.
     /// Int8 quantization record (conv layers compiled at kInt8). The
@@ -344,15 +335,16 @@ class CompiledModel
     struct Executor;
     Tensor runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
                      RunProfile* profile) const;
-    /** Instantiate engine objects for a conv executor whose state
-     * fields (weight / fkw / tuning) are already populated. */
-    void attachConvEngines(Executor& ex) const;
+    /** The one conv-engine selection point: build the engine for a
+     * conv executor whose state fields (weight / fkw / tuning / quant
+     * record) are already populated. */
+    std::unique_ptr<ConvEngine> selectConvEngine(const Executor& ex) const;
     /** The kInt8 compile pass: run a synthetic calibration batch
      * through the freshly built f32 engines, then rebuild every
      * eligible dense conv executor in quantized mode. */
     void quantizeDenseConvLayers();
     /** Fill the executor's display label / engine-kind / ISA strings
-     * (profile + trace attribution), after engines are attached. */
+     * (profile + trace attribution), after its engine is selected. */
     void labelExecutor(Executor& ex, size_t id) const;
 
     FrameworkKind kind_;
@@ -362,49 +354,6 @@ class CompiledModel
     int output_node_ = -1;
     std::vector<std::unique_ptr<Executor>> executors_;  ///< Per node id.
     MemoryPlan plan_;  ///< Activation arena plan; may be empty.
-};
-
-/**
- * Convenience: build a single-layer compiled conv for a ConvDesc (used
- * by the per-layer benches). Weights are generated, pruned and packed
- * internally with the given options.
- */
-class CompiledConvLayer
-{
-  public:
-    CompiledConvLayer(const ConvDesc& desc, FrameworkKind kind, DeviceSpec device,
-                      CompileOptions opts = {});
-
-    void run(const Tensor& in, Tensor& out) const;
-
-    /** Median time over reps after warmup. */
-    double timeMs(int warmup = 1, int reps = 3) const;
-
-    /** Achieved GFLOPS counting actually-executed MACs. */
-    double gflops(double time_ms) const;
-
-    /** Effective (non-zero) MACs per run. */
-    int64_t effectiveMacs() const;
-
-    const FkwLayer* fkw() const { return fkw_.get(); }
-    const ConvDesc& desc() const { return desc_; }
-
-    /** Re-run with different tuning (used by the tuner's measure fn). */
-    double timeWithParams(const TuneParams& params, int reps = 2) const;
-
-  private:
-    ConvDesc desc_;
-    FrameworkKind kind_;
-    DeviceSpec device_;
-    CompileOptions opts_;
-    Tensor weight_;  ///< Dense (possibly pruned) weights.
-    std::unique_ptr<FkwLayer> fkw_;
-    std::unique_ptr<PatternConv> pattern_;
-    std::unique_ptr<NaiveConv> naive_;
-    std::unique_ptr<Im2colConv> im2col_;
-    std::unique_ptr<WinogradConv> winograd_;
-    std::unique_ptr<CsrConv> csr_;
-    Tensor input_;
 };
 
 }  // namespace patdnn

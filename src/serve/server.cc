@@ -508,9 +508,6 @@ InferenceServer::stats() const
     }
     s.latency_hist = latency_hist_.snapshot();
     s.latency = s.latency_hist.percentiles();
-    s.mean_ms = s.latency_hist.mean();
-    s.p50_ms = s.latency.p50;
-    s.p99_ms = s.latency.p99;
     return s;
 }
 

@@ -155,11 +155,6 @@ struct ServerStats
     HistogramSnapshot latency_hist;
     /// p50/p90/p99/p999 of latency_hist.
     Percentiles latency;
-    /// Convenience aliases of the quad above (kept for existing
-    /// callers; same numbers as latency.p50 / latency.p99).
-    double p50_ms = 0.0;           ///< Median submit-to-completion latency.
-    double p99_ms = 0.0;           ///< Tail submit-to-completion latency.
-    double mean_ms = 0.0;
     double throughput_rps = 0.0;   ///< Completed requests / serving wall-clock.
     double avg_batch = 0.0;        ///< Mean samples per model invocation.
 };

@@ -69,10 +69,11 @@ TEST_P(DenseExecutorSweep, AllDenseEnginesMatchReference)
     Im2colConv(d, &w, dev).run(in, got, ep);
     EXPECT_LT(Tensor::maxAbsDiff(expect, got), 1e-3) << "im2col";
 
-    got.fill(0.0f);
-    WinogradConv wino(d, &w, dev);
-    wino.run(in, got, ep);
-    EXPECT_LT(Tensor::maxAbsDiff(expect, got), 2e-3) << "winograd";
+    if (WinogradConv::applies(d)) {
+        got.fill(0.0f);
+        WinogradConv(d, &w, dev).run(in, got, ep);
+        EXPECT_LT(Tensor::maxAbsDiff(expect, got), 2e-3) << "winograd";
+    }
 
     got.fill(0.0f);
     CsrConv(d, buildCsr(w), dev).run(in, got, ep);

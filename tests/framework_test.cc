@@ -1,6 +1,9 @@
 /** @file End-to-end framework facade tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "rt/framework.h"
 
 namespace patdnn {
@@ -115,9 +118,42 @@ TEST(Framework, ResidualModelRunsEndToEnd)
     EXPECT_EQ(y.shape(), Shape({1, 10}));
 }
 
-TEST(Framework, DepthwiseModelRunsEndToEnd)
+/**
+ * Exported conv state with every FKW expanded to its dense weights, so
+ * any dense engine can rebuild the same layers.
+ */
+std::vector<CompiledLayerState>
+denseState(const CompiledModel& model)
 {
-    Model m = buildMobileNetV2(Dataset::kCifar10);
+    std::vector<CompiledLayerState> states = model.exportState();
+    for (CompiledLayerState& st : states) {
+        if (st.live && st.fkw) {
+            st.weight = fkwToDense(*st.fkw);
+            st.fkw.reset();
+        }
+    }
+    return states;
+}
+
+/** Max |a - b| over max |b|. */
+double
+relativeDiff(const Tensor& a, const Tensor& b)
+{
+    double scale = 0.0;
+    for (int64_t i = 0; i < b.numel(); ++i)
+        scale = std::max(scale, static_cast<double>(std::fabs(b[i])));
+    return Tensor::maxAbsDiff(a, b) / std::max(scale, 1e-30);
+}
+
+/**
+ * A kPatDnn compile of a zoo model whose non-3x3 convs carry no kernel
+ * pattern: every conv must keep a nonzero weight, the output must be
+ * nonzero, and a dense kTvmLike rebuild of the exported state must
+ * agree.
+ */
+void
+expectPatDnnModelComputes(const Model& m)
+{
     DeviceSpec dev = makeCpuDevice(4);
     CompiledModel sparse(m, FrameworkKind::kPatDnn, dev);
     Tensor in(Shape{1, 3, 32, 32});
@@ -125,6 +161,27 @@ TEST(Framework, DepthwiseModelRunsEndToEnd)
     in.fillUniform(rng, 0.0f, 1.0f);
     Tensor y = sparse.run(in);
     EXPECT_EQ(y.shape(), Shape({1, 10}));
+    EXPECT_GT(y.countNonZero(), 0);
+
+    std::vector<CompiledLayerState> states = denseState(sparse);
+    for (const CompiledLayerState& st : states) {
+        if (st.live && st.kind == OpKind::kConv) {
+            EXPECT_GT(st.weight.countNonZero(), 0) << st.conv.name;
+        }
+    }
+    CompiledModel dense(FrameworkKind::kTvmLike, dev, std::move(states),
+                        sparse.outputNode());
+    EXPECT_LT(relativeDiff(dense.run(in), y), 1e-4);
+}
+
+TEST(Framework, DepthwiseModelRunsEndToEnd)
+{
+    expectPatDnnModelComputes(buildMobileNetV2(Dataset::kCifar10));
+}
+
+TEST(Framework, ResidualPatDnnModelComputes)
+{
+    expectPatDnnModelComputes(buildResNet50(Dataset::kCifar10));
 }
 
 TEST(Framework, TimingReturnsPositiveMs)
@@ -150,28 +207,74 @@ TEST(FrameworkNames, AllDistinct)
             EXPECT_NE(frameworkName(kinds[i]), frameworkName(kinds[j]));
 }
 
-TEST(CompiledConvLayerTest, SingleLayerKindsRun)
+/** One geometry of the selection table: a conv and the engine each
+ * FrameworkKind must pick for it, in FrameworkKind order. */
+struct SelectionRow
 {
-    ConvDesc d{"L", 16, 32, 3, 3, 14, 14, 1, 1, 1, 1};
+    ConvDesc desc;
+    const char* engine[6];
+};
+
+/** selectConvEngine()'s table, row by row, through a one-conv model:
+ * the RunProfile kind column names the engine, and the output matches
+ * convReference over the exported (pruned) weights. */
+TEST(ConvEngineSelection, EveryKindPicksItsEngine)
+{
+    const FrameworkKind kinds[6] = {
+        FrameworkKind::kTfliteLike,  FrameworkKind::kTvmLike,
+        FrameworkKind::kMnnLike,     FrameworkKind::kPatDnnDense,
+        FrameworkKind::kCsrSparse,   FrameworkKind::kPatDnn};
+    const SelectionRow rows[] = {
+        {{"s1", 16, 32, 3, 3, 14, 14, 1, 1, 1, 1},
+         {"naive", "im2col", "winograd", "winograd", "csr", "pattern"}},
+        {{"s2", 16, 32, 3, 3, 14, 14, 2, 1, 1, 1},
+         {"naive", "im2col", "im2col", "im2col", "csr", "pattern"}},
+        {{"pw", 16, 32, 1, 1, 14, 14, 1, 0, 1, 1},
+         {"naive", "im2col", "im2col", "im2col", "csr", "im2col"}},
+        {{"dw", 16, 16, 3, 3, 14, 14, 1, 1, 1, 16},
+         {"naive", "naive", "naive", "naive", "naive", "naive"}},
+    };
     DeviceSpec dev = makeCpuDevice(2);
-    for (auto kind : {FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
-                      FrameworkKind::kMnnLike, FrameworkKind::kPatDnnDense,
-                      FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn}) {
-        CompiledConvLayer layer(d, kind, dev);
-        double ms = layer.timeMs(0, 1);
-        EXPECT_GT(ms, 0.0) << frameworkName(kind);
-        EXPECT_GT(layer.gflops(ms), 0.0);
-        EXPECT_GT(layer.effectiveMacs(), 0);
+    for (const SelectionRow& row : rows) {
+        const ConvDesc& d = row.desc;
+        Tensor in(Shape{1, d.cin, d.h, d.w});
+        Rng rng(8);
+        in.fillUniform(rng, -1.0f, 1.0f);
+        for (int k = 0; k < 6; ++k) {
+            SCOPED_TRACE(d.name + " " + frameworkName(kinds[k]));
+            CompiledModel model(singleConvModel(d, 5), kinds[k], dev);
+            Workspace ws;
+            RunProfile prof;
+            Tensor got = model.run(in, ws, &prof);
+            const RunProfileEntry& e =
+                prof.entries[static_cast<size_t>(model.outputNode())];
+            EXPECT_EQ(e.kind, row.engine[k]);
+
+            std::vector<CompiledLayerState> states = denseState(model);
+            const CompiledLayerState& st =
+                states[static_cast<size_t>(model.outputNode())];
+            Tensor want = makeConvOutput(d, 1);
+            Epilogue ep;
+            ep.bias = &st.bias;
+            convReference(d, st.weight, in, want, ep);
+            double tol = e.kind == "winograd" ? 2e-3 : 1e-3;
+            EXPECT_LT(Tensor::maxAbsDiff(got, want), tol);
+        }
     }
 }
 
-TEST(CompiledConvLayerTest, SparseHasFewerEffectiveMacs)
+TEST(ConvEngineSelection, SparseHasFewerEffectiveMacs)
 {
     ConvDesc d{"L", 16, 32, 3, 3, 14, 14, 1, 1, 1, 1};
     DeviceSpec dev = makeCpuDevice(2);
-    CompiledConvLayer dense(d, FrameworkKind::kPatDnnDense, dev);
-    CompiledConvLayer sparse(d, FrameworkKind::kPatDnn, dev);
-    EXPECT_LT(sparse.effectiveMacs(), dense.effectiveMacs() / 3);
+    CompileOptions opts;
+    opts.first_layer_rate = opts.connectivity_rate;
+    CompiledModel dense(singleConvModel(d, 5), FrameworkKind::kPatDnnDense, dev);
+    CompiledModel sparse(singleConvModel(d, 5), FrameworkKind::kPatDnn, dev, opts);
+    // Effective MACs are nonzero weights times output pixels; the
+    // pixel count is shared, so the weight counts carry the claim.
+    EXPECT_EQ(dense.convNonZeros(), d.weightCount());
+    EXPECT_LT(sparse.convNonZeros(), dense.convNonZeros() / 3);
 }
 
 }  // namespace

@@ -316,8 +316,8 @@ TEST(Server, DrainsBurstWithCorrectResultsAndStats)
     ServerStats stats = server.stats();
     EXPECT_EQ(stats.completed, kBurst);
     EXPECT_EQ(stats.queue_depth, 0u);
-    EXPECT_GT(stats.p50_ms, 0.0);
-    EXPECT_GE(stats.p99_ms, stats.p50_ms);
+    EXPECT_GT(stats.latency.p50, 0.0);
+    EXPECT_GE(stats.latency.p99, stats.latency.p50);
     EXPECT_GT(stats.throughput_rps, 0.0);
     EXPECT_GT(stats.batches, 0);
     EXPECT_LE(stats.batches, kBurst);
@@ -460,7 +460,7 @@ TEST(Server, LoadedArtifactServesBurst)
     }
     server->drain();
     EXPECT_EQ(server->stats().completed, 32);
-    EXPECT_GT(server->stats().p99_ms, 0.0);
+    EXPECT_GT(server->stats().latency.p99, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +628,7 @@ TEST(Server, BatchFormSpanCoversExactlyTheLingerWindow)
     Tracer::clear();
 }
 
-// ServerStats latencies come from a lock-free histogram now; the
-// legacy p50_ms/p99_ms fields must stay aliases of the new quad.
+// ServerStats latencies come from a lock-free histogram.
 TEST(Server, StatsLatencyHistogramCountsEveryCompletion)
 {
     Model m = tinyModel();
@@ -656,12 +655,9 @@ TEST(Server, StatsLatencyHistogramCountsEveryCompletion)
     EXPECT_EQ(stats.latency_hist.count, kBurst);
     EXPECT_GT(stats.latency_hist.min, 0.0);
     EXPECT_GE(stats.latency_hist.max, stats.latency_hist.min);
-    // The legacy fields alias the histogram quad.
-    EXPECT_DOUBLE_EQ(stats.p50_ms, stats.latency.p50);
-    EXPECT_DOUBLE_EQ(stats.p99_ms, stats.latency.p99);
     EXPECT_GE(stats.latency.p99, stats.latency.p50);
     EXPECT_GE(stats.latency.p999, stats.latency.p99);
-    EXPECT_GT(stats.mean_ms, 0.0);
+    EXPECT_GT(stats.latency_hist.mean(), 0.0);
     server.shutdown();
 }
 

@@ -561,6 +561,14 @@ TEST(SimdKernels, KernelAccumulateMultiFilterMatchesScalar)
 // Executor-level: forcing each ISA on a device yields identical outputs
 // ---------------------------------------------------------------------------
 
+/** `d` compiled alone (singleConvModel weights from opts.seed) and run. */
+Tensor
+runSingleConv(const ConvDesc& d, FrameworkKind kind, const DeviceSpec& dev,
+              const CompileOptions& opts, const Tensor& in)
+{
+    return CompiledModel(singleConvModel(d, opts.seed), kind, dev, opts).run(in);
+}
+
 TEST(SimdExecutors, PatternConvIdenticalAcrossForcedIsas)
 {
     ConvDesc d{"simd", 8, 12, 3, 3, 19, 23, 1, 1, 1, 1};
@@ -572,16 +580,12 @@ TEST(SimdExecutors, PatternConvIdenticalAcrossForcedIsas)
     ref_dev.simd_isa = SimdIsa::kScalar;
     CompileOptions opts;
     opts.seed = 23;
-    CompiledConvLayer ref_layer(d, FrameworkKind::kPatDnn, ref_dev, opts);
-    Tensor ref_out = makeConvOutput(d, 1);
-    ref_layer.run(in, ref_out);
+    Tensor ref_out = runSingleConv(d, FrameworkKind::kPatDnn, ref_dev, opts, in);
 
     for (SimdIsa isa : availableSimdIsas()) {
         DeviceSpec dev = makeCpuDevice(2);
         dev.simd_isa = isa;
-        CompiledConvLayer layer(d, FrameworkKind::kPatDnn, dev, opts);
-        Tensor out = makeConvOutput(d, 1);
-        layer.run(in, out);
+        Tensor out = runSingleConv(d, FrameworkKind::kPatDnn, dev, opts, in);
         ASSERT_EQ(out.numel(), ref_out.numel());
         EXPECT_BITWISE_EQ(out.data(), ref_out.data(),
                           static_cast<size_t>(out.numel()), isaName(isa));
@@ -600,16 +604,13 @@ TEST(SimdExecutors, CsrConvIdenticalAcrossForcedIsas)
         ref_dev.simd_isa = SimdIsa::kScalar;
         CompileOptions opts;
         opts.seed = 29;
-        CompiledConvLayer ref_layer(d, FrameworkKind::kCsrSparse, ref_dev, opts);
-        Tensor ref_out = makeConvOutput(d, 1);
-        ref_layer.run(in, ref_out);
+        Tensor ref_out =
+            runSingleConv(d, FrameworkKind::kCsrSparse, ref_dev, opts, in);
 
         for (SimdIsa isa : availableSimdIsas()) {
             DeviceSpec dev = makeCpuDevice(2);
             dev.simd_isa = isa;
-            CompiledConvLayer layer(d, FrameworkKind::kCsrSparse, dev, opts);
-            Tensor out = makeConvOutput(d, 1);
-            layer.run(in, out);
+            Tensor out = runSingleConv(d, FrameworkKind::kCsrSparse, dev, opts, in);
             EXPECT_BITWISE_EQ(out.data(), ref_out.data(),
                               static_cast<size_t>(out.numel()),
                               isaName(isa) << " stride=" << stride);
@@ -630,13 +631,9 @@ TEST(SimdExecutors, OversizedUnrollOcClampsToBundleCap)
     CompileOptions opts;
     opts.seed = 37;
     opts.default_tuning.unroll_oc = 16;
-    CompiledConvLayer capped(d, FrameworkKind::kPatDnn, dev, opts);
+    Tensor out_capped = runSingleConv(d, FrameworkKind::kPatDnn, dev, opts, in);
     opts.default_tuning.unroll_oc = 64;
-    CompiledConvLayer oversized(d, FrameworkKind::kPatDnn, dev, opts);
-    Tensor out_capped = makeConvOutput(d, 1);
-    Tensor out_oversized = makeConvOutput(d, 1);
-    capped.run(in, out_capped);
-    oversized.run(in, out_oversized);
+    Tensor out_oversized = runSingleConv(d, FrameworkKind::kPatDnn, dev, opts, in);
     EXPECT_BITWISE_EQ(out_oversized.data(), out_capped.data(),
                       static_cast<size_t>(out_capped.numel()), "unroll_oc=64");
 }
