@@ -1,8 +1,8 @@
 /**
  * @file
  * The deployment path end-to-end: compile a zoo model with the full
- * pattern engine, freeze it into a binary artifact (header v3 records
- * the compile options + device fingerprint), reload it the way a
+ * pattern engine, freeze it into a binary artifact (it records the
+ * compile options + device fingerprint), reload it the way a
  * serving host would, and serve it from a multi-model ModelRegistry —
  * two named models sharing one compute pool, a linger window
  * coalescing the sparse tail of the request stream, and a deadline on

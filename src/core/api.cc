@@ -30,19 +30,6 @@ compileLayer(const ConvDesc& desc, Tensor weight, const PatternSet& set,
     return std::move(result).value();
 }
 
-Status
-saveModel(const CompiledModel& model, const std::string& path)
-{
-    return saveModelArtifact(model, path);
-}
-
-Result<std::shared_ptr<CompiledModel>>
-loadModel(const std::string& path, const DeviceSpec& device,
-          const ArtifactLoadOptions& opts, ArtifactInfo* info)
-{
-    return loadModelArtifact(path, device, opts, info);
-}
-
 std::unique_ptr<InferenceServer>
 serve(std::shared_ptr<const CompiledModel> model, const ServerOptions& opts)
 {

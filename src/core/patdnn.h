@@ -11,13 +11,11 @@
  *      (whole-model execution lives in CompiledModel, rt/framework.h).
  *
  * Deployment extends the pipeline past Fig. 5: saveModel()/loadModel()
- * freeze a CompiledModel into a distributable artifact (header v3
- * records the compile options + device fingerprint, so a mismatched
- * host gets a diagnostic instead of a failed invariant; v4 adds the
- * offline activation MemoryPlan, so sessions on the serving host run
- * out of one peak-live-sized arena — rt/memplan.h — with
- * CompileOptions::enable_memory_plan controlling plan creation at
- * compile time), serve()
+ * (serve/artifact.h) freeze a CompiledModel into a distributable
+ * artifact (it records the compile options + device fingerprint, so a
+ * mismatched host gets a diagnostic instead of a failed invariant, and
+ * the offline activation MemoryPlan, so sessions on the serving host
+ * run out of one peak-live-sized arena — rt/memplan.h), serve()
  * stands up an async batched InferenceServer — per-request deadlines,
  * cancellation, and a linger window that coalesces sparse request
  * streams — and ModelRegistry serves several named artifacts from one
@@ -86,26 +84,6 @@ CompressResult compress(Net& net, const SyntheticShapes& data, int pattern_count
 CompiledLayer compileLayer(const ConvDesc& desc, Tensor weight,
                            const PatternSet& set, double connectivity_rate,
                            const DeviceSpec& device, bool auto_tune = false);
-
-/**
- * Freeze a compiled model into a versioned binary artifact at `path`
- * (compile once, distribute everywhere). kUnavailable on I/O failure.
- */
-Status saveModel(const CompiledModel& model, const std::string& path);
-
-/**
- * Load an artifact for `device`. The result is immutable and intended
- * to be shared: hand it to any number of InferenceSession /
- * InferenceServer instances. Failure codes: kNotFound (missing file),
- * kDataLoss (truncated or corrupted bytes — Status::detail() carries
- * the artifact_detail slug), kInvalidArgument (unsupported format
- * version), kDeviceMismatch (fingerprint this host cannot satisfy;
- * see artifact.h). `info`, when non-null, receives header provenance
- * and non-fatal warnings even on success.
- */
-Result<std::shared_ptr<CompiledModel>> loadModel(
-    const std::string& path, const DeviceSpec& device,
-    const ArtifactLoadOptions& opts = {}, ArtifactInfo* info = nullptr);
 
 /** Stand up an async batched inference server over a shared model. */
 std::unique_ptr<InferenceServer> serve(std::shared_ptr<const CompiledModel> model,

@@ -21,8 +21,9 @@ preparePatternPlan(const FkwLayer& fkw, const LayerwiseRep& lr,
 
     // Scheduling granularity: split FKR groups into work items. GPU-like
     // devices map one group to one "thread block"; CPUs split groups to
-    // filters_per_task for finer balancing.
-    int64_t per_task = lr.tuning.filters_per_task;
+    // filters_per_task for finer balancing (at least one filter per item,
+    // whatever the tuning record says).
+    int64_t per_task = std::max(1, lr.tuning.filters_per_task);
     if (device.gpu_like)
         per_task = 1 << 30;  // Whole group per item.
     for (const auto& grp : fkw.groups) {

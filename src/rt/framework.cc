@@ -58,6 +58,156 @@ pruneWeightsForCompile(Tensor& weight, const PatternSet& set,
     return projectJoint(weight, set, alpha);
 }
 
+/// Cap on every geometry field and every node's per-sample element
+/// count (and on conv weight elements): far above any zoo model, low
+/// enough that no shape product can overflow int64.
+constexpr int64_t kMaxElems = int64_t{1} << 26;
+
+/** Product of `dims`, or -1 when a factor is not positive or the
+ * product passes kMaxElems. */
+int64_t
+cappedProduct(std::initializer_list<int64_t> dims)
+{
+    int64_t p = 1;
+    for (int64_t d : dims) {
+        if (d < 1 || d > kMaxElems / p)
+            return -1;
+        p *= d;
+    }
+    return p;
+}
+
+/** An optional bias: absent (rank 0) or one value per output. */
+bool
+biasFits(const Tensor& bias, int64_t outputs)
+{
+    return bias.shape().rank() == 0 || bias.shape() == Shape{outputs};
+}
+
+/**
+ * The one static shape-inference routine, shared by planNodes() (over
+ * the executor list) and checkGraph() (over exported layer state): both
+ * node types carry the same fields. `node_at(id)` is null for dead
+ * slots. Derives every live node's per-sample output shape (leading
+ * batch dim 1) in id order while enforcing the checkGraph() rules.
+ */
+template <class NodeAt>
+Status
+inferShapes(size_t count, int output_node, NodeAt node_at,
+            std::vector<PlanNode>* nodes)
+{
+    if (output_node < 0 || static_cast<size_t>(output_node) >= count ||
+        node_at(static_cast<size_t>(output_node)) == nullptr)
+        return Status(ErrorCode::kInvalidArgument, "output node is not a live node");
+    nodes->assign(count, PlanNode{});
+    std::vector<Shape> shapes(count);
+    Shape model_input;  // Rank 0 until a conv reading the input fixes it.
+    for (size_t id = 0; id < count; ++id) {
+        const auto* n = node_at(id);
+        if (n == nullptr)
+            continue;
+        auto bad = [&](const std::string& what) {
+            return Status(ErrorCode::kInvalidArgument,
+                          "node " + std::to_string(id) + " (" + opKindName(n->kind) +
+                              "): " + what);
+        };
+        size_t arity = n->kind == OpKind::kAdd ? 2 : 1;
+        if (n->inputs.size() != arity)
+            return bad("expects " + std::to_string(arity) + " input(s)");
+        for (int src : n->inputs) {
+            if (src == -1 && n->kind != OpKind::kConv)
+                return bad("only a conv may read the model input");
+            if (src != -1 && (src < 0 || static_cast<size_t>(src) >= id ||
+                              node_at(static_cast<size_t>(src)) == nullptr))
+                return bad("input is neither the model input nor a live earlier node");
+        }
+        const Shape& x = n->inputs[0] == -1
+                             ? model_input
+                             : shapes[static_cast<size_t>(n->inputs[0])];
+        Shape out;
+        switch (n->kind) {
+          case OpKind::kConv: {
+            const ConvDesc& c = n->conv;
+            for (int64_t v : {c.cin, c.cout, c.kh, c.kw, c.h, c.w, c.stride,
+                              c.dilation, c.groups})
+                if (v < 1 || v > kMaxElems)
+                    return bad("conv geometry field out of range");
+            if (c.pad < 0 || c.pad > kMaxElems || c.cin % c.groups != 0 ||
+                c.cout % c.groups != 0 ||
+                c.h + 2 * c.pad < c.dilation * (c.kh - 1) + 1 ||
+                c.w + 2 * c.pad < c.dilation * (c.kw - 1) + 1)
+                return bad("implausible conv geometry");
+            Shape in{1, c.cin, c.h, c.w};
+            if (cappedProduct({c.cin, c.h, c.w}) < 0 ||
+                cappedProduct({c.cout, c.outH(), c.outW()}) < 0 ||
+                cappedProduct({c.cout, c.cin / c.groups, c.kh, c.kw}) < 0)
+                return bad("conv exceeds the element cap");
+            if (n->inputs[0] != -1) {
+                if (x != in)
+                    return bad("cin/h/w disagree with the producer's output shape");
+            } else if (model_input.rank() == 0) {
+                model_input = in;
+            } else if (model_input != in) {
+                return bad("disagrees with another conv on the model input shape");
+            }
+            const FkwLayer* fkw = n->fkw.get();
+            if (fkw != nullptr &&
+                (c.groups != 1 || c.kh != 3 || c.kw != 3 || fkw->filters != c.cout ||
+                 fkw->in_channels != c.cin || fkw->kh != c.kh || fkw->kw != c.kw))
+                return bad("FKW storage disagrees with the conv descriptor");
+            if (n->weight.shape() != Shape{c.cout, c.cin / c.groups, c.kh, c.kw} &&
+                !(fkw != nullptr && n->weight.shape().rank() == 0))
+                return bad("weight shape disagrees with the conv descriptor");
+            if (!biasFits(n->bias, c.cout))
+                return bad("bias shape disagrees with cout");
+            out = Shape{1, c.cout, c.outH(), c.outW()};
+            break;
+          }
+          case OpKind::kBatchNorm:
+            if (x.rank() < 2 || n->weight.shape() != Shape{x.dim(1)} ||
+                n->bias.shape() != Shape{x.dim(1)})
+                return bad("scale / shift disagree with the input channels");
+            out = x;
+            break;
+          case OpKind::kReLU:
+            out = x;
+            break;
+          case OpKind::kAdd:
+            if (shapes[static_cast<size_t>(n->inputs[1])] != x)
+                return bad("operand shapes differ");
+            out = x;
+            break;
+          case OpKind::kMaxPool:
+          case OpKind::kAvgPool: {
+            int64_t k = n->pool_k, st = n->pool_stride;
+            if (x.rank() != 4 || k < 1 || st < 1 || st > kMaxElems ||
+                k > x.dim(2) || k > x.dim(3))
+                return bad("pool window does not fit the input");
+            out = Shape{1, x.dim(1), (x.dim(2) - k) / st + 1, (x.dim(3) - k) / st + 1};
+            break;
+          }
+          case OpKind::kFlatten:
+            out = Shape{1, x.numel()};
+            break;
+          case OpKind::kFullyConnected:
+            if (n->out_features < 1 || n->out_features > kMaxElems ||
+                n->in_features != x.numel())
+                return bad("in_features disagrees with the producer's element count");
+            if (n->weight.shape() != Shape{n->out_features, n->in_features})
+                return bad("weight shape is not {out_features, in_features}");
+            if (!biasFits(n->bias, n->out_features))
+                return bad("bias shape disagrees with out_features");
+            out = Shape{1, n->out_features};
+            break;
+        }
+        shapes[id] = out;
+        (*nodes)[id].live = true;
+        (*nodes)[id].inputs = n->inputs;
+        (*nodes)[id].elems_per_sample = out.numel();
+    }
+    return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -460,62 +610,21 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
 std::vector<PlanNode>
 CompiledModel::planNodes() const
 {
-    std::vector<PlanNode> nodes(executors_.size());
-    // Per-sample output shapes (leading batch dim fixed at 1), inferred
-    // in execution order. Only a conv knows the model-input geometry
-    // (its ConvDesc carries cin/h/w); any other op reading the model
-    // input directly makes shapes — and hence planning — uninferable.
-    std::vector<Shape> shapes(executors_.size());
-    for (size_t id = 0; id < executors_.size(); ++id) {
-        const auto& exp = executors_[id];
-        if (!exp)
-            continue;
-        const Executor& ex = *exp;
-        auto input_shape = [&](size_t i) -> const Shape* {
-            int src = ex.inputs[i];
-            return src < 0 ? nullptr : &shapes[static_cast<size_t>(src)];
-        };
-        Shape out;
-        switch (ex.kind) {
-          case OpKind::kConv:
-            out = Shape{1, ex.conv.cout, ex.conv.outH(), ex.conv.outW()};
-            break;
-          case OpKind::kBatchNorm:
-          case OpKind::kReLU:
-          case OpKind::kAdd: {
-            const Shape* s = input_shape(0);
-            if (s == nullptr)
-                return {};
-            out = *s;
-            break;
-          }
-          case OpKind::kMaxPool:
-          case OpKind::kAvgPool: {
-            const Shape* s = input_shape(0);
-            if (s == nullptr)
-                return {};
-            int64_t oh = (s->dim(2) - ex.pool_k) / ex.pool_stride + 1;
-            int64_t ow = (s->dim(3) - ex.pool_k) / ex.pool_stride + 1;
-            out = Shape{1, s->dim(1), oh, ow};
-            break;
-          }
-          case OpKind::kFlatten: {
-            const Shape* s = input_shape(0);
-            if (s == nullptr)
-                return {};
-            out = Shape{1, s->numel()};
-            break;
-          }
-          case OpKind::kFullyConnected:
-            out = Shape{1, ex.out_features};
-            break;
-        }
-        shapes[id] = out;
-        nodes[id].live = true;
-        nodes[id].inputs = ex.inputs;
-        nodes[id].elems_per_sample = out.numel();
-    }
-    return nodes;
+    std::vector<PlanNode> nodes;
+    Status inferred = inferShapes(
+        executors_.size(), output_node_,
+        [&](size_t id) { return executors_[id].get(); }, &nodes);
+    return inferred.ok() ? nodes : std::vector<PlanNode>{};
+}
+
+Status
+CompiledModel::checkGraph(const std::vector<CompiledLayerState>& layers,
+                          int output_node)
+{
+    std::vector<PlanNode> nodes;
+    return inferShapes(
+        layers.size(), output_node,
+        [&](size_t id) { return layers[id].live ? &layers[id] : nullptr; }, &nodes);
 }
 
 Status
@@ -555,8 +664,7 @@ CompiledModel::exportState() const
         if (ex.engine && ex.engine->precision() == Precision::kInt8) {
             // Persist the calibrated scales, not the quantized bytes:
             // the f32 weights below re-quantize deterministically on
-            // restore, so the artifact stays loadable as f32 by older
-            // readers.
+            // restore.
             st.quantized = true;
             st.act_scale = ex.act_scale;
             st.weight_scales = ex.weight_scales;
@@ -604,7 +712,7 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
                 id, Shape{x.shape().dim(0), ex.conv.cout, ex.conv.outH(),
                           ex.conv.outW()});
             Epilogue ep;
-            ep.bias = ex.bias.numel() > 0 ? &ex.bias : nullptr;
+            ep.bias = ex.bias.shape().rank() != 0 ? &ex.bias : nullptr;
             ep.relu = ex.fused_relu;
             Timer t;
             ex.engine->run(x, y, ep);
@@ -685,7 +793,7 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
                 const float* wr = ex.weight.data() + o * ex.in_features;
                 for (int64_t b = 0; b < n; ++b) {
                     const float* xr = x.data() + b * ex.in_features;
-                    float acc = ex.bias.numel() > 0 ? ex.bias[o] : 0.0f;
+                    float acc = ex.bias.shape().rank() != 0 ? ex.bias[o] : 0.0f;
                     for (int64_t i = 0; i < ex.in_features; ++i)
                         acc += wr[i] * xr[i];
                     if (ex.fused_relu && acc < 0.0f)

@@ -83,7 +83,7 @@ struct CompileOptions
      * Run the offline activation-lifetime pass (rt/memplan.h) after
      * compilation and attach the resulting single-arena MemoryPlan to
      * the CompiledModel. Planning is geometry-only and cheap; the plan
-     * is recorded in v4 artifacts and lets sessions replace their
+     * is recorded in model artifacts and lets sessions replace their
      * per-layer Workspace with one arena of plan.arenaBytes(batch)
      * (SessionMemory::kAuto picks this up automatically). Disable only
      * to reproduce pre-plan behaviour byte-for-byte.
@@ -105,7 +105,7 @@ struct CompileOptions
      * arithmetic does not survive int8): weights per-output-channel
      * symmetric, activations per-layer via `calibration`. The sparse
      * engines (pattern / CSR) and grouped convs stay f32; layer
-     * interchange stays f32 throughout. Recorded in v6 artifacts.
+     * interchange stays f32 throughout. Recorded in model artifacts.
      */
     Precision precision = Precision::kF32;
     CalibrationOptions calibration;
@@ -241,8 +241,8 @@ class CompiledModel
      * stored TuneParams were searched on (artifact header); execution
      * always uses the ISA of `device`, so a mismatch only means the
      * parameters may be off-width for this host. `compile_opts` is the
-     * option record from the artifact header (v3+; defaults for older
-     * artifacts).
+     * option record from the artifact header. `layers` must pass
+     * checkGraph().
      */
     CompiledModel(FrameworkKind kind, DeviceSpec device,
                   std::vector<CompiledLayerState> layers, int output_node,
@@ -300,16 +300,16 @@ class CompiledModel
     SimdIsa tunedIsa() const { return tuned_isa_; }
 
     /** Options this model was compiled with (restored models: the
-     * record from the artifact header, defaults for pre-v3 artifacts).
+     * record from the artifact header).
      * Recorded so a serving host can diagnose what produced an
      * artifact without re-deriving it from the weights. */
     const CompileOptions& compileOptions() const { return compile_opts_; }
 
     /**
      * The activation MemoryPlan computed at compile time (or restored
-     * from a v4 artifact). Empty when planning was disabled, the graph
-     * shapes could not be inferred, or the model came from a pre-v4
-     * artifact — sessions then fall back to per-layer workspaces.
+     * from an artifact). Empty when planning was disabled or the graph
+     * shapes could not be inferred — sessions then fall back to
+     * per-layer workspaces.
      */
     bool hasMemoryPlan() const { return !plan_.empty(); }
     const MemoryPlan& memoryPlan() const { return plan_; }
@@ -318,9 +318,33 @@ class CompiledModel
      * Planner view of the compiled graph: per-node liveness, producer
      * edges and per-sample output extents, derived by static shape
      * inference over the executor list. Empty when shapes cannot be
-     * inferred (a non-conv node reads the model input directly).
+     * inferred (a non-conv node reads the model input directly) or the
+     * graph fails any checkGraph() rule.
      */
     std::vector<PlanNode> planNodes() const;
+
+    /**
+     * Check that exported layer state forms a graph the executors can
+     * run, using the same shape inference as planNodes(). The rules:
+     *  - the output node is live; Add nodes have 2 inputs, every other
+     *    node 1, each the model input (-1) or a live earlier node, and
+     *    only convs read the model input (all with one geometry);
+     *  - conv geometry is positive and divisible by groups, and `cin`,
+     *    `h`, `w` equal the producer's per-sample shape; FC
+     *    `in_features` equals the producer's per-sample element count;
+     *    pool windows fit the input; Add operands have equal shapes;
+     *  - a conv's dense weight is {cout, cin/groups, kh, kw} (FKW convs
+     *    may omit it) and its FKW storage is a 3x3 groups==1 layer with
+     *    `filters` == cout and `in_channels` == cin; an FC weight is
+     *    {out, in}; conv / FC bias is {cout} / {out} or absent; a
+     *    BatchNorm's scale and shift match the input channels;
+     *  - every geometry field and every node's per-sample element count
+     *    is at most 2^26, so no shape arithmetic can overflow.
+     * kInvalidArgument naming the first offending node otherwise. The
+     * artifact loader runs this before any engine is built.
+     */
+    static Status checkGraph(const std::vector<CompiledLayerState>& layers,
+                             int output_node);
 
     /**
      * Validate `plan` against this model's graph and adopt it

@@ -11,7 +11,7 @@
  * allocator under interval-overlap constraints: two buffers may share
  * addresses iff their lifetimes are disjoint. The result — a
  * MemoryPlan of (offset, size) slots plus the arena extent — is
- * computed once at compile time, stored in v4 model artifacts, and
+ * computed once at compile time, stored in model artifacts, and
  * turns an InferenceSession into a single allocation of
  * arenaBytes(batch) instead of one malloc per layer (the FlexNN-style
  * "memory-planned execution" direction in ROADMAP.md).
@@ -63,8 +63,8 @@ struct PlanSlot
 
 /**
  * A single-arena allocation plan over a compiled layer graph. Empty()
- * plans mean "no plan" (planning disabled, pre-v4 artifact, or a graph
- * whose shapes could not be inferred) — sessions then fall back to the
+ * plans mean "no plan" (planning disabled, or a graph whose shapes
+ * could not be inferred) — sessions then fall back to the
  * per-layer Workspace.
  */
 class MemoryPlan

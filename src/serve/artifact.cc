@@ -1,9 +1,11 @@
 #include "serve/artifact.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <limits>
 
 #include "util/byteio.h"
 #include "util/logging.h"
@@ -14,7 +16,6 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'D', 'N', 'N'};
 constexpr size_t kHeaderSize = 4 + 4 + 8;  ///< magic + version + payload size.
-constexpr size_t kIoChunk = 256 * 1024;    ///< Streamed-load read granularity.
 
 /** Incremental FNV-1a 64-bit (the artifact integrity check). */
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -53,7 +54,7 @@ putTensor(std::vector<uint8_t>& out, const Tensor& t)
 }
 
 void
-putTuning(std::vector<uint8_t>& out, const TuneParams& p, uint32_t version)
+putTuning(std::vector<uint8_t>& out, const TuneParams& p)
 {
     putU32(out, p.permute == LoopPermutation::kCoCiHW ? 0u : 1u);
     putU32(out, p.blocked ? 1u : 0u);
@@ -62,17 +63,17 @@ putTuning(std::vector<uint8_t>& out, const TuneParams& p, uint32_t version)
     putU32(out, static_cast<uint32_t>(p.unroll_w));
     putU32(out, static_cast<uint32_t>(p.unroll_oc));
     putU32(out, static_cast<uint32_t>(p.filters_per_task));
-    if (version >= 5) {
-        putI64(out, p.gemm_kc);
-        putI64(out, p.gemm_nc);
-    }
+    putI64(out, p.gemm_kc);
+    putI64(out, p.gemm_nc);
 }
 
 /** Artifact-specific records (framing only; structural checks stay
- * with validateFkw / the CompiledModel constructor) on top of the
- * shared bounds-checked reader. */
+ * with validateFkw / CompiledModel::checkGraph) on top of the shared
+ * bounds-checked reader. */
 struct Reader : bytes::Reader
 {
+    size_t left() const { return size - pos; }
+
     bool
     tensor(Tensor& t)
     {
@@ -91,7 +92,7 @@ struct Reader : bytes::Reader
                 return ok = false;
             numel *= dims[i];
         }
-        if (static_cast<uint64_t>(numel) > (size - pos) / sizeof(float))
+        if (static_cast<uint64_t>(numel) > left() / sizeof(float))
             return ok = false;
         t = Tensor(Shape{std::move(dims)});
         if (numel > 0)
@@ -102,7 +103,7 @@ struct Reader : bytes::Reader
     }
 
     bool
-    tuning(TuneParams& p, uint32_t version)
+    tuning(TuneParams& p)
     {
         p.permute = u32() == 0 ? LoopPermutation::kCoCiHW : LoopPermutation::kCoHWCi;
         p.blocked = u32() != 0;
@@ -111,12 +112,8 @@ struct Reader : bytes::Reader
         p.unroll_w = static_cast<int>(u32());
         p.unroll_oc = static_cast<int>(u32());
         p.filters_per_task = static_cast<int>(u32());
-        if (version >= 5) {
-            // Dense packed-GEMM blocking; pre-v5 artifacts keep the 0
-            // defaults (blocking re-derived from the device budget).
-            p.gemm_kc = i64();
-            p.gemm_nc = i64();
-        }
+        p.gemm_kc = i64();
+        p.gemm_nc = i64();
         return ok;
     }
 };
@@ -129,33 +126,6 @@ putConvDesc(std::vector<uint8_t>& out, const ConvDesc& d)
     for (int64_t v : {d.cin, d.cout, d.kh, d.kw, d.h, d.w, d.stride, d.pad,
                       d.dilation, d.groups})
         putI64(out, v);
-}
-
-/**
- * Plausibility of a deserialized layer's scalar fields. ConvDesc::check()
- * aborts on bad geometry, and the executors divide by groups/stride, so
- * a crafted-but-well-framed artifact must be refused here to keep the
- * typed-Status load contract.
- */
-bool
-plausibleLayer(const CompiledLayerState& st)
-{
-    if (st.kind == OpKind::kConv) {
-        const ConvDesc& d = st.conv;
-        if (d.cin < 1 || d.cout < 1 || d.kh < 1 || d.kw < 1 || d.h < 1 ||
-            d.w < 1 || d.stride < 1 || d.pad < 0 || d.dilation < 1 ||
-            d.groups < 1 || d.cin % d.groups != 0 || d.cout % d.groups != 0)
-            return false;
-        if (d.outH() < 1 || d.outW() < 1)
-            return false;
-    }
-    if ((st.kind == OpKind::kMaxPool || st.kind == OpKind::kAvgPool) &&
-        (st.pool_k < 1 || st.pool_stride < 1))
-        return false;
-    if (st.kind == OpKind::kFullyConnected &&
-        (st.in_features < 1 || st.out_features < 1))
-        return false;
-    return true;
 }
 
 bool
@@ -196,43 +166,37 @@ emitBuf(const Emit& emit, std::vector<uint8_t>& buf)
  * in-memory serializer and the streaming file writer share this.
  */
 void
-emitPayload(const CompiledModel& model, uint32_t version, const Emit& emit)
+emitPayload(const CompiledModel& model, const Emit& emit)
 {
     std::vector<CompiledLayerState> layers = model.exportState();
     std::vector<uint8_t> buf;
 
     putU32(buf, static_cast<uint32_t>(model.kind()));
-    if (version >= 2)
-        putU32(buf, static_cast<uint32_t>(model.tunedIsa()));
-    if (version >= 3) {
-        // Device fingerprint: what the artifact was compiled against.
-        const DeviceSpec& dev = model.device();
-        putU32(buf, static_cast<uint32_t>(dev.threads));
-        buf.push_back(dev.gpu_like ? 1 : 0);
-        putI64(buf, dev.tile_budget_kb);
-        // Compile-option record (provenance; per-layer tuning is stored
-        // with each layer, so default_tuning is not repeated here).
-        const CompileOptions& co = model.compileOptions();
-        putU32(buf, static_cast<uint32_t>(co.pattern_count));
-        putF64(buf, co.connectivity_rate);
-        putF64(buf, co.first_layer_rate);
-        buf.push_back(co.opts.reorder ? 1 : 0);
-        buf.push_back(co.opts.lre ? 1 : 0);
-        buf.push_back(co.opts.tuned ? 1 : 0);
-        buf.push_back(co.run_graph_passes ? 1 : 0);
-        putU64(buf, co.seed);
-        if (version >= 4)
-            buf.push_back(co.enable_memory_plan ? 1 : 0);
-        if (version >= 6) {
-            // Quantization provenance: the precision knob and the
-            // calibration settings the activation scales came from.
-            buf.push_back(static_cast<uint8_t>(co.precision));
-            buf.push_back(static_cast<uint8_t>(co.calibration.method));
-            putF64(buf, co.calibration.percentile);
-            putU32(buf, static_cast<uint32_t>(co.calibration.samples));
-            putU64(buf, co.calibration.seed);
-        }
-    }
+    putU32(buf, static_cast<uint32_t>(model.tunedIsa()));
+    // Device fingerprint: what the artifact was compiled against.
+    const DeviceSpec& dev = model.device();
+    putU32(buf, static_cast<uint32_t>(dev.threads));
+    buf.push_back(dev.gpu_like ? 1 : 0);
+    putI64(buf, dev.tile_budget_kb);
+    // Compile-option record (provenance; per-layer tuning is stored
+    // with each layer, so default_tuning is not repeated here).
+    const CompileOptions& co = model.compileOptions();
+    putU32(buf, static_cast<uint32_t>(co.pattern_count));
+    putF64(buf, co.connectivity_rate);
+    putF64(buf, co.first_layer_rate);
+    buf.push_back(co.opts.reorder ? 1 : 0);
+    buf.push_back(co.opts.lre ? 1 : 0);
+    buf.push_back(co.opts.tuned ? 1 : 0);
+    buf.push_back(co.run_graph_passes ? 1 : 0);
+    putU64(buf, co.seed);
+    buf.push_back(co.enable_memory_plan ? 1 : 0);
+    // Quantization provenance: the precision knob and the calibration
+    // settings the activation scales came from.
+    buf.push_back(static_cast<uint8_t>(co.precision));
+    buf.push_back(static_cast<uint8_t>(co.calibration.method));
+    putF64(buf, co.calibration.percentile);
+    putU32(buf, static_cast<uint32_t>(co.calibration.samples));
+    putU64(buf, co.calibration.seed);
     putU32(buf, static_cast<uint32_t>(model.outputNode()));
     putU32(buf, static_cast<uint32_t>(layers.size()));
     emitBuf(emit, buf);
@@ -250,22 +214,18 @@ emitPayload(const CompiledModel& model, uint32_t version, const Emit& emit)
             putI64(buf, st.pool_stride);
             putI64(buf, st.in_features);
             putI64(buf, st.out_features);
-            putTuning(buf, st.tuning, version);
+            putTuning(buf, st.tuning);
             buf.push_back(st.opts.reorder ? 1 : 0);
             buf.push_back(st.opts.lre ? 1 : 0);
             buf.push_back(st.opts.tuned ? 1 : 0);
-            if (version >= 6) {
-                // Quant record: scales only. The weight tensor below
-                // stays f32 and is re-quantized deterministically on
-                // load, so pre-v6 serializations (which drop this
-                // record) load as plain f32.
-                buf.push_back(st.quantized ? 1 : 0);
-                if (st.quantized) {
-                    putF64(buf, st.act_scale);
-                    putU32(buf, static_cast<uint32_t>(st.weight_scales.size()));
-                    for (float s : st.weight_scales)
-                        putF64(buf, s);
-                }
+            // Quant record: scales only. The weight tensor below stays
+            // f32 and is re-quantized deterministically on load.
+            buf.push_back(st.quantized ? 1 : 0);
+            if (st.quantized) {
+                putF64(buf, st.act_scale);
+                putU32(buf, static_cast<uint32_t>(st.weight_scales.size()));
+                for (float s : st.weight_scales)
+                    putF64(buf, s);
             }
             putTensor(buf, st.weight);
             putTensor(buf, st.bias);
@@ -282,320 +242,314 @@ emitPayload(const CompiledModel& model, uint32_t version, const Emit& emit)
         emitBuf(emit, buf);
     }
 
-    // Memory-plan record (version >= 4): per-slot arena placement in
-    // per-sample elements, so serving hosts skip lifetime analysis.
-    if (version >= 4) {
-        bool has_plan = model.hasMemoryPlan();
-        buf.push_back(has_plan ? 1 : 0);
-        if (has_plan) {
-            const MemoryPlan& plan = model.memoryPlan();
-            putI64(buf, plan.alignElems());
-            putI64(buf, plan.arenaElemsPerSample());
-            putI64(buf, plan.sumElemsPerSample());
-            putU32(buf, static_cast<uint32_t>(plan.slotCount()));
-            for (const PlanSlot& s : plan.slots()) {
-                buf.push_back(s.planned ? 1 : 0);
-                if (!s.planned)
-                    continue;
-                putI64(buf, s.offset_elems);
-                putI64(buf, s.size_elems);
-                putU32(buf, static_cast<uint32_t>(s.def));
-                putU32(buf, static_cast<uint32_t>(s.last_use));
-            }
+    // Memory-plan record: per-slot arena placement in per-sample
+    // elements, so serving hosts skip lifetime analysis.
+    bool has_plan = model.hasMemoryPlan();
+    buf.push_back(has_plan ? 1 : 0);
+    if (has_plan) {
+        const MemoryPlan& plan = model.memoryPlan();
+        putI64(buf, plan.alignElems());
+        putI64(buf, plan.arenaElemsPerSample());
+        putI64(buf, plan.sumElemsPerSample());
+        putU32(buf, static_cast<uint32_t>(plan.slotCount()));
+        for (const PlanSlot& s : plan.slots()) {
+            buf.push_back(s.planned ? 1 : 0);
+            if (!s.planned)
+                continue;
+            putI64(buf, s.offset_elems);
+            putI64(buf, s.size_elems);
+            putU32(buf, static_cast<uint32_t>(s.def));
+            putU32(buf, static_cast<uint32_t>(s.last_use));
         }
-        emitBuf(emit, buf);
     }
+    emitBuf(emit, buf);
 }
 
 void
 warn(ArtifactInfo* info, const std::string& msg)
 {
     logMessage(LogLevel::kWarn, msg);
-    if (info != nullptr)
-        info->warnings.push_back(msg);
+    info->warnings.push_back(msg);
+}
+
+Status
+malformed(std::string msg)
+{
+    return Status(ErrorCode::kDataLoss, std::move(msg),
+                  artifact_detail::kMalformedPayload);
+}
+
+Status
+badQuantRecord(std::string msg)
+{
+    return Status(ErrorCode::kDataLoss, std::move(msg),
+                  artifact_detail::kBadQuantRecord);
 }
 
 /**
- * Parse + validate a payload (any supported version) and rebuild the
- * model for `device`. Shared by the in-memory and file loaders, which
- * have already verified framing and checksum — so parse failures here
- * mean a corrupted-but-well-framed payload (kDataLoss) or a provenance
- * record the host cannot satisfy (kDeviceMismatch).
+ * The quant record drives the load-time re-quantization, so a
+ * corrupted-but-well-framed one is refused: only a groups==1 dense conv
+ * can carry one, the scale count must match the layer's output
+ * channels, and every scale must be finite and positive.
+ */
+Status
+readQuantRecord(Reader& r, CompiledLayerState& st)
+{
+    st.quantized = r.u8() != 0;
+    if (!st.quantized)
+        return Status::OK();
+    // Scales are stored as f64; one outside (0, FLT_MAX] (NaN included)
+    // has no float value, and one that underflows to 0 cannot divide.
+    auto scale = [&r](float* out) {
+        double d = r.f64();
+        if (!(d > 0.0 && d <= std::numeric_limits<float>::max()))
+            return false;
+        *out = static_cast<float>(d);
+        return *out > 0.0f;
+    };
+    bool act_ok = scale(&st.act_scale);
+    uint32_t n_scales = r.u32();
+    if (!r.ok || n_scales > r.left() / sizeof(double))
+        return badQuantRecord("artifact: truncated quant record");
+    st.weight_scales.resize(n_scales);
+    bool weights_ok = true;
+    for (float& s : st.weight_scales)
+        weights_ok = scale(&s) && weights_ok;
+    if (st.kind != OpKind::kConv || st.conv.groups != 1)
+        return badQuantRecord("artifact: quant record on an unquantizable layer");
+    if (static_cast<int64_t>(n_scales) != st.conv.cout)
+        return badQuantRecord(
+            "artifact: quant record scale count disagrees with layer output "
+            "channels");
+    if (!act_ok)
+        return badQuantRecord(
+            "artifact: quant record activation scale is not finite and positive");
+    if (!weights_ok)
+        return badQuantRecord(
+            "artifact: quant record weight scale is not finite and positive");
+    return Status::OK();
+}
+
+/** Parse one live layer record (after its live byte). */
+Status
+readLayer(Reader& r, uint32_t id, CompiledLayerState& st)
+{
+    uint32_t kind_raw = r.u32();
+    if (!r.ok || kind_raw > static_cast<uint32_t>(OpKind::kFlatten))
+        return malformed("artifact: unknown op kind");
+    st.kind = static_cast<OpKind>(kind_raw);
+    if (!readConvDesc(r, st.conv))
+        return malformed("artifact: truncated conv descriptor");
+    uint32_t n_inputs = r.u32();
+    if (!r.ok || n_inputs > 2)
+        return malformed("artifact: bad input list");
+    st.inputs.resize(n_inputs);
+    for (int& in : st.inputs) {
+        in = static_cast<int>(r.u32());
+        if (in >= static_cast<int>(id))
+            return malformed("artifact: forward edge in layer inputs");
+    }
+    st.fused_relu = r.u8() != 0;
+    st.pool_k = r.i64();
+    st.pool_stride = r.i64();
+    st.in_features = r.i64();
+    st.out_features = r.i64();
+    if (!r.tuning(st.tuning))
+        return malformed("artifact: truncated tuning block");
+    st.opts.reorder = r.u8() != 0;
+    st.opts.lre = r.u8() != 0;
+    st.opts.tuned = r.u8() != 0;
+    PATDNN_RETURN_IF_ERROR(readQuantRecord(r, st));
+    if (!r.tensor(st.weight) || !r.tensor(st.bias))
+        return malformed("artifact: truncated tensor");
+    if (r.u8() != 0) {
+        auto fkw = std::make_unique<FkwLayer>();
+        size_t consumed = 0;
+        Status fkw_status = deserializeFkw(r.data + r.pos, r.left(), &consumed,
+                                           fkw.get());
+        if (!fkw_status.ok())
+            return malformed("artifact: " + fkw_status.message());
+        r.pos += consumed;
+        // Re-check the structural invariants so a corrupted-but-
+        // well-framed record cannot reach an executor.
+        Status invariants = validateFkw(*fkw);
+        if (!invariants.ok())
+            return malformed("artifact: invalid FKW layer: " + invariants.message());
+        st.fkw = std::move(fkw);
+    }
+    if (st.quantized && st.fkw)
+        return badQuantRecord("artifact: quant record on an FKW (pattern) layer");
+    if (st.quantized && st.weight.shape().rank() == 0)
+        return badQuantRecord(
+            "artifact: quant record without a dense weight tensor to re-quantize");
+    if (!r.ok)
+        return malformed("artifact: truncated layer record");
+    return Status::OK();
+}
+
+/** Parse the memory-plan record. Framing plausibility here; the
+ * aliasing-safety validation runs against the restored graph. */
+Status
+readMemoryPlan(Reader& r, size_t n_layers, bool* has_plan, MemoryPlan* plan)
+{
+    *has_plan = r.u8() != 0;
+    if (!*has_plan)
+        return Status::OK();
+    int64_t align_elems = r.i64();
+    int64_t arena_elems = r.i64();
+    int64_t sum_elems = r.i64();
+    uint32_t n_slots = r.u32();
+    if (!r.ok || align_elems < 1 || align_elems > 4096 || arena_elems < 0 ||
+        sum_elems < 0 || n_slots != n_layers)
+        return malformed("artifact: bad memory-plan header");
+    std::vector<PlanSlot> slots(n_slots);
+    for (PlanSlot& s : slots) {
+        s.planned = r.u8() != 0;
+        if (!s.planned)
+            continue;
+        s.offset_elems = r.i64();
+        s.size_elems = r.i64();
+        s.def = static_cast<int>(r.u32());
+        s.last_use = static_cast<int>(r.u32());
+    }
+    if (!r.ok)
+        return malformed("artifact: truncated memory-plan record");
+    *plan = MemoryPlan(std::move(slots), arena_elems, sum_elems, align_elems);
+    return Status::OK();
+}
+
+/**
+ * Check the device fingerprint against the host. A scheduling-model
+ * mismatch is always an error; pool width and tile budget warn unless
+ * strict loading was asked for.
+ */
+Status
+checkFingerprint(const DeviceSpec& device, const ArtifactLoadOptions& opts,
+                 ArtifactInfo* info)
+{
+    if (info->gpu_like != device.gpu_like)
+        return Status(ErrorCode::kDeviceMismatch,
+                      std::string("artifact: device fingerprint mismatch: "
+                                  "compiled for a ") +
+                          (info->gpu_like ? "GPU-like (block-scheduled)" : "CPU") +
+                          " device but this host device is " +
+                          (device.gpu_like ? "GPU-like (block-scheduled)" : "a CPU") +
+                          "; the tuned execution plan does not transfer across "
+                          "scheduling models",
+                      artifact_detail::kFingerprintMismatch);
+    if (info->pool_width != device.threads ||
+        info->tile_budget_kb != device.tile_budget_kb) {
+        std::string msg =
+            "artifact: device fingerprint mismatch: compiled for pool width " +
+            std::to_string(info->pool_width) + ", tile budget " +
+            std::to_string(info->tile_budget_kb) + " KB but this host runs pool width " +
+            std::to_string(device.threads) + ", tile budget " +
+            std::to_string(device.tile_budget_kb) +
+            " KB; execution is exact, tuned parameters may be off-width";
+        if (opts.require_matching_fingerprint)
+            return Status(ErrorCode::kDeviceMismatch,
+                          msg + " (rejected: matching fingerprint required)",
+                          artifact_detail::kFingerprintMismatch);
+        warn(info, msg);
+    }
+    return Status::OK();
+}
+
+/**
+ * Parse + validate a payload and rebuild the model for `device`. The
+ * caller has already verified framing and checksum, so parse failures
+ * here mean a corrupted-but-well-framed payload (kDataLoss) or a
+ * provenance record the host cannot satisfy (kDeviceMismatch).
  */
 Result<std::shared_ptr<CompiledModel>>
-deserializePayload(const uint8_t* payload, size_t payload_size, uint32_t version,
+deserializePayload(const uint8_t* payload, size_t payload_size,
                    const DeviceSpec& device, const ArtifactLoadOptions& opts,
                    ArtifactInfo* info)
 {
-    auto fail = [](std::string msg) {
-        return Status(ErrorCode::kDataLoss, std::move(msg),
-                      artifact_detail::kMalformedPayload);
-    };
-    if (info != nullptr)
-        info->version = version;
+    ArtifactInfo local_info;
+    if (info == nullptr)
+        info = &local_info;
+    info->version = kModelArtifactVersion;
 
     Reader r{{payload, payload_size}};
     uint32_t kind_raw = r.u32();
     if (kind_raw > static_cast<uint32_t>(FrameworkKind::kPatDnn))
-        return fail("artifact: unknown framework kind");
-    FrameworkKind kind = static_cast<FrameworkKind>(kind_raw);
-    if (info != nullptr)
-        info->kind = kind;
+        return malformed("artifact: unknown framework kind");
+    info->kind = static_cast<FrameworkKind>(kind_raw);
+    uint32_t isa_raw = r.u32();
+    if (isa_raw > static_cast<uint32_t>(SimdIsa::kNeon))
+        return malformed("artifact: unknown kernel ISA");
+    info->tuned_isa = static_cast<SimdIsa>(isa_raw);
 
-    // Version 1 predates the tuned-ISA record; those artifacts were
-    // tuned by scalar-only builds.
-    SimdIsa tuned_isa = SimdIsa::kScalar;
-    if (version >= 2) {
-        uint32_t isa_raw = r.u32();
-        if (isa_raw > static_cast<uint32_t>(SimdIsa::kNeon))
-            return fail("artifact: unknown kernel ISA");
-        tuned_isa = static_cast<SimdIsa>(isa_raw);
-    }
-    if (info != nullptr)
-        info->tuned_isa = tuned_isa;
-
-    CompileOptions compile_opts;
-    // Pre-v4 artifacts were produced before memory planning existed;
-    // record that honestly rather than inheriting the modern default.
-    compile_opts.enable_memory_plan = false;
-    if (version < 3) {
-        warn(info, "artifact: pre-v3 header (version " + std::to_string(version) +
-                       "): no device fingerprint or compile-option record; "
-                       "host compatibility cannot be verified");
-    } else {
-        int pool_width = static_cast<int>(r.u32());
-        bool gpu_like = r.u8() != 0;
-        int64_t tile_budget_kb = r.i64();
-        compile_opts.pattern_count = static_cast<int>(r.u32());
-        compile_opts.connectivity_rate = r.f64();
-        compile_opts.first_layer_rate = r.f64();
-        compile_opts.opts.reorder = r.u8() != 0;
-        compile_opts.opts.lre = r.u8() != 0;
-        compile_opts.opts.tuned = r.u8() != 0;
-        compile_opts.run_graph_passes = r.u8() != 0;
-        compile_opts.seed = r.u64();
-        if (version >= 4)
-            compile_opts.enable_memory_plan = r.u8() != 0;
-        uint8_t precision_raw = 0;
-        uint8_t calib_method_raw = 0;
-        if (version >= 6) {
-            precision_raw = r.u8();
-            calib_method_raw = r.u8();
-            compile_opts.calibration.percentile = r.f64();
-            compile_opts.calibration.samples = static_cast<int>(r.u32());
-            compile_opts.calibration.seed = r.u64();
-        }
-        if (!r.ok)
-            return fail("artifact: truncated provenance record");
-        if (pool_width < 1 || pool_width > 4096 ||
-            compile_opts.pattern_count < 0 ||
-            compile_opts.pattern_count > (1 << 16))
-            return fail("artifact: implausible provenance record");
-        if (version >= 6) {
-            if (precision_raw > static_cast<uint8_t>(Precision::kInt8) ||
-                calib_method_raw >
-                    static_cast<uint8_t>(CalibrationMethod::kPercentile) ||
-                !(compile_opts.calibration.percentile > 0.0 &&
-                  compile_opts.calibration.percentile <= 100.0) ||
-                compile_opts.calibration.samples < 1)
-                return fail("artifact: implausible quantization options");
-            compile_opts.precision = static_cast<Precision>(precision_raw);
-            compile_opts.calibration.method =
-                static_cast<CalibrationMethod>(calib_method_raw);
-        }
-        if (info != nullptr) {
-            info->has_fingerprint = true;
-            info->pool_width = pool_width;
-            info->gpu_like = gpu_like;
-            info->tile_budget_kb = tile_budget_kb;
-            info->has_compile_opts = true;
-            info->compile_opts = compile_opts;
-        }
-        if (gpu_like != device.gpu_like)
-            return Status(ErrorCode::kDeviceMismatch,
-                          std::string("artifact: device fingerprint mismatch: "
-                                      "compiled for a ") +
-                              (gpu_like ? "GPU-like (block-scheduled)" : "CPU") +
-                              " device but this host device is " +
-                              (device.gpu_like ? "GPU-like (block-scheduled)"
-                                               : "a CPU") +
-                              "; the tuned execution plan does not transfer "
-                              "across scheduling models",
-                          artifact_detail::kFingerprintMismatch);
-        if (pool_width != device.threads || tile_budget_kb != device.tile_budget_kb) {
-            std::string msg =
-                "artifact: device fingerprint mismatch: compiled for pool "
-                "width " +
-                std::to_string(pool_width) + ", tile budget " +
-                std::to_string(tile_budget_kb) + " KB but this host runs pool "
-                "width " +
-                std::to_string(device.threads) + ", tile budget " +
-                std::to_string(device.tile_budget_kb) +
-                " KB; execution is exact, tuned parameters may be off-width";
-            if (opts.require_matching_fingerprint)
-                return Status(ErrorCode::kDeviceMismatch,
-                              msg + " (rejected: matching fingerprint required)",
-                              artifact_detail::kFingerprintMismatch);
-            warn(info, msg);
-        }
-    }
+    info->pool_width = static_cast<int>(r.u32());
+    info->gpu_like = r.u8() != 0;
+    info->tile_budget_kb = r.i64();
+    CompileOptions& co = info->compile_opts;
+    co.pattern_count = static_cast<int>(r.u32());
+    co.connectivity_rate = r.f64();
+    co.first_layer_rate = r.f64();
+    co.opts.reorder = r.u8() != 0;
+    co.opts.lre = r.u8() != 0;
+    co.opts.tuned = r.u8() != 0;
+    co.run_graph_passes = r.u8() != 0;
+    co.seed = r.u64();
+    co.enable_memory_plan = r.u8() != 0;
+    uint8_t precision_raw = r.u8();
+    uint8_t calib_method_raw = r.u8();
+    co.calibration.percentile = r.f64();
+    co.calibration.samples = static_cast<int>(r.u32());
+    co.calibration.seed = r.u64();
+    if (!r.ok)
+        return malformed("artifact: truncated provenance record");
+    if (info->pool_width < 1 || info->pool_width > 4096 || co.pattern_count < 0 ||
+        co.pattern_count > (1 << 16))
+        return malformed("artifact: implausible provenance record");
+    if (precision_raw > static_cast<uint8_t>(Precision::kInt8) ||
+        calib_method_raw > static_cast<uint8_t>(CalibrationMethod::kPercentile) ||
+        !(co.calibration.percentile > 0.0 && co.calibration.percentile <= 100.0) ||
+        co.calibration.samples < 1)
+        return malformed("artifact: implausible quantization options");
+    co.precision = static_cast<Precision>(precision_raw);
+    co.calibration.method = static_cast<CalibrationMethod>(calib_method_raw);
+    PATDNN_RETURN_IF_ERROR(checkFingerprint(device, opts, info));
 
     SimdIsa host_isa = resolveSimdOps(device.simd_isa).isa;
-    if (tuned_isa != host_isa)
+    if (info->tuned_isa != host_isa)
         warn(info, std::string("artifact: tuned parameters were searched on ") +
-                       isaName(tuned_isa) + " kernels but this host runs " +
+                       isaName(info->tuned_isa) + " kernels but this host runs " +
                        isaName(host_isa) +
                        "; execution is exact, tuning may be off-width");
 
+    // Every layer record takes at least its one live byte, so the count
+    // is bounded by the bytes left before the table is allocated.
     int output_node = static_cast<int>(r.u32());
     uint32_t n_layers = r.u32();
-    if (!r.ok || n_layers > 1u << 20 || output_node < 0 ||
+    if (!r.ok || n_layers > std::min<size_t>(r.left(), 1u << 20) || output_node < 0 ||
         output_node >= static_cast<int>(n_layers))
-        return fail("artifact: bad layer table");
+        return malformed("artifact: bad layer table");
 
     std::vector<CompiledLayerState> layers(n_layers);
     for (uint32_t id = 0; id < n_layers; ++id) {
         CompiledLayerState& st = layers[id];
         st.live = r.u8() != 0;
-        if (!st.live)
-            continue;
-        st.kind = static_cast<OpKind>(r.u32());
-        if (static_cast<uint32_t>(st.kind) >
-            static_cast<uint32_t>(OpKind::kFlatten))
-            return fail("artifact: unknown op kind");
-        if (!readConvDesc(r, st.conv))
-            return fail("artifact: truncated conv descriptor");
-        uint32_t n_inputs = r.u32();
-        if (!r.ok || n_inputs > 8)
-            return fail("artifact: bad input list");
-        st.inputs.resize(n_inputs);
-        for (uint32_t i = 0; i < n_inputs; ++i) {
-            st.inputs[i] = static_cast<int>(r.u32());
-            if (st.inputs[i] >= static_cast<int>(id))
-                return fail("artifact: forward edge in layer inputs");
-        }
-        st.fused_relu = r.u8() != 0;
-        st.pool_k = r.i64();
-        st.pool_stride = r.i64();
-        st.in_features = r.i64();
-        st.out_features = r.i64();
-        if (!r.tuning(st.tuning, version))
-            return fail("artifact: truncated tuning block");
-        st.opts.reorder = r.u8() != 0;
-        st.opts.lre = r.u8() != 0;
-        st.opts.tuned = r.u8() != 0;
-        if (version >= 6) {
-            auto fail_quant = [](std::string msg) {
-                return Status(ErrorCode::kDataLoss, std::move(msg),
-                              artifact_detail::kBadQuantRecord);
-            };
-            st.quantized = r.u8() != 0;
-            if (st.quantized) {
-                st.act_scale = static_cast<float>(r.f64());
-                uint32_t n_scales = r.u32();
-                if (!r.ok || n_scales > 1u << 20)
-                    return fail_quant("artifact: truncated quant record");
-                st.weight_scales.resize(n_scales);
-                for (uint32_t i = 0; i < n_scales; ++i)
-                    st.weight_scales[i] = static_cast<float>(r.f64());
-                if (!r.ok)
-                    return fail_quant("artifact: truncated quant record");
-                // The scales drive the load-time re-quantization, so a
-                // corrupted-but-well-framed record must be refused here:
-                // only a groups==1 dense conv can carry one, the scale
-                // count must match the layer's output channels, and
-                // every scale must be finite and positive.
-                if (st.kind != OpKind::kConv || st.conv.groups != 1)
-                    return fail_quant(
-                        "artifact: quant record on an unquantizable layer");
-                if (static_cast<int64_t>(n_scales) != st.conv.cout)
-                    return fail_quant(
-                        "artifact: quant record scale count disagrees with "
-                        "layer output channels");
-                if (!(std::isfinite(st.act_scale) && st.act_scale > 0.0f))
-                    return fail_quant(
-                        "artifact: quant record activation scale is not "
-                        "finite and positive");
-                for (float s : st.weight_scales)
-                    if (!(std::isfinite(s) && s > 0.0f))
-                        return fail_quant(
-                            "artifact: quant record weight scale is not "
-                            "finite and positive");
-            }
-        }
-        if (!r.tensor(st.weight) || !r.tensor(st.bias))
-            return fail("artifact: truncated tensor");
-        bool has_fkw = r.u8() != 0;
-        if (has_fkw) {
-            auto fkw = std::make_unique<FkwLayer>();
-            size_t consumed = 0;
-            Status fkw_status = deserializeFkw(r.data + r.pos, r.size - r.pos,
-                                               &consumed, fkw.get());
-            if (!fkw_status.ok())
-                return fail("artifact: " + fkw_status.message());
-            r.pos += consumed;
-            // Re-check the structural invariants so a corrupted-but-
-            // well-framed record cannot reach an executor.
-            Status invariants = validateFkw(*fkw);
-            if (!invariants.ok())
-                return fail("artifact: invalid FKW layer: " +
-                            invariants.message());
-            st.fkw = std::move(fkw);
-        }
-        if (st.quantized && st.fkw)
-            return Status(ErrorCode::kDataLoss,
-                          "artifact: quant record on an FKW (pattern) layer",
-                          artifact_detail::kBadQuantRecord);
-        if (st.quantized && st.weight.shape().rank() == 0)
-            return Status(ErrorCode::kDataLoss,
-                          "artifact: quant record without a dense weight "
-                          "tensor to re-quantize",
-                          artifact_detail::kBadQuantRecord);
         if (!r.ok)
-            return fail("artifact: truncated layer record");
-        if (!plausibleLayer(st))
-            return fail("artifact: implausible layer geometry");
+            return malformed("artifact: truncated layer table");
+        if (st.live)
+            PATDNN_RETURN_IF_ERROR(readLayer(r, id, st));
     }
-    // Memory-plan record (version >= 4). Framing plausibility here;
-    // the aliasing-safety validation happens against the restored graph
-    // below, once the model exists.
     bool has_plan = false;
     MemoryPlan plan;
-    if (version >= 4) {
-        has_plan = r.u8() != 0;
-        if (has_plan) {
-            int64_t align_elems = r.i64();
-            int64_t arena_elems = r.i64();
-            int64_t sum_elems = r.i64();
-            uint32_t n_slots = r.u32();
-            if (!r.ok || align_elems < 1 || align_elems > 4096 ||
-                arena_elems < 0 || sum_elems < 0 || n_slots != n_layers)
-                return fail("artifact: bad memory-plan header");
-            std::vector<PlanSlot> slots(n_slots);
-            for (uint32_t id = 0; id < n_slots; ++id) {
-                PlanSlot& s = slots[id];
-                s.planned = r.u8() != 0;
-                if (!s.planned)
-                    continue;
-                s.offset_elems = r.i64();
-                s.size_elems = r.i64();
-                s.def = static_cast<int>(r.u32());
-                s.last_use = static_cast<int>(r.u32());
-            }
-            if (!r.ok)
-                return fail("artifact: truncated memory-plan record");
-            plan = MemoryPlan(std::move(slots), arena_elems, sum_elems,
-                              align_elems);
-        }
-    }
+    PATDNN_RETURN_IF_ERROR(readMemoryPlan(r, layers.size(), &has_plan, &plan));
     if (r.pos != r.size)
-        return fail("artifact: trailing bytes in payload");
-    if (!layers[static_cast<size_t>(output_node)].live)
-        return fail("artifact: output node is not a live layer");
+        return malformed("artifact: trailing bytes in payload");
+    // Layer records must agree with their descriptors and producers
+    // before any engine is built from them.
+    Status graph = CompiledModel::checkGraph(layers, output_node);
+    if (!graph.ok())
+        return malformed("artifact: " + graph.message());
 
-    auto model = std::make_shared<CompiledModel>(kind, device, std::move(layers),
-                                                 output_node, tuned_isa,
-                                                 std::move(compile_opts));
+    auto model = std::make_shared<CompiledModel>(info->kind, device, std::move(layers),
+                                                 output_node, info->tuned_isa, co);
     if (has_plan) {
         Status adopted = model->adoptMemoryPlan(std::move(plan));
         if (!adopted.ok())
@@ -607,55 +561,31 @@ deserializePayload(const uint8_t* payload, size_t payload_size, uint32_t version
 }
 
 Status
-unsupportedVersion(uint32_t version)
-{
-    return Status(ErrorCode::kInvalidArgument,
-                  "artifact: unsupported version " + std::to_string(version),
-                  artifact_detail::kUnsupportedVersion);
-}
-
-Status
 truncatedStream(const std::string& what)
 {
     return Status(ErrorCode::kDataLoss, "artifact: truncated stream (" + what + ")",
                   artifact_detail::kTruncatedStream);
 }
 
-Status
-checksumMismatch()
-{
-    return Status(ErrorCode::kDataLoss, "artifact: checksum mismatch",
-                  artifact_detail::kChecksumMismatch);
-}
-
-Status
-badMagic()
-{
-    return Status(ErrorCode::kDataLoss, "artifact: bad magic",
-                  artifact_detail::kBadMagic);
-}
-
 void
-putHeaderPrefix(std::vector<uint8_t>& out, uint32_t version)
+putHeaderPrefix(std::vector<uint8_t>& out)
 {
     for (char c : kMagic)
         out.push_back(static_cast<uint8_t>(c));
-    putU32(out, version);
+    putU32(out, kModelArtifactVersion);
     putU64(out, 0);  // Payload size placeholder, backpatched.
 }
 
 }  // namespace
 
 std::vector<uint8_t>
-serializeModel(const CompiledModel& model, uint32_t version)
+serializeModel(const CompiledModel& model)
 {
-    PATDNN_CHECK(version >= 1 && version <= kModelArtifactVersion,
-                 "unsupported artifact serialization version " << version);
     std::vector<uint8_t> out;
-    putHeaderPrefix(out, version);
+    putHeaderPrefix(out);
     size_t payload_begin = out.size();
     uint64_t h = kFnvOffset;
-    emitPayload(model, version, [&](const uint8_t* p, size_t n) {
+    emitPayload(model, [&](const uint8_t* p, size_t n) {
         h = fnv1aUpdate(h, p, n);
         out.insert(out.end(), p, p + n);
     });
@@ -667,55 +597,57 @@ serializeModel(const CompiledModel& model, uint32_t version)
     return out;
 }
 
-std::vector<uint8_t>
-serializeModel(const CompiledModel& model)
-{
-    return serializeModel(model, kModelArtifactVersion);
-}
-
 Result<std::shared_ptr<CompiledModel>>
 deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
                  const ArtifactLoadOptions& opts, ArtifactInfo* info)
 {
     // Size before magic: a truncated-but-valid prefix must diagnose as
-    // truncation, matching the streamed file loader's slug.
+    // truncation, not as a bad magic.
     if (bytes.size() < kHeaderSize + 8)
         return truncatedStream(std::to_string(bytes.size()) +
                                " bytes is smaller than the fixed header");
     if (std::memcmp(bytes.data(), kMagic, 4) != 0)
-        return badMagic();
-    Reader hdr{{bytes.data() + 4, bytes.size() - 4}};
+        return Status(ErrorCode::kDataLoss, "artifact: bad magic",
+                      artifact_detail::kBadMagic);
+    Reader hdr{{bytes.data() + 4, kHeaderSize - 4}};
     uint32_t version = hdr.u32();
-    if (version < 1 || version > kModelArtifactVersion)
-        return unsupportedVersion(version);
+    if (version != kModelArtifactVersion)
+        return Status(ErrorCode::kInvalidArgument,
+                      "artifact: unsupported version " + std::to_string(version) +
+                          " (this build reads version " +
+                          std::to_string(kModelArtifactVersion) + " only)",
+                      artifact_detail::kUnsupportedVersion);
     uint64_t payload_size = hdr.u64();
-    if (!hdr.ok || payload_size != bytes.size() - kHeaderSize - 8)
-        return truncatedStream("payload size mismatch");
+    uint64_t held = bytes.size() - kHeaderSize - 8;
+    if (payload_size != held)
+        return truncatedStream("header claims " + std::to_string(payload_size) +
+                               " payload bytes, artifact holds " +
+                               std::to_string(held));
     const uint8_t* payload = bytes.data() + kHeaderSize;
-    Reader tail{{payload + payload_size, 8}};
-    if (fnv1aUpdate(kFnvOffset, payload, static_cast<size_t>(payload_size)) !=
-        tail.u64())
-        return checksumMismatch();
-    return deserializePayload(payload, static_cast<size_t>(payload_size), version,
-                              device, opts, info);
+    Reader tail{{payload + held, 8}};
+    if (fnv1aUpdate(kFnvOffset, payload, static_cast<size_t>(held)) != tail.u64())
+        return Status(ErrorCode::kDataLoss, "artifact: checksum mismatch",
+                      artifact_detail::kChecksumMismatch);
+    return deserializePayload(payload, static_cast<size_t>(held), device, opts,
+                              info);
 }
 
 Status
-saveModelArtifact(const CompiledModel& model, const std::string& path)
+saveModel(const CompiledModel& model, const std::string& path)
 {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return Status(ErrorCode::kUnavailable,
                       "cannot open " + path + " for writing");
     std::vector<uint8_t> header;
-    putHeaderPrefix(header, kModelArtifactVersion);
+    putHeaderPrefix(header);
     bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
     // Stream the payload record-by-record: the checksum and size are
     // accumulated as bytes pass through, never materializing the whole
     // serialized model in memory.
     uint64_t h = kFnvOffset;
     uint64_t payload_size = 0;
-    emitPayload(model, kModelArtifactVersion, [&](const uint8_t* p, size_t n) {
+    emitPayload(model, [&](const uint8_t* p, size_t n) {
         if (!ok)
             return;
         h = fnv1aUpdate(h, p, n);
@@ -738,69 +670,26 @@ saveModelArtifact(const CompiledModel& model, const std::string& path)
 }
 
 Result<std::shared_ptr<CompiledModel>>
-loadModelArtifact(const std::string& path, const DeviceSpec& device,
-                  const ArtifactLoadOptions& opts, ArtifactInfo* info)
+loadModel(const std::string& path, const DeviceSpec& device,
+          const ArtifactLoadOptions& opts, ArtifactInfo* info)
 {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
         return Status(ErrorCode::kNotFound, "cannot open " + path);
-    std::fseek(f, 0, SEEK_END);
-    long len = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (len < static_cast<long>(kHeaderSize + 8)) {
-        std::fclose(f);
-        return truncatedStream(std::to_string(len < 0 ? 0 : len) +
-                               " bytes is smaller than the fixed header");
-    }
-    uint8_t header[kHeaderSize];
-    if (std::fread(header, 1, kHeaderSize, f) != kHeaderSize) {
-        std::fclose(f);
-        return truncatedStream("short header read");
-    }
-    if (std::memcmp(header, kMagic, 4) != 0) {
-        std::fclose(f);
-        return badMagic();
-    }
-    Reader hdr{{header + 4, kHeaderSize - 4}};
-    uint32_t version = hdr.u32();
-    if (version < 1 || version > kModelArtifactVersion) {
-        std::fclose(f);
-        return unsupportedVersion(version);
-    }
-    uint64_t payload_size = hdr.u64();
-    if (payload_size != static_cast<uint64_t>(len) - kHeaderSize - 8) {
-        std::fclose(f);
-        return truncatedStream(
-            "header claims " + std::to_string(payload_size) +
-            " payload bytes, file holds " +
-            std::to_string(static_cast<uint64_t>(len) - kHeaderSize - 8));
-    }
-    // Chunked read with incremental checksum: bounded I/O granularity,
-    // one payload allocation (which the model needs anyway).
-    std::vector<uint8_t> payload(static_cast<size_t>(payload_size));
-    uint64_t h = kFnvOffset;
-    size_t got = 0;
-    while (got < payload.size()) {
-        size_t want = std::min(kIoChunk, payload.size() - got);
-        size_t n = std::fread(payload.data() + got, 1, want, f);
-        if (n == 0) {
-            std::fclose(f);
-            return truncatedStream("short payload read");
-        }
-        h = fnv1aUpdate(h, payload.data() + got, n);
-        got += n;
-    }
-    uint8_t trailer[8];
-    if (std::fread(trailer, 1, 8, f) != 8) {
-        std::fclose(f);
-        return truncatedStream("missing checksum");
+    // file_size() refuses non-regular files (a directory opens fine but
+    // reports a bogus size), so the buffer is never sized off garbage.
+    std::error_code ec;
+    uintmax_t len = std::filesystem::file_size(path, ec);
+    std::vector<uint8_t> bytes;
+    bool ok = !ec;
+    if (ok) {
+        bytes.resize(static_cast<size_t>(len));
+        ok = std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
     }
     std::fclose(f);
-    Reader tail{{trailer, 8}};
-    if (h != tail.u64())
-        return checksumMismatch();
-    return deserializePayload(payload.data(), payload.size(), version, device,
-                              opts, info);
+    if (!ok)
+        return Status(ErrorCode::kUnavailable, "cannot read " + path);
+    return deserializeModel(bytes, device, opts, info);
 }
 
 }  // namespace patdnn

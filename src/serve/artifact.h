@@ -1,7 +1,6 @@
 /**
  * @file
- * Versioned binary model artifacts: the distribution format for
- * compiled models.
+ * Binary model artifacts: the distribution format for compiled models.
  *
  * PatDNN's deployment story (Fig. 5) ends at execution code
  * generation; an artifact captures that stage's entire output — every
@@ -9,55 +8,51 @@
  * wiring — so a model can be compiled (pruned, reordered, tuned) once
  * and then distributed to serving hosts that only deserialize and run.
  *
- * On-disk layout (little-endian):
+ * There is one format, kModelArtifactVersion. On-disk layout
+ * (little-endian):
  *
  *   [magic "PDNN"] [u32 version] [u64 payload_size] [payload bytes]
  *   [u64 FNV-1a checksum of payload]
  *
- * The payload holds the framework kind, the kernel ISA the embedded
- * TuneParams were searched on (version >= 2), a device fingerprint +
- * compile-option record (version >= 3), the output-node id and one
- * record per graph-node slot; pattern-compiled conv layers embed their
- * FKW storage via sparse/fkw.h's byte-level serializer and are
- * re-validated with validateFkw() on load.
+ * The payload holds, in order:
+ *  - the framework kind and the kernel ISA the embedded TuneParams were
+ *    searched on;
+ *  - the provenance record: the device fingerprint (pool width,
+ *    GPU-like flag, tile budget) and the compile options (pattern
+ *    count, connectivity rates, optimization switches, seed, memory
+ *    planning, precision and calibration settings);
+ *  - the output-node id and one record per graph-node slot: op kind,
+ *    ConvDesc, producer ids, fused ReLU, pool / FC geometry, tuned
+ *    parameters (including the dense GEMM blocking gemm_kc / gemm_nc),
+ *    an optional quant record (activation scale + per-output-channel
+ *    weight scales), the dense weight and bias tensors, and the FKW
+ *    storage of pattern-compiled convs (sparse/fkw.h's serializer);
+ *  - the activation MemoryPlan (rt/memplan.h), so a serving host gets
+ *    the planned-arena session footprint without lifetime analysis.
  *
- * Version 6 quantization: the compile-option record gains the
- * precision knob and calibration settings (method, percentile, sample
- * count, seed), and each quantized conv layer carries a quant record —
- * the calibrated activation scale and the per-output-channel weight
- * scales. Weights are still stored as f32 (the quantized bytes are
- * re-derived deterministically from tensor + scales on load), so a v5
- * serialization of a quantized model simply drops the record and loads
- * as plain f32. A quant record that is malformed — a scale that is not
- * finite and positive, a scale count that disagrees with the layer's
- * cout, or a record on a non-conv / FKW layer — is kDataLoss with the
- * kBadQuantRecord slug.
+ * Quantized weights are stored as f32 and re-quantized
+ * deterministically from tensor + scales on load.
  *
- * Version 4 memory plan: the payload ends with the model's activation
- * MemoryPlan (rt/memplan.h) — per-slot arena offsets/sizes/lifetimes in
- * per-sample float elements — so a serving host gets the planned-arena
- * session footprint without re-running lifetime analysis. The restored
- * plan is re-validated against the restored graph on load
- * (CompiledModel::adoptMemoryPlan); an inconsistent plan is kDataLoss
- * with the kBadMemoryPlan slug. v1–v3 artifacts load plan-less and
- * sessions over them fall back to per-layer workspaces.
+ * Artifact bytes are untrusted input. Every count is bounded by the
+ * bytes left before anything is allocated, and the restored layer
+ * records must pass CompiledModel::checkGraph() (each record agrees
+ * with its ConvDesc and its producers) before any engine is built. A
+ * record that fails is kDataLoss with a detail slug; loading never
+ * aborts.
  *
- * Version 3 provenance: the header records what produced the artifact
- * (pool width, GPU-like scheduling flag, tile budget, pattern count,
- * connectivity rates, optimization switches, seed), so a serving host
- * can reject or warn about a mismatched artifact with a *diagnostic*
- * ("compiled for pool width 8, this host runs 1") instead of failing
- * an invariant deep inside an executor. Cross-ISA loads keep the v2
- * behaviour: execution is exact on any ISA, so a mismatch only warns
- * that the tuned widths were searched elsewhere. A GPU-like/CPU
+ * The device fingerprint lets a serving host reject or warn about a
+ * mismatched artifact with a diagnostic ("compiled for pool width 8,
+ * this host runs 1") instead of failing an invariant deep inside an
+ * executor. Execution is exact on any ISA, so a cross-ISA load only
+ * warns that the tuned widths were searched elsewhere. A GPU-like/CPU
  * scheduling mismatch is always an error; pool-width and tile-budget
  * differences warn unless ArtifactLoadOptions asks for strictness.
  *
- * I/O is streamed: saveModelArtifact() serializes one layer record at
- * a time straight into the file (checksum computed incrementally, the
- * payload size backpatched), and loadModelArtifact() verifies the
- * checksum in bounded chunks — neither path materializes a second
- * whole-model byte buffer next to the model itself.
+ * saveModel() streams the payload one layer record at a time straight
+ * into the file (checksum computed incrementally, the payload size
+ * backpatched), so saving never holds a second whole-model byte buffer
+ * next to the model. loadModel() reads the file and runs the same
+ * validation as deserializeModel().
  */
 #pragma once
 
@@ -89,15 +84,8 @@ inline constexpr char kBadMemoryPlan[] = "artifact/bad-memory-plan";
 inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 }  // namespace artifact_detail
 
-/** Artifact format version written by serializeModel. Version 2 added
- * the tuned-ISA field; version 3 the device fingerprint and compile
- * option record; version 4 the activation memory plan; version 5 the
- * dense packed-GEMM cache-blocking fields (gemm_kc / gemm_nc) in each
- * layer's tuning record; version 6 the precision/calibration options
- * and per-layer quantization records (activation + weight scales).
- * v1–v5 artifacts still load (as f32 pre-v6; plan-less pre-v4; with a
- * provenance warning pre-v3, ISA assumed scalar for v1; blocking
- * re-derived from the device budget pre-v5). */
+/** The artifact format version: the only one written and the only one
+ * loaded. Any layout change must bump it. */
 constexpr uint32_t kModelArtifactVersion = 6;
 
 /** Load-time strictness knobs. */
@@ -110,56 +98,53 @@ struct ArtifactLoadOptions
     bool require_matching_fingerprint = false;
 };
 
-/** Header provenance surfaced by the loaders (all versions; the v3
- * fields are defaulted and flagged absent for older artifacts). */
+/** Header provenance surfaced by the loaders. */
 struct ArtifactInfo
 {
     uint32_t version = 0;
     FrameworkKind kind = FrameworkKind::kPatDnn;
     SimdIsa tuned_isa = SimdIsa::kScalar;
-    bool has_fingerprint = false;  ///< True for v3+ artifacts.
-    int pool_width = 0;            ///< DeviceSpec.threads at compile time.
+    int pool_width = 0;  ///< DeviceSpec.threads at compile time.
     bool gpu_like = false;
     int64_t tile_budget_kb = 0;
-    bool has_compile_opts = false; ///< True for v3+ artifacts.
     CompileOptions compile_opts;
     /// Non-fatal diagnostics emitted during load (also logged at WARN):
-    /// pre-v3 header, cross-ISA tuning, fingerprint differences.
+    /// cross-ISA tuning, fingerprint differences.
     std::vector<std::string> warnings;
 };
 
-/** Serialize a compiled model into the artifact byte format
- * (kModelArtifactVersion). */
+/** Serialize a compiled model into the artifact byte format. */
 std::vector<uint8_t> serializeModel(const CompiledModel& model);
-
-/** Serialize at an explicit format version in
- * [1, kModelArtifactVersion]: older layouts for compatibility tests
- * and for shipping to hosts that predate the v3 header. */
-std::vector<uint8_t> serializeModel(const CompiledModel& model, uint32_t version);
 
 /**
  * Reconstruct a compiled model for `device` from artifact bytes.
- * Validates magic, version, framing and checksum, the v3 provenance
- * record against `device`, then every embedded FKW layer's structural
- * invariants. Failure codes: kDataLoss for corrupted / truncated bytes
- * (detail() carries the artifact_detail slug), kInvalidArgument for an
- * unsupported format version, kDeviceMismatch for a fingerprint the
- * host cannot satisfy. `info`, when non-null, receives the header
- * provenance + any non-fatal warnings even for successfully loaded
- * artifacts.
+ * Validates magic, version, framing and checksum, the provenance
+ * record against `device`, then every layer record (see the file
+ * comment). Failure codes: kDataLoss for corrupted / truncated bytes
+ * (detail() carries the artifact_detail slug), kInvalidArgument for any
+ * version other than kModelArtifactVersion, kDeviceMismatch for a
+ * fingerprint the host cannot satisfy. `info`, when non-null, receives
+ * the header provenance + any non-fatal warnings even for successfully
+ * loaded artifacts.
  */
 Result<std::shared_ptr<CompiledModel>> deserializeModel(
     const std::vector<uint8_t>& bytes, const DeviceSpec& device,
     const ArtifactLoadOptions& opts = {}, ArtifactInfo* info = nullptr);
 
-/** Stream-serialize + write to `path` (one layer record in memory at a
- * time); kUnavailable on I/O failure. */
-Status saveModelArtifact(const CompiledModel& model, const std::string& path);
+/**
+ * Freeze a compiled model into an artifact at `path` (compile once,
+ * distribute everywhere), one layer record in memory at a time.
+ * kUnavailable on I/O failure.
+ */
+Status saveModel(const CompiledModel& model, const std::string& path);
 
-/** Read `path` (chunked, checksum verified incrementally) +
- * deserialize. kNotFound when the file cannot be opened; otherwise the
- * deserializeModel() codes. */
-Result<std::shared_ptr<CompiledModel>> loadModelArtifact(
+/**
+ * Load an artifact for `device`. The result is immutable and intended
+ * to be shared: hand it to any number of InferenceSession /
+ * InferenceServer instances. kNotFound when the file cannot be opened;
+ * otherwise the deserializeModel() codes.
+ */
+Result<std::shared_ptr<CompiledModel>> loadModel(
     const std::string& path, const DeviceSpec& device,
     const ArtifactLoadOptions& opts = {}, ArtifactInfo* info = nullptr);
 

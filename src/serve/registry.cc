@@ -28,8 +28,7 @@ ModelRegistry::~ModelRegistry()
 Status
 ModelRegistry::load(const std::string& name, const std::string& path)
 {
-    Result<std::shared_ptr<CompiledModel>> model =
-        loadModelArtifact(path, opts_.device);
+    Result<std::shared_ptr<CompiledModel>> model = loadModel(path, opts_.device);
     if (!model.ok())
         // Keep the loader's code + detail slug; prefix the message so
         // the caller sees which name failed to come up.

@@ -12,7 +12,7 @@
  * instead of N (the per-server *serving* workers are cheap: they
  * block in the queue, the compute pool does the math). Each worker's
  * session follows ServerOptions::session_memory — models restored
- * from v4 artifacts run out of a planned activation arena, so the
+ * from artifacts run out of a planned activation arena, so the
  * per-worker memory cost of holding many models stays at peak-live
  * size rather than sum-of-layers.
  *

@@ -10,8 +10,8 @@
  * copies of the (much smaller) activations.
  *
  * When the model carries an activation MemoryPlan (rt/memplan.h —
- * compiled with CompileOptions::enable_memory_plan, or restored from a
- * v4 artifact), a session's activations collapse further: one arena of
+ * compiled with CompileOptions::enable_memory_plan, or restored from an
+ * artifact), a session's activations collapse further: one arena of
  * plan.arenaBytes(batch) sized by peak LIVE memory instead of one
  * allocation per layer, which is what lets a host hold many more
  * concurrent sessions per GB. Planned and per-layer execution are

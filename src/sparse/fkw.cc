@@ -249,10 +249,16 @@ validateFkw(const FkwLayer& fkw)
     int npat = static_cast<int>(fkw.patterns.size());
     if (npat == 0)
         return fail("empty pattern table");
-    for (const auto& p : fkw.patterns)
+    for (const auto& p : fkw.patterns) {
         if (p.kh() != fkw.kh || p.kw() != fkw.kw)
             return fail("pattern geometry mismatch");
-    if (static_cast<int64_t>(fkw.offset.size()) != fkw.filters + 1)
+        // Executors step through the weight array `entries` floats per
+        // kernel and read one weight per kept position.
+        if ((uint64_t{p.mask()} >> (p.kh() * p.kw())) != 0 ||
+            p.popcount() != fkw.entries)
+            return fail("pattern mask disagrees with the kernel window or entries");
+    }
+    if (fkw.offset.empty() || static_cast<int64_t>(fkw.offset.size()) - 1 != fkw.filters)
         return fail("offset size != filters + 1");
     if (fkw.offset.front() != 0)
         return fail("offset[0] != 0");
@@ -288,6 +294,20 @@ validateFkw(const FkwLayer& fkw)
         if (fkw.strideAt(f, npat) != fk)
             return fail("stride does not cover filter kernels");
     }
+    // FKR groups: consecutive equal-length runs that partition the
+    // reordered filters (the executor schedules work by group).
+    int64_t next = 0;
+    for (const FilterGroup& g : fkw.groups) {
+        if (g.begin != next || g.end <= g.begin || g.end > fkw.filters)
+            return fail("filter groups do not partition the filters");
+        for (int32_t f = g.begin; f < g.end; ++f)
+            if (fkw.offset[static_cast<size_t>(f) + 1] -
+                    fkw.offset[static_cast<size_t>(f)] != g.length)
+                return fail("filter group length disagrees with its kernels");
+        next = g.end;
+    }
+    if (next != fkw.filters)
+        return fail("filter groups do not partition the filters");
     if (!fkw.kernel_pattern.empty()) {
         // Loose format: per-kernel pattern array parallel to index.
         if (fkw.kernel_pattern.size() != fkw.index.size())
@@ -366,11 +386,12 @@ deserializeFkw(const uint8_t* data, size_t size, size_t* consumed, FkwLayer* fkw
     // Geometry sanity before any Pattern is built (the Pattern ctor
     // aborts on kh*kw > 32, which corrupt bytes must not trigger).
     if (out.filters < 0 || out.in_channels < 0 || out.kh <= 0 || out.kw <= 0 ||
-        out.kh * out.kw > 32)
+        out.kh > 32 || out.kw > 32 || out.kh * out.kw > 32)
         return fail("fkw: implausible geometry");
 
+    // Counts are bounded by the bytes left before anything is sized.
     uint32_t npat = r.u32();
-    if (!r.ok || npat > 1u << 20)
+    if (!r.ok || npat > (size - r.pos) / 4)
         return fail("fkw: bad pattern table");
     out.patterns.reserve(npat);
     for (uint32_t i = 0; i < npat; ++i) {
@@ -386,7 +407,7 @@ deserializeFkw(const uint8_t* data, size_t size, size_t* consumed, FkwLayer* fkw
         return fail("fkw: truncated index arrays");
 
     uint32_t ngroups = r.u32();
-    if (!r.ok || ngroups > 1u << 24)
+    if (!r.ok || ngroups > (size - r.pos) / 12)
         return fail("fkw: bad group table");
     out.groups.reserve(ngroups);
     for (uint32_t i = 0; i < ngroups; ++i) {

@@ -3,6 +3,9 @@
  * multi-model registry. */
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -66,6 +69,30 @@ std::string
 tempArtifactPath(const char* tag)
 {
     return std::string(::testing::TempDir()) + "patdnn_" + tag + ".pdnn";
+}
+
+constexpr size_t kArtifactHeader = 4 + 4 + 8;  ///< magic + version + size.
+
+/** Recompute the payload size and checksum after a deliberate payload
+ * mutation, so negatives exercise the payload validation rather than
+ * tripping the earlier framing and checksum gates. Layout constants
+ * are part of the artifact format contract (artifact.h). */
+std::vector<uint8_t>
+resealArtifact(std::vector<uint8_t> bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t i = kArtifactHeader; i + 8 < bytes.size(); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+    }
+    uint64_t payload_size = bytes.size() - kArtifactHeader - 8;
+    for (int i = 0; i < 8; ++i)
+        bytes[8 + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(payload_size >> (8 * i));
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(h >> (8 * i));
+    return bytes;
 }
 
 /** The ErrorCode a serving future failed with (kOk if it resolved). */
@@ -194,6 +221,10 @@ TEST(Artifact, RejectsCorruptedAndTruncatedBytes)
     auto missing = loadModel(tempArtifactPath("does_not_exist"), dev);
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound);
+    // A directory opens but has no file size to read.
+    auto directory = loadModel(::testing::TempDir(), dev);
+    ASSERT_FALSE(directory.ok());
+    EXPECT_EQ(directory.status().code(), ErrorCode::kUnavailable);
 }
 
 TEST(Session, SharedModelConcurrentSessionsMatchSerial)
@@ -758,42 +789,8 @@ TEST(Server, ZeroLingerReproducesImmediateDispatch)
 }
 
 // ---------------------------------------------------------------------------
-// Artifact provenance (header v3) + streamed-load negative paths
+// Artifact provenance + file-load negative paths
 // ---------------------------------------------------------------------------
-
-TEST(Artifact, V1V2HeadersLoadWithProvenanceWarning)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    Tensor in = makeInput(21);
-    Tensor expect = compiled.run(in);
-
-    for (uint32_t version : {1u, 2u}) {
-        std::vector<uint8_t> bytes = serializeModel(compiled, version);
-        ArtifactInfo info;
-        auto loaded = deserializeModel(bytes, dev, ArtifactLoadOptions{}, &info);
-        ASSERT_TRUE(loaded.ok())
-            << "v" << version << ": " << loaded.status().toString();
-        EXPECT_EQ(info.version, version);
-        EXPECT_FALSE(info.has_fingerprint);
-        EXPECT_FALSE(info.has_compile_opts);
-        // The specific pre-v3 diagnostic, not a crash.
-        bool warned = false;
-        for (const std::string& w : info.warnings)
-            warned = warned || w.find("pre-v3 header (version " +
-                                      std::to_string(version) + ")") !=
-                                   std::string::npos;
-        EXPECT_TRUE(warned) << "v" << version;
-        EXPECT_EQ(Tensor::maxAbsDiff(loaded.value()->run(in), expect), 0.0);
-    }
-    // v1 predates the ISA record entirely.
-    ArtifactInfo info;
-    auto v1 = deserializeModel(serializeModel(compiled, 1), dev,
-                               ArtifactLoadOptions{}, &info);
-    ASSERT_TRUE(v1.ok()) << v1.status().toString();
-    EXPECT_EQ(v1.value()->tunedIsa(), SimdIsa::kScalar);
-}
 
 TEST(Artifact, RecordsCompileOptionsAndFingerprint)
 {
@@ -810,11 +807,9 @@ TEST(Artifact, RecordsCompileOptionsAndFingerprint)
                                    ArtifactLoadOptions{}, &info);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(info.version, kModelArtifactVersion);
-    ASSERT_TRUE(info.has_fingerprint);
     EXPECT_EQ(info.pool_width, dev.threads);
     EXPECT_FALSE(info.gpu_like);
     EXPECT_EQ(info.tile_budget_kb, dev.tile_budget_kb);
-    ASSERT_TRUE(info.has_compile_opts);
     EXPECT_EQ(info.compile_opts.pattern_count, 6);
     EXPECT_DOUBLE_EQ(info.compile_opts.connectivity_rate, 4.25);
     EXPECT_EQ(info.compile_opts.seed, 77u);
@@ -868,7 +863,7 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::string path = tempArtifactPath("negative");
-    Status saved = saveModelArtifact(compiled, path);
+    Status saved = saveModel(compiled, path);
     ASSERT_TRUE(saved.ok()) << saved.toString();
 
     // Pull the on-disk bytes so corrupted variants can be written back.
@@ -889,9 +884,9 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
         std::fclose(f);
     };
 
-    // The streamed loader round-trips the pristine file.
+    // The file loader round-trips the pristine file.
     {
-        auto pristine = loadModelArtifact(path, dev);
+        auto pristine = loadModel(path, dev);
         ASSERT_TRUE(pristine.ok()) << pristine.status().toString();
     }
 
@@ -900,7 +895,7 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
     // without reading the message.
     for (size_t keep : {size_t(3), size_t(20), bytes.size() / 2, bytes.size() - 1}) {
         write_variant({bytes.begin(), bytes.begin() + static_cast<long>(keep)});
-        auto r = loadModelArtifact(path, dev);
+        auto r = loadModel(path, dev);
         ASSERT_FALSE(r.ok()) << keep;
         EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << keep;
         EXPECT_STREQ(r.status().detail(), artifact_detail::kTruncatedStream)
@@ -908,12 +903,12 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
     }
 
     // One flipped checksum byte (and one flipped payload byte) fail the
-    // incremental checksum with the checksum slug.
+    // checksum with the checksum slug.
     for (size_t at : {bytes.size() - 1, bytes.size() / 2}) {
         std::vector<uint8_t> bad = bytes;
         bad[at] ^= 0x01;
         write_variant(bad);
-        auto r = loadModelArtifact(path, dev);
+        auto r = loadModel(path, dev);
         ASSERT_FALSE(r.ok()) << at;
         EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << at;
         EXPECT_STREQ(r.status().detail(), artifact_detail::kChecksumMismatch)
@@ -923,33 +918,8 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
 }
 
 // ---------------------------------------------------------------------------
-// Artifact v4: the memory-plan record
+// Artifact memory-plan record
 // ---------------------------------------------------------------------------
-
-/** Recompute the payload checksum after a deliberate payload mutation,
- * so negatives exercise the *plan* validation path rather than tripping
- * the earlier checksum gate. Layout constants are part of the artifact
- * format contract (artifact.h). */
-std::vector<uint8_t>
-resealArtifact(std::vector<uint8_t> bytes)
-{
-    constexpr size_t kHeader = 4 + 4 + 8;
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t i = kHeader; i + 8 < bytes.size(); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ULL;
-    }
-    // Backpatch the payload size (the plan-truncation variant shortens
-    // the payload) and the trailing checksum.
-    uint64_t payload_size = bytes.size() - kHeader - 8;
-    for (int i = 0; i < 8; ++i)
-        bytes[8 + static_cast<size_t>(i)] =
-            static_cast<uint8_t>(payload_size >> (8 * i));
-    for (int i = 0; i < 8; ++i)
-        bytes[bytes.size() - 8 + static_cast<size_t>(i)] =
-            static_cast<uint8_t>(h >> (8 * i));
-    return bytes;
-}
 
 TEST(Artifact, V4RoundTripRestoresMemoryPlan)
 {
@@ -992,33 +962,6 @@ TEST(Artifact, V4RoundTripRestoresMemoryPlan)
               0);
 }
 
-TEST(Artifact, PreV4ArtifactsLoadPlanLess)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    ASSERT_TRUE(compiled.hasMemoryPlan());
-    Tensor in = makeInput(42);
-    Tensor expect = compiled.run(in);
-
-    for (uint32_t version : {1u, 2u, 3u}) {
-        auto loaded = deserializeModel(serializeModel(compiled, version), dev);
-        ASSERT_TRUE(loaded.ok())
-            << "v" << version << ": " << loaded.status().toString();
-        // Pre-v4 layouts carry no plan; the model must not invent one,
-        // and the recorded options must say planning was absent.
-        EXPECT_FALSE(loaded.value()->hasMemoryPlan()) << "v" << version;
-        EXPECT_FALSE(loaded.value()->compileOptions().enable_memory_plan)
-            << "v" << version;
-        // kAuto sessions fall back to the per-layer workspace and still
-        // compute the same outputs.
-        InferenceSession session(loaded.value());
-        EXPECT_FALSE(session.usesPlannedArena()) << "v" << version;
-        EXPECT_EQ(Tensor::maxAbsDiff(session.run(in), expect), 0.0)
-            << "v" << version;
-    }
-}
-
 TEST(Artifact, V5RoundTripRestoresGemmBlocking)
 {
     Model m = tinyModel();
@@ -1028,7 +971,7 @@ TEST(Artifact, V5RoundTripRestoresGemmBlocking)
     opts.default_tuning.gemm_nc = 48;
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev, opts);
 
-    // v5 carries the dense packed-GEMM blocking through the artifact.
+    // The artifact carries the dense packed-GEMM blocking.
     auto loaded = deserializeModel(serializeModel(compiled), dev);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     int checked = 0;
@@ -1040,21 +983,10 @@ TEST(Artifact, V5RoundTripRestoresGemmBlocking)
         ++checked;
     }
     EXPECT_GT(checked, 0);
-
-    // A v4 serialization has no slot for the fields: the load falls
-    // back to 0 (= blocking re-derived from the device budget).
-    auto v4 = deserializeModel(serializeModel(compiled, 4), dev);
-    ASSERT_TRUE(v4.ok()) << v4.status().toString();
-    for (const CompiledLayerState& st : v4.value()->exportState()) {
-        if (!st.live || st.kind != OpKind::kConv)
-            continue;
-        EXPECT_EQ(st.tuning.gemm_kc, 0);
-        EXPECT_EQ(st.tuning.gemm_nc, 0);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Artifact v6: quantization records
+// Artifact quantization records
 // ---------------------------------------------------------------------------
 
 TEST(Artifact, V6RoundTripRestoresQuantizationBitExactly)
@@ -1104,33 +1036,6 @@ TEST(Artifact, V6RoundTripRestoresQuantizationBitExactly)
                           static_cast<size_t>(out.numel()) * sizeof(float)),
               0)
         << "restored quantized model diverges from the in-memory compile";
-}
-
-TEST(Artifact, V5SerializationOfQuantizedModelLoadsAsF32)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompileOptions i8_opts;
-    i8_opts.precision = Precision::kInt8;
-    CompiledModel quantized(m, FrameworkKind::kPatDnnDense, dev, i8_opts);
-    CompiledModel f32(m, FrameworkKind::kPatDnnDense, dev);
-
-    // Pre-v6 layouts have no quant-record slot, and the weights are
-    // stored as f32 either way — so an old reader (simulated by an old
-    // serialization) gets exactly the plain f32 model.
-    auto loaded = deserializeModel(serializeModel(quantized, 5), dev);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    for (const CompiledLayerState& st : loaded.value()->exportState())
-        EXPECT_FALSE(st.quantized);
-    EXPECT_EQ(loaded.value()->compileOptions().precision, Precision::kF32);
-
-    Tensor in = makeInput(52);
-    Tensor expect = f32.run(in);
-    Tensor out = loaded.value()->run(in);
-    EXPECT_EQ(std::memcmp(out.data(), expect.data(),
-                          static_cast<size_t>(out.numel()) * sizeof(float)),
-              0)
-        << "v5 load of a quantized model must run as the plain f32 compile";
 }
 
 TEST(Artifact, CorruptQuantRecordIsDataLossWithQuantSlug)
@@ -1245,6 +1150,510 @@ TEST(Artifact, TruncatedMemoryPlanRecordIsDataLoss)
         EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << cut;
         EXPECT_STREQ(r.status().detail(), artifact_detail::kMalformedPayload)
             << cut;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One artifact format; artifact bytes as untrusted input
+// ---------------------------------------------------------------------------
+
+/** `n` little-endian bytes of `v`, as the artifact stores integers. */
+std::vector<uint8_t>
+le(uint64_t v, size_t n = 8)
+{
+    std::vector<uint8_t> out(n);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = static_cast<uint8_t>(v >> (8 * i));
+    return out;
+}
+
+std::vector<uint8_t>
+concat(std::initializer_list<std::vector<uint8_t>> parts)
+{
+    std::vector<uint8_t> out;
+    for (const auto& p : parts)
+        out.insert(out.end(), p.begin(), p.end());
+    return out;
+}
+
+/** Offset of the only occurrence of `needle` in `hay`; npos when it is
+ * absent or ambiguous. */
+size_t
+findOnce(const std::vector<uint8_t>& hay, const std::vector<uint8_t>& needle)
+{
+    auto first = std::search(hay.begin(), hay.end(), needle.begin(), needle.end());
+    if (first == hay.end() ||
+        std::search(first + 1, hay.end(), needle.begin(), needle.end()) != hay.end())
+        return std::string::npos;
+    return static_cast<size_t>(first - hay.begin());
+}
+
+void
+poke(std::vector<uint8_t>& bytes, size_t at, uint64_t v, size_t n = 8)
+{
+    std::vector<uint8_t> b = le(v, n);
+    std::copy(b.begin(), b.end(), bytes.begin() + static_cast<long>(at));
+}
+
+/** Offset of the named conv's ConvDesc fields; field i of (cin, cout,
+ * kh, kw, h, w, stride, pad, dilation, groups) is at +8*i, and the
+ * layer's input count follows the last one. */
+size_t
+convFieldsAt(const std::vector<uint8_t>& bytes, const std::string& name)
+{
+    std::vector<uint8_t> needle = le(name.size(), 4);
+    needle.insert(needle.end(), name.begin(), name.end());
+    size_t at = findOnce(bytes, needle);
+    return at == std::string::npos ? at : at + needle.size();
+}
+
+/** A resealed (well-framed, checksum-valid) mutation must be refused
+ * as a malformed payload before any engine is built. */
+void
+expectMalformed(std::vector<uint8_t> bad, const DeviceSpec& dev)
+{
+    auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << r.status().toString();
+    EXPECT_STREQ(r.status().detail(), artifact_detail::kMalformedPayload)
+        << r.status().toString();
+}
+
+TEST(Artifact, RejectsEveryOtherVersion)
+{
+    Model m = tinyModel();
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bytes = serializeModel(compiled);
+    std::string path = tempArtifactPath("version");
+    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 0xFFFFFFFFu}) {
+        std::vector<uint8_t> bad = bytes;
+        poke(bad, 4, version, 4);
+        auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
+                                  const char* via) {
+            ASSERT_FALSE(r.ok()) << via << " v" << version;
+            EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument)
+                << via << " v" << version;
+            EXPECT_STREQ(r.status().detail(), artifact_detail::kUnsupportedVersion)
+                << via << " v" << version;
+        };
+        expect_refused(deserializeModel(bad, dev), "deserializeModel");
+        std::FILE* f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
+        std::fclose(f);
+        expect_refused(loadModel(path, dev), "loadModel");
+    }
+    std::remove(path.c_str());
+}
+
+/** A small model built by hand through the restore constructor: fixed
+ * weights, explicit tuning, provenance and tuned ISA, one FKW (pattern)
+ * conv, one int8 dense conv, a dead slot and a memory plan, so its
+ * serialized bytes depend on nothing but the artifact layout. */
+std::shared_ptr<CompiledModel>
+formatPinModel()
+{
+    auto ramp = [](Shape shape) {
+        Tensor t(std::move(shape));
+        for (int64_t i = 0; i < t.numel(); ++i)
+            t[i] = 0.0625f * static_cast<float>(i % 13) - 0.375f;
+        return t;
+    };
+    TuneParams tune;
+    tune.permute = LoopPermutation::kCoHWCi;
+    tune.blocked = true;
+    tune.tile_oh = 2;
+    tune.tile_ow = 4;
+    tune.unroll_w = 4;
+    tune.unroll_oc = 2;
+    tune.filters_per_task = 1;
+    tune.gemm_kc = 16;
+    tune.gemm_nc = 8;
+    OptSwitches sw;
+    sw.reorder = true;
+    sw.lre = true;
+    sw.tuned = false;
+
+    std::vector<CompiledLayerState> layers(5);
+    // Node 0: pattern conv 2->2, 3x3 on 4x4, from the model input.
+    CompiledLayerState& pat = layers[0];
+    pat.live = true;
+    pat.conv = ConvDesc{"pin_pattern", 2, 2, 3, 3, 4, 4, 1, 1, 1, 1};
+    pat.inputs = {-1};
+    pat.fused_relu = true;
+    pat.bias = ramp(Shape{2});
+    pat.tuning = tune;
+    pat.opts = sw;
+    pat.fkw = std::make_unique<FkwLayer>();
+    pat.fkw->filters = 2;
+    pat.fkw->in_channels = 2;
+    pat.fkw->kh = 3;
+    pat.fkw->kw = 3;
+    pat.fkw->entries = 4;
+    pat.fkw->patterns = {Pattern(3, 3, 0x3Au)};
+    pat.fkw->offset = {0, 1, 2};
+    pat.fkw->reorder = {1, 0};
+    pat.fkw->index = {0, 1};
+    pat.fkw->stride = {0, 1, 0, 1};
+    pat.fkw->weights = {0.5f, -0.25f, 0.125f, 1.0f, -0.5f, 0.75f, 0.25f, -1.0f};
+    pat.fkw->groups = {FilterGroup{0, 2, 1}};
+    // Node 1: a dead slot. Node 2: int8 dense conv 2->3.
+    CompiledLayerState& i8 = layers[2];
+    i8.live = true;
+    i8.conv = ConvDesc{"pin_int8", 2, 3, 3, 3, 4, 4, 1, 1, 1, 1};
+    i8.inputs = {0};
+    i8.weight = ramp(Shape{3, 2, 3, 3});
+    i8.bias = ramp(Shape{3});
+    i8.tuning = tune;
+    i8.opts = sw;
+    i8.quantized = true;
+    i8.act_scale = 0.03125f;
+    i8.weight_scales = {0.0078125f, 0.015625f, 0.0234375f};
+    // Node 3: flatten. Node 4: FC 48 -> 2.
+    layers[3].live = true;
+    layers[3].kind = OpKind::kFlatten;
+    layers[3].inputs = {2};
+    CompiledLayerState& fc = layers[4];
+    fc.live = true;
+    fc.kind = OpKind::kFullyConnected;
+    fc.inputs = {3};
+    fc.in_features = 48;
+    fc.out_features = 2;
+    fc.weight = ramp(Shape{2, 48});
+    fc.bias = ramp(Shape{2});
+
+    CompileOptions co;
+    co.pattern_count = 4;
+    co.connectivity_rate = 2.5;
+    co.first_layer_rate = 1.25;
+    co.opts = sw;
+    co.run_graph_passes = true;
+    co.seed = 9;
+    co.enable_memory_plan = true;
+    co.precision = Precision::kInt8;
+    co.calibration.method = CalibrationMethod::kPercentile;
+    co.calibration.percentile = 99.0;
+    co.calibration.samples = 3;
+    co.calibration.seed = 11;
+    auto model = std::make_shared<CompiledModel>(
+        FrameworkKind::kPatDnnDense, makeFixedWidthCpuDevice(2), std::move(layers),
+        4, SimdIsa::kAvx2, co);
+    Status adopted = model->adoptMemoryPlan(planActivations(model->planNodes(), 4));
+    EXPECT_TRUE(adopted.ok()) << adopted.toString();
+    return model;
+}
+
+TEST(Artifact, FormatPinnedForTheCurrentVersion)
+{
+    // Any change to the byte layout must bump kModelArtifactVersion and
+    // re-pin these values: loaders refuse every other version.
+    ASSERT_EQ(kModelArtifactVersion, 6u);
+    std::shared_ptr<CompiledModel> model = formatPinModel();
+    std::vector<uint8_t> bytes = serializeModel(*model);
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(bytes.size(), 1930u);
+    EXPECT_EQ(h, 0xa647cf47a13f0911ULL);
+    auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(serializeModel(*loaded.value()), bytes);
+}
+
+TEST(Artifact, InflatedLayerCountIsRefusedWithoutAllocating)
+{
+    Model m = tinyModel();
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bytes = serializeModel(compiled);
+    // The fixed-size payload prefix ends with the output-node id and the
+    // layer count; the layer table starts right after it.
+    const size_t count_at = kArtifactHeader + 80;
+    ASSERT_EQ(std::vector<uint8_t>(bytes.begin() + count_at,
+                                   bytes.begin() + count_at + 4),
+              le(compiled.nodeCount(), 4));
+
+    // 108 bytes claiming 2^20 layers: header, provenance, output node,
+    // count, checksum and no layer records at all.
+    std::vector<uint8_t> bad(bytes.begin(), bytes.begin() + static_cast<long>(count_at) + 4);
+    poke(bad, count_at, 1u << 20, 4);
+    bad.resize(bad.size() + 8);
+    ASSERT_EQ(bad.size(), 108u);
+    rusage before{};
+    getrusage(RUSAGE_SELF, &before);
+    expectMalformed(bad, dev);
+    rusage after{};
+    getrusage(RUSAGE_SELF, &after);
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024) << "KB of peak RSS";
+
+    // A count the bytes could hold, but the payload ends inside the
+    // table: a plan-less model's records with the closing has-plan byte
+    // dropped and one more record claimed.
+    CompileOptions no_plan;
+    no_plan.enable_memory_plan = false;
+    CompiledModel planless(m, FrameworkKind::kPatDnn, dev, no_plan);
+    bad = serializeModel(planless);
+    bad.erase(bad.end() - 9);
+    poke(bad, count_at, planless.nodeCount() + 1, 4);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, ConvWeightShapeDisagreeingWithDescIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnnDense, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // c2's weight {16, 16, 3, 3} re-declared as {16, 16, 9, 1}: same
+    // element count, so the record stays well framed.
+    size_t dims = findOnce(bad, concat({le(4, 4), le(16), le(16), le(3), le(3)}));
+    ASSERT_NE(dims, std::string::npos);
+    poke(bad, dims + 4 + 16, 9);
+    poke(bad, dims + 4 + 24, 1);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, ConvBiasShapeDisagreeingWithCoutIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnnDense, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // c3's bias {32} cut down to {16} (16 floats dropped).
+    size_t dims = findOnce(bad, concat({le(1, 4), le(32)}));
+    ASSERT_NE(dims, std::string::npos);
+    poke(bad, dims + 4, 16);
+    size_t floats = dims + 4 + 8;
+    bad.erase(bad.begin() + static_cast<long>(floats),
+              bad.begin() + static_cast<long>(floats + 16 * sizeof(float)));
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, FkwStorageDisagreeingWithDescIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // c3's FKW header {filters 32, in_channels 16, 3, 3}: 17 input
+    // channels still validate as FKW but disagree with the ConvDesc.
+    size_t fkw = findOnce(bad, concat({le(32), le(16), le(3), le(3)}));
+    ASSERT_NE(fkw, std::string::npos);
+    poke(bad, fkw + 8, 17);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, FcWeightShapeIsNotOutByInIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    size_t dims = findOnce(bad, concat({le(2, 4), le(10), le(32 * 8 * 8)}));
+    ASSERT_NE(dims, std::string::npos);
+    poke(bad, dims + 4, 32 * 8 * 8);
+    poke(bad, dims + 12, 10);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, WrongInputCountIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // c2 with its producer listed twice: a conv takes exactly one input.
+    size_t count = convFieldsAt(bad, "c2");
+    ASSERT_NE(count, std::string::npos);
+    count += 80;
+    std::vector<uint8_t> producer(bad.begin() + static_cast<long>(count) + 4,
+                                  bad.begin() + static_cast<long>(count) + 8);
+    poke(bad, count, 2, 4);
+    bad.insert(bad.begin() + static_cast<long>(count) + 8, producer.begin(),
+               producer.end());
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, InputThatIsNotALiveEarlierNodeIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bytes = serializeModel(compiled);
+    // The fused ReLU between c1 and c2 left a dead slot behind.
+    std::vector<CompiledLayerState> state = compiled.exportState();
+    int dead = -1;
+    for (size_t id = 0; id < state.size() && state[id].conv.name != "c2"; ++id)
+        if (!state[id].live)
+            dead = static_cast<int>(id);
+    ASSERT_GE(dead, 0);
+    size_t input = convFieldsAt(bytes, "c2");
+    ASSERT_NE(input, std::string::npos);
+    input += 80 + 4;
+    for (uint32_t src : {static_cast<uint32_t>(dead), 0xFFFFFFFEu}) {
+        std::vector<uint8_t> bad = bytes;
+        poke(bad, input, src, 4);
+        expectMalformed(std::move(bad), dev);
+    }
+}
+
+TEST(Artifact, ConvCinDisagreeingWithProducerIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    size_t fields = convFieldsAt(bad, "c2");
+    ASSERT_NE(fields, std::string::npos);
+    poke(bad, fields, 8);  // cin 16 -> 8; c1 produces 16 channels.
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, FcInFeaturesDisagreeingWithFlattenIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // pool_k, pool_stride, in_features, out_features of the FC record.
+    size_t fields = findOnce(bad, concat({le(2), le(2), le(32 * 8 * 8), le(10)}));
+    ASSERT_NE(fields, std::string::npos);
+    poke(bad, fields + 16, 32 * 8 * 4);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, AddOperandShapeMismatchIsMalformed)
+{
+    Model m("residual", "test");
+    Layer c1;
+    c1.kind = OpKind::kConv;
+    c1.conv = ConvDesc{"r1", 3, 8, 3, 3, 8, 8, 1, 1, 1, 1};
+    m.addLayer(c1);
+    Layer c2 = c1;
+    c2.conv = ConvDesc{"r2", 8, 8, 3, 3, 8, 8, 1, 1, 1, 1};
+    m.addLayer(c2);
+    Layer add;
+    add.kind = OpKind::kAdd;
+    add.residual_from = 0;
+    m.addLayer(add);
+    Layer fl;
+    fl.kind = OpKind::kFlatten;
+    m.addLayer(fl);
+    Layer fc;
+    fc.kind = OpKind::kFullyConnected;
+    fc.in_features = 8 * 8 * 8;
+    fc.out_features = 4;
+    m.addLayer(fc);
+    m.randomizeWeights(3);
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(m, FrameworkKind::kPatDnnDense, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    ASSERT_TRUE(deserializeModel(bad, dev).ok());
+    // r2 at stride 2 still reads its producer correctly but yields 4x4
+    // planes, which the Add cannot sum with r1's 8x8 ones.
+    size_t fields = convFieldsAt(bad, "r2");
+    ASSERT_NE(fields, std::string::npos);
+    poke(bad, fields + 6 * 8, 2);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, PerSampleElementCapIsMalformed)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    // c1 reads the model input: a 3 x 2^22 x 16 input is over the cap.
+    size_t fields = convFieldsAt(bad, "c1");
+    ASSERT_NE(fields, std::string::npos);
+    poke(bad, fields + 4 * 8, 1u << 22);
+    expectMalformed(std::move(bad), dev);
+}
+
+/** Two 3x3 convs, a pool, a flatten and an FC: about 4-5 KB as an
+ * artifact, small enough to mutate every payload byte. */
+Model
+microModel()
+{
+    Model m("micro", "test");
+    Layer c1;
+    c1.kind = OpKind::kConv;
+    c1.conv = ConvDesc{"m1", 3, 4, 3, 3, 8, 8, 1, 1, 1, 1};
+    m.addLayer(c1);
+    Layer relu;
+    relu.kind = OpKind::kReLU;
+    m.addLayer(relu);
+    Layer c2 = c1;
+    c2.conv = ConvDesc{"m2", 4, 8, 3, 3, 8, 8, 1, 1, 1, 1};
+    m.addLayer(c2);
+    Layer pool;
+    pool.kind = OpKind::kMaxPool;
+    m.addLayer(pool);
+    Layer fl;
+    fl.kind = OpKind::kFlatten;
+    m.addLayer(fl);
+    Layer fc;
+    fc.kind = OpKind::kFullyConnected;
+    fc.in_features = 8 * 4 * 4;
+    fc.out_features = 4;
+    m.addLayer(fc);
+    m.randomizeWeights(17);
+    return m;
+}
+
+/** An input shaped for whatever the (possibly mutated) model reads. */
+Tensor
+inputFor(const CompiledModel& model)
+{
+    for (const CompiledLayerState& st : model.exportState())
+        if (st.live && st.inputs == std::vector<int>{-1}) {
+            Tensor in(Shape{1, st.conv.cin, st.conv.h, st.conv.w});
+            Rng rng(3);
+            in.fillUniform(rng, -1.0f, 1.0f);
+            return in;
+        }
+    return Tensor();
+}
+
+TEST(Artifact, SingleByteMutationSweep)
+{
+    // Stands in for a coverage-guided fuzzer: every payload byte, +1
+    // and set to 0xFF, resealed so the payload checks (not the
+    // checksum) see it. Each load ends in a typed refusal or in a model
+    // that runs — never in a crash, an abort or an unbounded allocation.
+    Model m = microModel();
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompileOptions i8;
+    i8.precision = Precision::kInt8;
+    struct Case
+    {
+        const char* name;
+        FrameworkKind kind;
+        CompileOptions opts;
+    };
+    for (const Case& c : {Case{"pattern", FrameworkKind::kPatDnn, {}},
+                          Case{"dense-f32", FrameworkKind::kPatDnnDense, {}},
+                          Case{"dense-i8", FrameworkKind::kPatDnnDense, i8}}) {
+        CompiledModel compiled(m, c.kind, dev, c.opts);
+        const std::vector<uint8_t> bytes = serializeModel(compiled);
+        int refused = 0, ran = 0;
+        for (size_t at = kArtifactHeader; at + 8 < bytes.size(); ++at) {
+            for (uint8_t v : {static_cast<uint8_t>(bytes[at] + 1), uint8_t{0xFF}}) {
+                if (v == bytes[at])
+                    continue;
+                std::vector<uint8_t> bad = bytes;
+                bad[at] = v;
+                auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
+                if (!r.ok()) {
+                    ErrorCode code = r.status().code();
+                    ASSERT_TRUE(code == ErrorCode::kDataLoss ||
+                                code == ErrorCode::kDeviceMismatch)
+                        << c.name << " byte " << at << ": " << r.status().toString();
+                    ++refused;
+                    continue;
+                }
+                InferenceSession session(r.value());
+                Tensor out = session.run(inputFor(*r.value()));
+                ASSERT_GT(out.numel(), 0) << c.name << " byte " << at;
+                ++ran;
+            }
+        }
+        EXPECT_GT(refused, 0) << c.name;
+        EXPECT_GT(ran, 0) << c.name;
     }
 }
 

@@ -16,10 +16,16 @@
 # every TraceSpan emit site dead-strips (obs_test's static_asserts and
 # the compiled-out behaviour tests run in this configuration).
 #
+# --sanitize configures build-asan/ with -DCMAKE_BUILD_TYPE=Debug
+# -DPATDNN_SANITIZE=ON, reproducing CI's ASan+UBSan cell: every suite,
+# including the artifact loader's single-byte mutation sweep
+# (serve_test's Artifact.SingleByteMutationSweep), runs under the
+# sanitizers.
+#
 # --gate-only runs just the error-model header gate (the CI step's
 # single source of truth for that grep) and exits.
 #
-# Usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off]
+# Usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +34,7 @@ run_format=1
 run_build=1
 build_dir=build
 cmake_args=()
+test_timeout=300
 for arg in "$@"; do
     case "${arg}" in
         --format-only) run_build=0 ;;
@@ -41,8 +48,13 @@ for arg in "$@"; do
             build_dir=build-notrace
             cmake_args+=(-DPATDNN_ENABLE_TRACING=OFF)
             ;;
+        --sanitize)
+            build_dir=build-asan
+            cmake_args+=(-DCMAKE_BUILD_TYPE=Debug -DPATDNN_SANITIZE=ON)
+            test_timeout=600  # CI's sanitize job timeout.
+            ;;
         *)
-            echo "usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off]" >&2
+            echo "usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize]" >&2
             exit 2
             ;;
     esac
@@ -76,5 +88,5 @@ if [[ ${run_build} -eq 1 ]]; then
     # fails fast instead of stalling the whole job.
     cmake -B "${build_dir}" -S . "${cmake_args[@]}" \
         && cmake --build "${build_dir}" -j && cd "${build_dir}" \
-        && ctest --output-on-failure -j --timeout 300
+        && ctest --output-on-failure -j --timeout "${test_timeout}"
 fi
