@@ -1,8 +1,10 @@
 /**
  * @file
- * Quickstart: compress one conv layer with pattern + connectivity
- * pruning, compile it for the simulated mobile CPU (FKR + FKW + LR +
- * auto-tune) and run it, verifying against the reference convolution.
+ * Quickstart: compile one conv layer with pattern + connectivity
+ * pruning for the simulated mobile CPU (pattern set mined from the
+ * weights, FKR + FKW + LR, GA auto-tuning) and run it, verifying
+ * against the reference convolution. Exits nonzero when the pattern
+ * engine disagrees with the reference by more than 1e-3.
  *
  * Build & run:   cmake -B build -G Ninja && cmake --build build
  *                ./build/examples/quickstart
@@ -10,7 +12,6 @@
 #include <cstdio>
 
 #include "core/patdnn.h"
-#include "util/stats.h"
 
 using namespace patdnn;
 
@@ -23,51 +24,55 @@ main()
     Tensor weight(Shape{desc.cout, desc.cin, desc.kh, desc.kw});
     weight.fillHe(rng, desc.cin * 9);
 
-    // Stage 1 (training side): design an 8-pattern candidate set from
-    // the layer's natural patterns. On a trainable net you would call
-    // compress() instead — see examples/train_prune_deploy.
-    std::vector<const Tensor*> ws = {&weight};
-    PatternSet set = designPatternSet(ws, 8);
-    std::printf("pattern candidate set (top natural patterns):\n");
-    for (int i = 0; i < set.size(); ++i)
-        std::printf("-- pattern %d --\n%s\n", i,
-                    set.patterns[static_cast<size_t>(i)].str().c_str());
-
-    // Stage 2 (compiler side): joint projection, FKR, FKW packing,
-    // LR construction and GA auto-tuning for this device. The Compiler
-    // facade returns Result<T>: a malformed descriptor or pattern set
-    // comes back as a typed kInvalidArgument instead of an abort.
-    DeviceSpec device = makeCpuDevice(8);
+    // The layer is compiled as a one-conv model, pruned at the
+    // connectivity rate like the inner layer it stands for. The
+    // Compiler returns Result<T>: a malformed descriptor or a weight
+    // that does not fit it comes back as kInvalidArgument.
     CompileOptions copts;
     copts.connectivity_rate = 3.6;
-    Compiler compiler(device, copts);
-    Result<CompiledLayer> compiled =
-        compiler.compileLayer(desc, weight, set, /*auto_tune=*/true);
+    copts.first_layer_rate = copts.connectivity_rate;
+    Compiler compiler(makeCpuDevice(8), copts);
+
+    // Section 5.5: GA auto-tuning of the pattern engine for this
+    // geometry; compile() then picks the result up from the TuneCache.
+    Result<TuneParams> tuned = compiler.tuneLayer(desc, FrameworkKind::kPatDnn);
+    if (!tuned.ok()) {
+        std::printf("tune failed: %s\n", tuned.status().toString().c_str());
+        return 1;
+    }
+    Result<std::shared_ptr<CompiledModel>> compiled =
+        compiler.compile(singleConvModel(desc, weight), FrameworkKind::kPatDnn);
     if (!compiled.ok()) {
         std::printf("compile failed: %s\n", compiled.status().toString().c_str());
         return 1;
     }
-    CompiledLayer& layer = compiled.value();
-    std::printf("layerwise representation (LR):\n%s\n", layer.lr.str().c_str());
+    const CompiledModel& model = *compiled.value();
+    std::vector<CompiledLayerState> state = model.exportState();
+    const FkwLayer& fkw = *state[0].fkw;
+    const TuneParams& t = state[0].tuning;
+
+    std::printf("pattern set mined from the weights:\n");
+    for (size_t i = 0; i < fkw.patterns.size(); ++i)
+        std::printf("-- pattern %zu --\n%s\n", i, fkw.patterns[i].str().c_str());
+    std::printf("tuned parameters: permute %s, tile %lldx%lld, unroll w %d / oc "
+                "%d, %d filters per task\n",
+                permutationName(t.permute, t.blocked).c_str(),
+                static_cast<long long>(t.tile_oh), static_cast<long long>(t.tile_ow),
+                t.unroll_w, t.unroll_oc, t.filters_per_task);
     std::printf("FKW storage: %lld non-empty kernels, %.1f KB weights, %.1f KB "
                 "index structures\n",
-                static_cast<long long>(layer.fkw->kernelCount()),
-                layer.fkw->weights.size() * 4.0 / 1024.0,
-                layer.fkw->indexBytes() / 1024.0);
+                static_cast<long long>(fkw.kernelCount()),
+                fkw.weights.size() * 4.0 / 1024.0, fkw.indexBytes() / 1024.0);
 
     // Execute and verify against the dense reference on the same
     // pruned weights.
     Tensor in(Shape{1, desc.cin, desc.h, desc.w});
     in.fillUniform(rng, -1.0f, 1.0f);
-    Tensor out = makeConvOutput(desc, 1);
-    Timer t;
-    layer.engine->run(in, out);
-    double ms = t.elapsedMs();
-
-    Tensor pruned = fkwToDense(*layer.fkw);
+    double ms = model.convOnlyTimeMs(in, 1, 3);
+    Tensor out = model.run(in);
     Tensor expect = makeConvOutput(desc, 1);
-    convReference(desc, pruned, in, expect);
-    std::printf("pattern engine: %.2f ms, max |err| vs reference = %.2e\n", ms,
-                Tensor::maxAbsDiff(out, expect));
-    return 0;
+    convReference(desc, fkwToDense(fkw), in, expect);
+    double err = Tensor::maxAbsDiff(out, expect);
+    std::printf("pattern engine: %.2f ms, max |err| vs reference = %.2e\n", ms, err);
+    return err > 1e-3 ? 1 : 0;
 }

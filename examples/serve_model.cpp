@@ -20,6 +20,7 @@
  */
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "core/patdnn.h"
@@ -85,7 +86,7 @@ main()
     ropts.server.workers = 2;
     ropts.server.max_batch = 8;
     ropts.server.max_linger_ms = 2.0;  // Coalesce the sparse tail.
-    auto registry = serveRegistry(ropts);
+    auto registry = std::make_unique<ModelRegistry>(ropts);
     Compiler registry_compiler(registry->device());
     Result<std::shared_ptr<CompiledModel>> dense =
         registry_compiler.compile(model, FrameworkKind::kPatDnnDense);

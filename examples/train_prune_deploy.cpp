@@ -5,13 +5,13 @@
  *   1. train a small CNN on the SyntheticShapes dataset,
  *   2. compress: mine the pattern set + extended-ADMM joint kernel-
  *      pattern / connectivity pruning + masked retraining,
- *   3. compile every conv layer (FKR + FKW + LR) and execute the
- *      pattern engine, comparing accuracy and speed against dense.
+ *   3. compile every conv layer as a one-conv model (FKR + FKW + LR)
+ *      and execute the pattern engine, comparing accuracy and speed
+ *      against the dense (Winograd) comparator.
  */
 #include <cstdio>
 
 #include "core/patdnn.h"
-#include "util/stats.h"
 
 using namespace patdnn;
 
@@ -29,9 +29,12 @@ main()
     std::printf("      dense test accuracy: %.1f%%\n", 100 * base.test_accuracy);
 
     // One Compiler drives the rest of the pipeline: stage 1 compress,
-    // then stage 2 per-layer compiles, all with typed Result errors.
-    DeviceSpec device = makeCpuDevice(8);
-    Compiler compiler(device);  // 8 patterns / 3.6x are the defaults.
+    // then stage 2 compiles each conv as a one-conv model, all with
+    // typed Result errors. 8 patterns / 3.6x are the defaults; a lone
+    // conv is pruned at the connectivity rate like an inner layer.
+    CompileOptions copts;
+    copts.first_layer_rate = copts.connectivity_rate;
+    Compiler compiler(makeCpuDevice(8), copts);
 
     std::printf("[2/3] ADMM pattern + connectivity pruning (8 patterns, 3.6x)...\n");
     AdmmConfig admm;
@@ -61,26 +64,25 @@ main()
     Rng rng(5);
     for (auto* conv : convs) {
         const ConvDesc& d = conv->desc();
-        Tensor weight = conv->weight();  // Already constraint-satisfying.
-        Result<CompiledLayer> result =
-            compiler.compileLayer(d, std::move(weight), comp.pattern_set);
-        if (!result.ok()) {
-            std::printf("compile failed: %s\n", result.status().toString().c_str());
+        // The trained weights already satisfy the pattern constraints,
+        // so mining them recovers the patterns ADMM kept.
+        auto pattern = compiler.compile(singleConvModel(d, conv->weight()));
+        // Dense comparison on the same geometry.
+        auto dense = compiler.compile(singleConvModel(d, /*seed=*/5),
+                                      FrameworkKind::kPatDnnDense);
+        if (!pattern.ok() || !dense.ok()) {
+            const Status& st = pattern.ok() ? dense.status() : pattern.status();
+            std::printf("compile failed: %s\n", st.toString().c_str());
             return 1;
         }
-        CompiledLayer layer = std::move(result).value();
         Tensor in(Shape{1, d.cin, d.h, d.w});
         in.fillUniform(rng, 0.0f, 1.0f);
-        Tensor out = makeConvOutput(d, 1);
-        pattern_ms += medianTimeMs([&] { layer.engine->run(in, out); }, 1, 3);
-        // Dense comparison on the same geometry.
-        Tensor dense_w(Shape{d.cout, d.cin, d.kh, d.kw});
-        dense_w.fillHe(rng, d.cin * 9);
-        Im2colConv dense(d, &dense_w, device);
-        dense_ms += medianTimeMs([&] { dense.run(in, out); }, 1, 3);
+        pattern_ms += pattern.value()->convOnlyTimeMs(in, 1, 3);
+        dense_ms += dense.value()->convOnlyTimeMs(in, 1, 3);
         std::printf("      %-8s  %s  kernels kept %lld/%lld\n", d.name.c_str(),
                     d.filterShapeStr().c_str(),
-                    static_cast<long long>(layer.fkw->kernelCount()),
+                    static_cast<long long>(
+                        pattern.value()->exportState()[0].fkw->kernelCount()),
                     static_cast<long long>(d.cout * d.cin));
     }
     std::printf("\nconv stack: dense %.2f ms -> pattern engine %.2f ms (%.2fx)\n",

@@ -1,10 +1,8 @@
 #include "core/compiler.h"
 
-#include <cmath>
 #include <utility>
 
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace patdnn {
 
@@ -27,6 +25,17 @@ facadeTunerConfig()
     cfg.measure_reps = 1;
     cfg.eval_pool = &ThreadPool::global();
     return cfg;
+}
+
+/** Connectivity rate in the TuneCache key of `kind`: the GA measures a
+ * concrete FKW / CSR density on the sparse kinds; the dense kinds prune
+ * nothing, so any rate is the same workload. */
+double
+tuneKeyRate(FrameworkKind kind, const CompileOptions& opts)
+{
+    bool sparse_kind =
+        kind == FrameworkKind::kPatDnn || kind == FrameworkKind::kCsrSparse;
+    return sparse_kind ? opts.connectivity_rate : 0.0;
 }
 
 }  // namespace
@@ -81,90 +90,6 @@ Compiler::compress(Net& net, const SyntheticShapes& data,
     return result;
 }
 
-Result<CompiledLayer>
-Compiler::compileLayer(const ConvDesc& desc, Tensor weight,
-                       const PatternSet& set, bool auto_tune) const
-{
-    PATDNN_RETURN_IF_ERROR(validateOptions());
-    PATDNN_RETURN_IF_ERROR(desc.validate());
-    if (desc.groups != 1)
-        return Status(ErrorCode::kInvalidArgument,
-                      "compileLayer: the pattern engine compiles groups == 1 "
-                      "convolutions ('" + desc.name + "' has groups = " +
-                          std::to_string(desc.groups) + ")");
-    Shape expect{desc.cout, desc.cin, desc.kh, desc.kw};
-    if (weight.shape() != expect)
-        return Status(ErrorCode::kInvalidArgument,
-                      "compileLayer: weight shape " + weight.shape().str() +
-                          " does not match descriptor '" + desc.name +
-                          "' (expected " + expect.str() + ")");
-    if (set.size() == 0)
-        return Status(ErrorCode::kInvalidArgument,
-                      "compileLayer: empty pattern set");
-    for (const Pattern& p : set.patterns)
-        if (p.kh() != desc.kh || p.kw() != desc.kw)
-            return Status(ErrorCode::kInvalidArgument,
-                          "compileLayer: pattern geometry " +
-                              std::to_string(p.kh()) + "x" +
-                              std::to_string(p.kw()) +
-                              " does not match the " +
-                              std::to_string(desc.kh) + "x" +
-                              std::to_string(desc.kw) + " kernels of '" +
-                              desc.name + "'");
-
-    CompiledLayer out;
-    int64_t kernels = weight.shape().dim(0) * weight.shape().dim(1);
-    int64_t alpha = std::max<int64_t>(
-        1, static_cast<int64_t>(std::ceil(static_cast<double>(kernels) /
-                                          opts_.connectivity_rate)));
-    PatternAssignment asg = projectJoint(weight, set, alpha);
-    FkrResult fkr = filterKernelReorder(asg);
-    out.fkw = std::make_unique<FkwLayer>(buildFkw(weight, set, asg, fkr));
-
-    out.lr.device = device_.gpu_like ? "GPU" : "CPU";
-    out.lr.conv = desc;
-    for (int p = 0; p < set.size(); ++p)
-        out.lr.pattern_types.push_back(p);
-
-    if (auto_tune) {
-        // One GA run per (layer geometry, device, connectivity, ISA)
-        // process-wide: repeat compiles of the same configuration skip
-        // the search.
-        TuneParams cached;
-        if (TuneCache::instance().lookup(desc, device_,
-                                         opts_.connectivity_rate, &cached)) {
-            out.lr.tuning = cached;
-        } else {
-            Tensor in(Shape{1, desc.cin, desc.h, desc.w});
-            Rng rng(17);
-            in.fillUniform(rng, -1.0f, 1.0f);
-            // Thread-safe for parallel GA evaluation: each call builds
-            // its own engine and output buffer; `in`, the FKW and the
-            // LR template are shared read-only.
-            std::function<double(const TuneParams&)> measure =
-                [&](const TuneParams& params) -> double {
-                LayerwiseRep lr = out.lr;
-                lr.tuning = params;
-                PatternConv engine(desc, out.fkw.get(), lr, device_);
-                Tensor result_buf = makeConvOutput(desc, 1);
-                Timer t;
-                engine.run(in, result_buf);
-                return t.elapsedMs();
-            };
-            // Search the ISA-specialized space: unroll/tile choices are
-            // in units of the device's kernel vector width.
-            TuneResult tuned = tuneLayer(measure, tuneSpaceFor(device_.simd_isa),
-                                         facadeTunerConfig());
-            out.lr.tuning = tuned.best;
-            TuneCache::instance().insert(desc, device_, opts_.connectivity_rate,
-                                         tuned.best);
-        }
-    }
-    out.engine =
-        std::make_unique<PatternConv>(desc, out.fkw.get(), out.lr, device_);
-    return out;
-}
-
 Result<std::shared_ptr<CompiledModel>>
 Compiler::compile(const Model& model, FrameworkKind kind) const
 {
@@ -173,59 +98,76 @@ Compiler::compile(const Model& model, FrameworkKind kind) const
         return Status(ErrorCode::kInvalidArgument,
                       "compile: model '" + model.name() + "' has no layers");
     for (const Layer& layer : model.layers()) {
-        if (layer.kind != OpKind::kConv)
-            continue;
-        Status st = layer.conv.validate();
-        if (!st.ok())
+        auto bad = [&](const std::string& what) {
             return Status(ErrorCode::kInvalidArgument,
-                          "compile: model '" + model.name() + "': " +
-                              st.message());
+                          "compile: model '" + model.name() + "', layer '" +
+                              layer.name + "': " + what);
+        };
+        Shape weight, bias;  // What the engines will read.
+        if (layer.kind == OpKind::kConv) {
+            const ConvDesc& c = layer.conv;
+            Status st = c.validate();
+            if (!st.ok())
+                return bad(st.message());
+            weight = Shape{c.cout, c.cinPerGroup(), c.kh, c.kw};
+            bias = Shape{c.cout};
+        } else if (layer.kind == OpKind::kFullyConnected) {
+            weight = Shape{layer.out_features, layer.in_features};
+            bias = Shape{layer.out_features};
+        } else {
+            continue;
+        }
+        if (layer.weight.shape() != weight)
+            return bad("weight shape " + layer.weight.shape().str() +
+                       " (expected " + weight.str() + ")");
+        if (layer.bias.shape().rank() != 0 && layer.bias.shape() != bias)
+            return bad("bias shape " + layer.bias.shape().str() + " (expected " +
+                       bias.str() + " or none)");
     }
 
-    // Whole-model compiles reuse per-layer tunings the GA already paid
-    // for (compileLayer / tuneDenseLayer populate the cache; misses
-    // keep the options' default tuning). Sparse kinds key on the
-    // pruning rate the GA measured; dense kinds key on the 0.0 rate
-    // tuneDenseLayer writes.
-    bool sparse_kind =
-        kind == FrameworkKind::kPatDnn || kind == FrameworkKind::kCsrSparse;
-    double lookup_rate = sparse_kind ? opts_.connectivity_rate : 0.0;
+    // Reuse the tunings tuneLayer measured on this kind's engines;
+    // misses keep the options' default tuning.
     CompileOptions opts = opts_;
-    opts.tune_lookup = [device = device_, rate = lookup_rate](
+    opts.tune_lookup = [device = device_, kind, rate = tuneKeyRate(kind, opts_)](
                            const ConvDesc& desc, TuneParams* params) {
-        return TuneCache::instance().lookup(desc, device, rate, params);
+        return TuneCache::instance().lookup(desc, device, kind, rate, params);
     };
     return std::make_shared<CompiledModel>(model, kind, device_, opts);
 }
 
 Result<TuneParams>
-Compiler::tuneDenseLayer(const ConvDesc& desc) const
+Compiler::tuneLayer(const ConvDesc& desc, FrameworkKind kind) const
 {
+    PATDNN_RETURN_IF_ERROR(validateOptions());
     PATDNN_RETURN_IF_ERROR(desc.validate());
+    double rate = tuneKeyRate(kind, opts_);
     TuneParams cached;
-    if (TuneCache::instance().lookup(desc, device_, /*connectivity_rate=*/0.0,
-                                     &cached))
+    if (TuneCache::instance().lookup(desc, device_, kind, rate, &cached))
         return cached;
 
-    Rng rng(23);
-    Tensor weight(Shape{desc.cout, desc.cinPerGroup(), desc.kh, desc.kw});
-    weight.fillHe(rng, desc.cinPerGroup() * desc.kh * desc.kw);
+    // The layer stands for an inner one: prune it at the connectivity
+    // rate, not the first-layer rate.
+    CompileOptions opts = opts_;
+    opts.first_layer_rate = opts.connectivity_rate;
+    const CompiledModel base(singleConvModel(desc, opts.seed), kind, device_, opts);
     Tensor in(Shape{1, desc.cin, desc.h, desc.w});
+    Rng rng(17);
     in.fillUniform(rng, -1.0f, 1.0f);
-    // Thread-safe: each candidate packs its own engine (the real
-    // compile-time cost of a blocking choice) and owns its output.
+    // Thread-safe for parallel GA evaluation: each candidate rebuilds
+    // its own model (engine, packing, workspace) from a deep copy of
+    // the base state; `base` and `in` are only read.
     std::function<double(const TuneParams&)> measure =
         [&](const TuneParams& params) -> double {
-        Im2colConv engine(desc, &weight, device_, params);
-        Tensor result_buf = makeConvOutput(desc, 1);
-        Timer t;
-        engine.run(in, result_buf);
-        return t.elapsedMs();
+        std::vector<CompiledLayerState> states = base.exportState();
+        for (CompiledLayerState& st : states)
+            st.tuning = params;
+        CompiledModel candidate(kind, device_, std::move(states), base.outputNode(),
+                                base.tunedIsa(), base.compileOptions());
+        return candidate.convOnlyTimeMs(in, /*warmup=*/1, /*reps=*/1);
     };
-    TuneResult tuned = tuneLayer(measure, tuneSpaceFor(device_.simd_isa),
-                                 facadeTunerConfig());
-    TuneCache::instance().insert(desc, device_, /*connectivity_rate=*/0.0,
-                                 tuned.best);
+    TuneResult tuned = patdnn::tuneLayer(measure, tuneSpaceFor(device_.simd_isa),
+                                         facadeTunerConfig());
+    TuneCache::instance().insert(desc, device_, kind, rate, tuned.best);
     return tuned.best;
 }
 

@@ -8,21 +8,23 @@
  * switches), then drive the stages:
  *
  *   Compiler compiler(makeSnapdragon855());
- *   auto compressed = compiler.compress(net, data);       // stage 1
- *   auto layer = compiler.compileLayer(desc, w, set);     // stage 2
- *   auto model = compiler.compile(trained_model);         // stages 2-3
+ *   auto compressed = compiler.compress(net, data);        // stage 1
+ *   auto tuned = compiler.tuneLayer(desc, kind);           // Sec. 5.5
+ *   auto model = compiler.compile(trained_model, kind);    // stages 2-3
  *
- * Every entry point returns Status / Result<T>: a malformed conv
- * descriptor, an empty or geometry-mismatched pattern set, or nonsense
- * options come back as kInvalidArgument instead of the CHECK-aborts
- * the stage-local entry points raise — so serving-adjacent callers
- * (model-build services, tools) can reject bad requests without dying.
+ * There is one compile path: a single layer is compiled as a one-conv
+ * Model (singleConvModel), so every compile ends in CompiledModel and
+ * its one engine-selection point. Every entry point returns Status /
+ * Result<T>: a malformed conv descriptor, a weight or bias that does
+ * not fit its layer, or nonsense options come back as kInvalidArgument
+ * instead of an abort, so serving-adjacent callers (model-build
+ * services, tools) can reject bad requests without dying.
  *
- * Auto-tuned compiles consult the process-wide TuneCache (rt/tuner.h),
- * keyed by (layer geometry, kernel ISA, device fingerprint,
- * connectivity rate): the first compileLayer over a configuration pays
- * for the GA, every later compileLayer or whole-model compile() over
- * the same configuration reuses the tuned parameters for free.
+ * Tunings live in the process-wide TuneCache (rt/tuner.h), keyed by
+ * (layer geometry, framework kind, kernel ISA, device fingerprint,
+ * connectivity rate): tuneLayer pays for the GA once per
+ * configuration, and every later compile() of that kind picks the
+ * result up for free.
  */
 #pragma once
 
@@ -40,17 +42,6 @@ struct CompressResult
 {
     PatternSet pattern_set;
     AdmmResult admm;
-};
-
-/**
- * Stage 2 output for a single layer: pruned weights packed to FKW, the
- * LR, and the ready-to-run PatternConv engine.
- */
-struct CompiledLayer
-{
-    std::unique_ptr<FkwLayer> fkw;
-    LayerwiseRep lr;
-    std::unique_ptr<PatternConv> engine;
 };
 
 /**
@@ -74,40 +65,30 @@ class Compiler
                                     const AdmmConfig& cfg = {}) const;
 
     /**
-     * Stage 2 for a single layer: prune a weight copy at
-     * options().connectivity_rate, reorder, pack to FKW, build the LR
-     * and (optionally) auto-tune on the device. kInvalidArgument on a
-     * malformed descriptor, a weight tensor that does not match it, or
-     * a pattern set that is empty / of the wrong kernel geometry.
-     */
-    Result<CompiledLayer> compileLayer(const ConvDesc& desc, Tensor weight,
-                                       const PatternSet& set,
-                                       bool auto_tune = false) const;
-
-    /**
-     * Stages 2-3 for a whole model: validate every layer descriptor,
-     * then compile `model` for `kind` on this Compiler's device with
-     * its options (pruning + FKW packing for sparse kinds). Per-layer
-     * tuned parameters come from the TuneCache when a matching (shape,
-     * ISA) entry exists. The result is immutable and ready for
-     * saveModel / InferenceSession / ModelRegistry.
+     * Stages 2-3: validate every layer, then compile `model` for
+     * `kind` on this Compiler's device with its options (pattern set
+     * mined from the weights, pruning + FKW packing for sparse kinds).
+     * A conv weight must be {cout, cin/groups, kh, kw}, an FC weight
+     * {out, in}, a bias {outputs} or absent; anything else, or a
+     * malformed conv descriptor, is kInvalidArgument. Per-layer tuned
+     * parameters come from the TuneCache entries tuneLayer wrote for
+     * the same kind. The result is immutable and ready for saveModel /
+     * InferenceSession / ModelRegistry.
      */
     Result<std::shared_ptr<CompiledModel>> compile(
         const Model& model, FrameworkKind kind = FrameworkKind::kPatDnn) const;
 
     /**
-     * Auto-tune the dense packed-GEMM backend (rt/conv_im2col.h) for
-     * one layer geometry: GA-search the gemm_kc/gemm_nc cache-blocking
-     * axes of tuneSpaceFor(device ISA), measuring the real packed
-     * executor on synthetic data. Memoized in the process-wide
-     * TuneCache under connectivity rate 0.0 (dense layers have no
-     * pruning rate; the distinct key keeps them from inheriting sparse
-     * tunings and vice versa) — so first convs and FC heads get the
-     * same tuned-once treatment sparse layers already have, and dense
-     * compiles via compile() pick the result up through tune_lookup.
-     * kInvalidArgument on a malformed descriptor.
+     * Auto-tune (Section 5.5) the engine `kind` runs for one layer
+     * geometry: compile the one-conv model of `desc` once (pruned at
+     * the connectivity rate, as an inner layer), then GA-search
+     * tuneSpaceFor(device ISA), timing each candidate by rebuilding
+     * that model from its exported state with the candidate's
+     * TuneParams. Memoized in the TuneCache under `kind`, so compile()
+     * applies the result only to the engine it was measured on.
+     * kInvalidArgument on a malformed descriptor or nonsense options.
      */
-    Result<TuneParams> tuneDenseLayer(const ConvDesc& desc) const;
+    Result<TuneParams> tuneLayer(const ConvDesc& desc, FrameworkKind kind) const;
 
     const DeviceSpec& device() const { return device_; }
     const CompileOptions& options() const { return opts_; }

@@ -288,16 +288,24 @@ Model
 singleConvModel(const ConvDesc& desc, uint64_t seed)
 {
     desc.check();
+    int64_t fan_in = desc.cinPerGroup() * desc.kh * desc.kw;
+    Rng rng(seed + static_cast<uint64_t>(desc.cout * 131 + desc.cin));
+    Tensor weight(Shape{desc.cout, desc.cinPerGroup(), desc.kh, desc.kw});
+    weight.fillHe(rng, fan_in);
+    Model m = singleConvModel(desc, std::move(weight));
+    m.layers()[0].bias = Tensor(Shape{desc.cout});
+    return m;
+}
+
+Model
+singleConvModel(const ConvDesc& desc, Tensor weight)
+{
     Model m("conv-" + desc.name, "synthetic");
     Layer conv;
     conv.kind = OpKind::kConv;
     conv.name = desc.name;
     conv.conv = desc;
-    int64_t fan_in = desc.cinPerGroup() * desc.kh * desc.kw;
-    Rng rng(seed + static_cast<uint64_t>(desc.cout * 131 + desc.cin));
-    conv.weight = Tensor(Shape{desc.cout, desc.cinPerGroup(), desc.kh, desc.kw});
-    conv.weight.fillHe(rng, fan_in);
-    conv.bias = Tensor(Shape{desc.cout});
+    conv.weight = std::move(weight);
     m.addLayer(std::move(conv));
     return m;
 }

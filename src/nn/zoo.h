@@ -72,6 +72,11 @@ std::vector<ConvDesc> vggUniqueLayers(int64_t spatial_divisor = 1);
  */
 Model singleConvModel(const ConvDesc& desc, uint64_t seed);
 
+/** The one-conv model over the caller's `weight`, with no bias. `desc`
+ * must be well-formed (Model::addLayer checks it); Compiler::compile
+ * rejects a weight whose shape does not fit it. */
+Model singleConvModel(const ConvDesc& desc, Tensor weight);
+
 /** Count of conv layers excluding ResNet projection shortcuts. */
 int64_t mainPathConvCount(const Model& m);
 

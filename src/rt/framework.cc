@@ -542,7 +542,7 @@ CompiledModel::quantizeDenseConvLayers()
     Rng rng(cal.seed);
     calib.fillUniform(rng, -1.0f, 1.0f);
     Workspace ws;
-    runLayers(calib, ws, nullptr, nullptr);
+    runLayers(calib, ws, nullptr);
 
     for (size_t id = 0; id < executors_.size(); ++id) {
         auto& exp = executors_[id];
@@ -678,8 +678,7 @@ CompiledModel::exportState() const
 }
 
 Tensor
-CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
-                         RunProfile* profile) const
+CompiledModel::runLayers(const Tensor& input, Workspace& ws, RunProfile* profile) const
 {
     static Counter& model_runs =
         MetricsRegistry::global().counter("rt.model_runs");
@@ -698,7 +697,6 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
         int id = ex.inputs[static_cast<size_t>(i)];
         return id < 0 ? input : ws.value(static_cast<size_t>(id));
     };
-    double conv_total = 0.0;
     for (size_t id = 0; id < executors_.size(); ++id) {
         const auto& exp = executors_[id];
         if (!exp)
@@ -714,9 +712,7 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
             Epilogue ep;
             ep.bias = ex.bias.shape().rank() != 0 ? &ex.bias : nullptr;
             ep.relu = ex.fused_relu;
-            Timer t;
             ex.engine->run(x, y, ep);
-            conv_total += t.elapsedMs();
             break;
           }
           case OpKind::kBatchNorm: {
@@ -835,8 +831,6 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
         profile->runs += 1;
         profile->wall_ns += Tracer::nowNs() - run_start_ns;
     }
-    if (conv_ms != nullptr)
-        *conv_ms = conv_total;
     // Deep-copy out of the workspace: the slot is reused by the next run.
     return ws.value(static_cast<size_t>(output_node_));
 }
@@ -845,27 +839,19 @@ Tensor
 CompiledModel::run(const Tensor& input) const
 {
     Workspace ws;
-    return runLayers(input, ws, nullptr, nullptr);
+    return runLayers(input, ws, nullptr);
 }
 
 Tensor
 CompiledModel::run(const Tensor& input, Workspace& ws) const
 {
-    return runLayers(input, ws, nullptr, nullptr);
+    return runLayers(input, ws, nullptr);
 }
 
 Tensor
 CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) const
 {
-    return runLayers(input, ws, nullptr, profile);
-}
-
-double
-CompiledModel::timeMs(const Tensor& input, int warmup, int reps) const
-{
-    Workspace ws;
-    return medianTimeMs([&] { runLayers(input, ws, nullptr, nullptr); }, warmup,
-                        reps);
+    return runLayers(input, ws, profile);
 }
 
 double
@@ -873,12 +859,17 @@ CompiledModel::convOnlyTimeMs(const Tensor& input, int warmup, int reps) const
 {
     Workspace ws;
     for (int i = 0; i < warmup; ++i)
-        runLayers(input, ws, nullptr, nullptr);
+        runLayers(input, ws, nullptr);
+    RunProfile profile;
     std::vector<double> times;
     for (int i = 0; i < reps; ++i) {
-        double conv_ms = 0.0;
-        runLayers(input, ws, &conv_ms, nullptr);
-        times.push_back(conv_ms);
+        profile.reset();
+        runLayers(input, ws, &profile);
+        int64_t conv_ns = 0;
+        for (size_t id = 0; id < executors_.size(); ++id)
+            if (executors_[id] && executors_[id]->kind == OpKind::kConv)
+                conv_ns += profile.entries[id].total_ns;
+        times.push_back(static_cast<double>(conv_ns) / 1e6);
     }
     return summarize(times).median;
 }

@@ -91,11 +91,11 @@ struct CompileOptions
     bool enable_memory_plan = true;
     /**
      * Optional per-layer tuned-parameter source consulted for each
-     * conv layer at compile time (the Compiler facade wires the
-     * process TuneCache here, so whole-model compiles pick up layer
-     * tunings the GA already paid for). Returns true and fills *params
-     * on a hit; a miss falls back to default_tuning. Not recorded in
-     * artifacts.
+     * conv layer at compile time (Compiler::compile wires the process
+     * TuneCache here, so a compile picks up the tunings
+     * Compiler::tuneLayer measured for its kind). Returns true and
+     * fills *params on a hit; a miss falls back to default_tuning. Not
+     * recorded in artifacts.
      */
     std::function<bool(const ConvDesc&, TuneParams*)> tune_lookup;
     /**
@@ -267,10 +267,10 @@ class CompiledModel
      */
     Tensor run(const Tensor& input, Workspace& ws, RunProfile* profile) const;
 
-    /** Median wall-clock of `run` over reps (after warmup). */
-    double timeMs(const Tensor& input, int warmup = 1, int reps = 3) const;
-
-    /** Sum of conv-layer times only (the paper's reported metric). */
+    /** Median over reps (after warmup) of the summed conv rows of a
+     * per-run RunProfile: conv-layer time only, the paper's reported
+     * metric. A conv row includes zero-filling the output it
+     * accumulates into. */
     double convOnlyTimeMs(const Tensor& input, int warmup = 1, int reps = 3) const;
 
     /** Total non-zero conv weights after compilation. */
@@ -357,8 +357,7 @@ class CompiledModel
 
   private:
     struct Executor;
-    Tensor runLayers(const Tensor& input, Workspace& ws, double* conv_ms,
-                     RunProfile* profile) const;
+    Tensor runLayers(const Tensor& input, Workspace& ws, RunProfile* profile) const;
     /** The one conv-engine selection point: build the engine for a
      * conv executor whose state fields (weight / fkw / tuning / quant
      * record) are already populated. */

@@ -309,12 +309,14 @@ TuneCache::instance()
 }
 
 std::string
-TuneCache::key(const ConvDesc& desc, const DeviceSpec& device,
+TuneCache::key(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                double connectivity_rate)
 {
     std::string k;
     for (int64_t v : {desc.cin, desc.cout, desc.kh, desc.kw, desc.h, desc.w,
                       desc.stride, desc.pad, desc.dilation, desc.groups,
+                      // The kind picks the engine the GA timed.
+                      static_cast<int64_t>(kind),
                       // Device fingerprint: the measured runtime depends
                       // on the pool width, scheduling model and tile
                       // budget, so tunings never cross devices.
@@ -333,11 +335,11 @@ TuneCache::key(const ConvDesc& desc, const DeviceSpec& device,
 }
 
 bool
-TuneCache::lookup(const ConvDesc& desc, const DeviceSpec& device,
+TuneCache::lookup(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                   double connectivity_rate, TuneParams* params) const
 {
     std::lock_guard<std::mutex> lk(mutex_);
-    auto it = entries_.find(key(desc, device, connectivity_rate));
+    auto it = entries_.find(key(desc, device, kind, connectivity_rate));
     if (it == entries_.end())
         return false;
     ++hits_;
@@ -347,11 +349,11 @@ TuneCache::lookup(const ConvDesc& desc, const DeviceSpec& device,
 }
 
 void
-TuneCache::insert(const ConvDesc& desc, const DeviceSpec& device,
+TuneCache::insert(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                   double connectivity_rate, const TuneParams& params)
 {
     std::lock_guard<std::mutex> lk(mutex_);
-    entries_[key(desc, device, connectivity_rate)] = params;
+    entries_[key(desc, device, kind, connectivity_rate)] = params;
 }
 
 size_t

@@ -100,19 +100,24 @@ struct TuneResult
 TuneResult tuneLayer(const std::function<double(const TuneParams&)>& measure,
                      const TuneSpace& space = {}, const TunerConfig& cfg = {});
 
+/** Engine family a tuning was measured on (defined in rt/framework.h). */
+enum class FrameworkKind;
+
 /**
  * Process-wide cache of tuned parameters keyed by (layer geometry,
- * resolved kernel ISA, device fingerprint, connectivity rate). Tuned
- * widths do not depend on the weight *values*, but they do depend on
- * everything that shapes the measured runtime: the layer geometry, the
- * kernel vector width, the device's pool width / scheduling model /
- * tile budget, and the sparsity the GA measured (connectivity rate
- * fixes the FKW density). All of that is in the key, so once the GA
- * has tuned one configuration, every later compileLayer /
+ * framework kind, resolved kernel ISA, device fingerprint, connectivity
+ * rate). Tuned widths do not depend on the weight *values*, but they do
+ * depend on everything that shapes the measured runtime: the engine the
+ * kind selects for the layer (a pattern tile, an im2col GEMM and a
+ * Winograd GEMM block differently), the layer geometry, the kernel
+ * vector width, the device's pool width / scheduling model / tile
+ * budget, and the sparsity the GA measured (connectivity rate fixes the
+ * FKW density). All of that is in the key, so once
+ * Compiler::tuneLayer has tuned one configuration, every later
  * Compiler::compile over the same configuration reuses the result and
- * skips the search — and a different device or pruning rate never
- * silently inherits a foreign tuning. Thread-safe; the hit counter
- * backs tests and cache-efficacy logging.
+ * skips the search, and a different engine, device or pruning rate
+ * never silently inherits a foreign tuning. Thread-safe; the hit
+ * counter backs tests and cache-efficacy logging.
  */
 class TuneCache
 {
@@ -120,15 +125,15 @@ class TuneCache
     /** The process cache (the auto-tune paths all share one). */
     static TuneCache& instance();
 
-    /** True + *params filled on a hit for (desc geometry, device,
+    /** True + *params filled on a hit for (desc geometry, device, kind,
      * connectivity). The device's ISA is resolved to what would
      * actually execute. */
-    bool lookup(const ConvDesc& desc, const DeviceSpec& device,
+    bool lookup(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                 double connectivity_rate, TuneParams* params) const;
 
     /** Record the GA's best; later inserts for the same key overwrite
      * (newest tuning wins). */
-    void insert(const ConvDesc& desc, const DeviceSpec& device,
+    void insert(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                 double connectivity_rate, const TuneParams& params);
 
     size_t size() const;
@@ -138,11 +143,11 @@ class TuneCache
     void clear();
 
   private:
-    /** Geometry + device + sparsity key; the layer name is
+    /** Geometry + engine + device + sparsity key; the layer name is
      * deliberately excluded so identically-shaped layers share one
      * tuning. */
     static std::string key(const ConvDesc& desc, const DeviceSpec& device,
-                           double connectivity_rate);
+                           FrameworkKind kind, double connectivity_rate);
 
     mutable std::mutex mutex_;
     std::map<std::string, TuneParams> entries_;

@@ -429,7 +429,7 @@ TEST(AdmissionRegistry, OwnsControllerRoutesWeightsAndEvicts)
     ropts.server.workers = 1;
     ropts.server.max_queue = 64;
     ropts.admission.max_queued_samples = 8;
-    auto registry = serveRegistry(ropts);
+    auto registry = std::make_unique<ModelRegistry>(ropts);
     ASSERT_NE(registry->admission(), nullptr);
 
     Model m = tinyModel();

@@ -6,6 +6,25 @@
 namespace patdnn {
 namespace {
 
+/** Options that prune a lone conv like the inner layer it stands for. */
+CompileOptions
+innerLayerOptions()
+{
+    CompileOptions opts;
+    opts.first_layer_rate = opts.connectivity_rate;
+    return opts;
+}
+
+bool
+sameTuning(const TuneParams& a, const TuneParams& b)
+{
+    return a.permute == b.permute && a.blocked == b.blocked &&
+           a.tile_oh == b.tile_oh && a.tile_ow == b.tile_ow &&
+           a.unroll_w == b.unroll_w && a.unroll_oc == b.unroll_oc &&
+           a.filters_per_task == b.filters_per_task && a.gemm_kc == b.gemm_kc &&
+           a.gemm_nc == b.gemm_nc;
+}
+
 TEST(Api, CompressThenCompileThenExecute)
 {
     // Stage 1: train + compress a small net.
@@ -21,114 +40,122 @@ TEST(Api, CompressThenCompileThenExecute)
     admm.admm_iterations = 1;
     admm.epochs_per_iteration = 1;
     admm.retrain_epochs = 1;
-    CompressResult comp = compress(net, data, 8, 3.6, admm);
-    EXPECT_EQ(comp.pattern_set.size(), 8);
-    EXPECT_GT(comp.admm.conv_compression, 4.0);
+    DeviceSpec dev = makeCpuDevice(4);
+    Compiler compiler(dev, innerLayerOptions());
+    Result<CompressResult> comp = compiler.compress(net, data, admm);
+    ASSERT_TRUE(comp.ok()) << comp.status().toString();
+    EXPECT_EQ(comp.value().pattern_set.size(), 8);
+    EXPECT_GT(comp.value().admm.conv_compression, 4.0);
 
-    // Stage 2: compile the first conv layer for the simulated device.
+    // Stage 2: compile the second conv layer as a one-conv model.
     auto convs = net.convLayers();
     const ConvDesc& d = convs[1]->desc();
-    Tensor weight = convs[1]->weight();
-    Tensor original = weight;
-    DeviceSpec dev = makeCpuDevice(4);
-    CompiledLayer layer = compileLayer(d, weight, comp.pattern_set, 3.6, dev);
-    ASSERT_NE(layer.engine, nullptr);
-    Status valid = validateFkw(*layer.fkw);
+    auto compiled = compiler.compile(singleConvModel(d, convs[1]->weight()));
+    ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+    std::vector<CompiledLayerState> state = compiled.value()->exportState();
+    ASSERT_NE(state[0].fkw, nullptr);
+    Status valid = validateFkw(*state[0].fkw);
     EXPECT_TRUE(valid.ok()) << valid.toString();
 
     // Stage 3: execute and compare against the reference conv on the
     // same (pruned) weights.
-    Tensor pruned = fkwToDense(*layer.fkw);
+    Tensor pruned = fkwToDense(*state[0].fkw);
     Tensor in(Shape{1, d.cin, d.h, d.w});
     Rng rng(3);
     in.fillUniform(rng, -1.0f, 1.0f);
     Tensor expect = makeConvOutput(d, 1);
     convReference(d, pruned, in, expect);
-    Tensor got = makeConvOutput(d, 1);
-    layer.engine->run(in, got);
+    Tensor got = compiled.value()->run(in);
     EXPECT_LT(Tensor::maxAbsDiff(expect, got), 1e-3);
 }
 
-TEST(Api, CompileLayerWithAutoTune)
+TEST(Api, TuneLayerThenCompile)
 {
-    Rng rng(9);
+    TuneCache::instance().clear();
     ConvDesc d{"t", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
-    Tensor weight(Shape{d.cout, d.cin, 3, 3});
-    weight.fillNormal(rng);
-    PatternSet set = canonicalPatternSet(8);
-    DeviceSpec dev = makeCpuDevice(2);
-    CompiledLayer layer = compileLayer(d, weight, set, 3.6, dev, /*auto_tune=*/true);
-    ASSERT_NE(layer.engine, nullptr);
-    // The tuned LR must carry a legal configuration.
-    EXPECT_GT(layer.lr.tuning.tile_oh, 0);
-    EXPECT_GT(layer.lr.tuning.unroll_w, 0);
-}
-
-TEST(Compiler, CompileLayerMatchesFreeFunction)
-{
-    Rng rng(21);
-    ConvDesc d{"c", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
-    Tensor weight(Shape{d.cout, d.cin, 3, 3});
-    weight.fillNormal(rng);
-    PatternSet set = canonicalPatternSet(8);
-    DeviceSpec dev = makeCpuDevice(2);
-
-    Compiler compiler(dev);
-    Result<CompiledLayer> result = compiler.compileLayer(d, weight, set);
-    ASSERT_TRUE(result.ok()) << result.status().toString();
-    CompiledLayer& layer = result.value();
-    ASSERT_NE(layer.engine, nullptr);
-    Status valid = validateFkw(*layer.fkw);
-    EXPECT_TRUE(valid.ok()) << valid.toString();
-
-    // Same deterministic pipeline as the free function.
-    CompiledLayer free_layer = compileLayer(d, weight, set, 3.6, dev);
-    EXPECT_EQ(layer.fkw->weights, free_layer.fkw->weights);
-    EXPECT_EQ(layer.fkw->index, free_layer.fkw->index);
+    Compiler compiler(makeCpuDevice(2), innerLayerOptions());
+    auto tuned = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
+    ASSERT_TRUE(tuned.ok()) << tuned.status().toString();
+    // The tuned parameters must be a legal configuration, and the
+    // compiled pattern layer must carry them.
+    EXPECT_GT(tuned.value().tile_oh, 0);
+    EXPECT_GT(tuned.value().unroll_w, 0);
+    auto model = compiler.compile(singleConvModel(d, 3));
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+    std::vector<CompiledLayerState> state = model.value()->exportState();
+    ASSERT_NE(state[0].fkw, nullptr);
+    EXPECT_TRUE(sameTuning(state[0].tuning, tuned.value()));
+    TuneCache::instance().clear();
 }
 
 TEST(Compiler, TypedErrorsInsteadOfAborts)
 {
     DeviceSpec dev = makeCpuDevice(2);
     Compiler compiler(dev);
-    PatternSet set = canonicalPatternSet(6);
     Rng rng(5);
-
-    // Malformed descriptor: zero input channels.
-    ConvDesc bad_desc{"bad", 0, 8, 3, 3, 10, 10, 1, 1, 1, 1};
-    Tensor w(Shape{8, 1, 3, 3});
-    auto r1 = compiler.compileLayer(bad_desc, w, set);
-    ASSERT_FALSE(r1.ok());
-    EXPECT_EQ(r1.status().code(), ErrorCode::kInvalidArgument);
-
-    // Weight tensor that does not match the descriptor.
     ConvDesc d{"ok", 6, 8, 3, 3, 10, 10, 1, 1, 1, 1};
-    Tensor wrong(Shape{8, 6, 5, 5});
-    auto r2 = compiler.compileLayer(d, wrong, set);
-    ASSERT_FALSE(r2.ok());
-    EXPECT_EQ(r2.status().code(), ErrorCode::kInvalidArgument);
-
-    // Empty pattern set.
     Tensor good(Shape{d.cout, d.cin, 3, 3});
     good.fillNormal(rng);
-    auto r3 = compiler.compileLayer(d, good, PatternSet{});
-    ASSERT_FALSE(r3.ok());
-    EXPECT_EQ(r3.status().code(), ErrorCode::kInvalidArgument);
+    auto expectInvalid = [&](const Model& m, FrameworkKind kind) {
+        auto r = compiler.compile(m, kind);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+    };
 
-    // Pattern geometry mismatched against a 5x5 layer.
-    ConvDesc five{"five", 6, 8, 5, 5, 12, 12, 1, 2, 1, 1};
-    Tensor w5(Shape{8, 6, 5, 5});
-    w5.fillNormal(rng);
-    auto r4 = compiler.compileLayer(five, w5, set);
-    ASSERT_FALSE(r4.ok());
-    EXPECT_EQ(r4.status().code(), ErrorCode::kInvalidArgument);
+    // Malformed descriptor: zero input channels (set after addLayer,
+    // which aborts on it).
+    Model bad_desc = singleConvModel(d, good);
+    bad_desc.layers()[0].conv.cin = 0;
+    expectInvalid(bad_desc, FrameworkKind::kPatDnn);
+
+    // Weight tensors that do not match the descriptor, on a sparse and
+    // a dense kind: a 5x5 weight, and a 1x1 weight under a 3x3 layer
+    // that would otherwise be read past its end.
+    expectInvalid(singleConvModel(d, Tensor(Shape{8, 6, 5, 5})),
+                  FrameworkKind::kPatDnn);
+    ConvDesc rgb{"rgb", 3, 8, 3, 3, 8, 8, 1, 1, 1, 1};
+    expectInvalid(singleConvModel(rgb, Tensor(Shape{8, 3, 1, 1})),
+                  FrameworkKind::kTvmLike);
+    expectInvalid(singleConvModel(d, Tensor()), FrameworkKind::kTvmLike);
+
+    // A bias that is neither {cout} nor absent.
+    Model bad_bias = singleConvModel(d, good);
+    bad_bias.layers()[0].bias = Tensor(Shape{d.cout + 1});
+    expectInvalid(bad_bias, FrameworkKind::kPatDnnDense);
+
+    // An FC weight that is not {out, in}.
+    Model fc_model = singleConvModel(d, good);
+    Layer flat;
+    flat.kind = OpKind::kFlatten;
+    fc_model.addLayer(std::move(flat));
+    Layer fc;
+    fc.kind = OpKind::kFullyConnected;
+    fc.name = "fc";
+    fc.in_features = d.cout * d.outH() * d.outW();
+    fc.out_features = 4;
+    fc.weight = Tensor(Shape{fc.in_features, fc.out_features});
+    fc_model.addLayer(std::move(fc));
+    expectInvalid(fc_model, FrameworkKind::kPatDnn);
 
     // Nonsense options.
     CompileOptions bad_opts;
     bad_opts.connectivity_rate = -1.0;
-    auto r5 = Compiler(dev, bad_opts).compileLayer(d, good, set);
-    ASSERT_FALSE(r5.ok());
-    EXPECT_EQ(r5.status().code(), ErrorCode::kInvalidArgument);
+    auto r = Compiler(dev, bad_opts).compile(singleConvModel(d, good));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+
+    // A 5x5 layer under kPatDnn is not an error: kernel patterns exist
+    // for 3x3 kernels only, so it keeps its connectivity-pruned dense
+    // weights and runs im2col.
+    ConvDesc five{"five", 6, 8, 5, 5, 12, 12, 1, 2, 1, 1};
+    Tensor w5(Shape{8, 6, 5, 5});
+    w5.fillNormal(rng);
+    auto compiled = compiler.compile(singleConvModel(five, w5));
+    ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+    Workspace ws;
+    RunProfile profile;
+    compiled.value()->run(Tensor(Shape{1, 6, 12, 12}), ws, &profile);
+    EXPECT_EQ(profile.entries[0].kind, "im2col");
 }
 
 TEST(Compiler, CompileWholeModelRunsAndValidates)
@@ -171,42 +198,32 @@ TEST(Compiler, CompileWholeModelRunsAndValidates)
 TEST(Compiler, TuneCacheSkipsRepeatGaRuns)
 {
     TuneCache::instance().clear();
-    Rng rng(17);
     ConvDesc d{"cached", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
-    Tensor w(Shape{d.cout, d.cin, 3, 3});
-    w.fillNormal(rng);
-    PatternSet set = canonicalPatternSet(8);
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    Compiler compiler(dev);
+    Compiler compiler(makeFixedWidthCpuDevice(2));
 
-    // First auto-tuned compile pays for the GA and populates the cache.
-    auto first = compiler.compileLayer(d, w, set, /*auto_tune=*/true);
+    // The first tuneLayer pays for the GA and populates the cache.
+    auto first = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
     ASSERT_TRUE(first.ok()) << first.status().toString();
     EXPECT_EQ(TuneCache::instance().size(), 1u);
     int64_t hits_before = TuneCache::instance().hits();
 
-    // Repeat compile of the same shape: a cache hit, the GA skipped,
-    // and the same tuned parameters applied.
-    auto second = compiler.compileLayer(d, w, set, /*auto_tune=*/true);
+    // Repeat tuning of the same shape: a cache hit, the GA skipped,
+    // and the same tuned parameters returned.
+    auto second = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
     ASSERT_TRUE(second.ok()) << second.status().toString();
     EXPECT_EQ(TuneCache::instance().hits(), hits_before + 1);
     EXPECT_EQ(TuneCache::instance().size(), 1u);
-    EXPECT_EQ(second.value().lr.tuning.tile_oh, first.value().lr.tuning.tile_oh);
-    EXPECT_EQ(second.value().lr.tuning.unroll_w, first.value().lr.tuning.unroll_w);
+    EXPECT_TRUE(sameTuning(second.value(), first.value()));
 
     // A different shape misses (no false sharing between geometries).
     ConvDesc other{"other", 8, 16, 3, 3, 16, 16, 1, 1, 1, 1};
-    Tensor w2(Shape{other.cout, other.cin, 3, 3});
-    w2.fillNormal(rng);
-    auto third = compiler.compileLayer(other, w2, set, /*auto_tune=*/true);
-    ASSERT_TRUE(third.ok()) << third.status().toString();
+    ASSERT_TRUE(compiler.tuneLayer(other, FrameworkKind::kPatDnn).ok());
     EXPECT_EQ(TuneCache::instance().size(), 2u);
 
     // A different device fingerprint misses too: a tuning measured on
     // a 2-wide pool is never silently applied to a 4-wide one.
     Compiler wide(makeFixedWidthCpuDevice(4));
-    auto fourth = wide.compileLayer(d, w, set, /*auto_tune=*/true);
-    ASSERT_TRUE(fourth.ok()) << fourth.status().toString();
+    ASSERT_TRUE(wide.tuneLayer(d, FrameworkKind::kPatDnn).ok());
     EXPECT_EQ(TuneCache::instance().size(), 3u);
 
     // Whole-model compiles consult the cache through the tune_lookup
@@ -226,19 +243,30 @@ TEST(Compiler, TuneCacheSkipsRepeatGaRuns)
     TuneCache::instance().clear();
 }
 
-TEST(Api, LrReportsDeviceKind)
+/** A tuning applies only to the engine it was measured on: a kTvmLike
+ * (im2col) tuning of a 3x3 stride-1 layer must not reach the Winograd
+ * engine kPatDnnDense runs for it. */
+TEST(Compiler, TuningAppliesOnlyToTheMeasuredEngine)
 {
-    Rng rng(10);
-    ConvDesc d{"t", 6, 12, 3, 3, 10, 10, 1, 1, 1, 1};
-    Tensor w(Shape{d.cout, d.cin, 3, 3});
-    w.fillNormal(rng);
-    PatternSet set = canonicalPatternSet(6);
-    CompiledLayer cpu = compileLayer(d, w, set, 3.6, makeCpuDevice(2));
-    Tensor w2(Shape{d.cout, d.cin, 3, 3});
-    w2.fillNormal(rng);
-    CompiledLayer gpu = compileLayer(d, w2, set, 3.6, makeGpuDevice());
-    EXPECT_EQ(cpu.lr.device, "CPU");
-    EXPECT_EQ(gpu.lr.device, "GPU");
+    TuneCache::instance().clear();
+    ConvDesc d{"wino", 16, 16, 3, 3, 12, 12, 1, 1, 1, 1};
+    Compiler compiler(makeFixedWidthCpuDevice(2));
+    Model m = singleConvModel(d, 4);
+
+    ASSERT_TRUE(compiler.tuneLayer(d, FrameworkKind::kTvmLike).ok());
+    int64_t hits = TuneCache::instance().hits();
+    auto dense = compiler.compile(m, FrameworkKind::kPatDnnDense);
+    ASSERT_TRUE(dense.ok()) << dense.status().toString();
+    EXPECT_EQ(TuneCache::instance().hits(), hits);
+
+    auto tuned = compiler.tuneLayer(d, FrameworkKind::kPatDnnDense);
+    ASSERT_TRUE(tuned.ok()) << tuned.status().toString();
+    hits = TuneCache::instance().hits();
+    auto retuned = compiler.compile(m, FrameworkKind::kPatDnnDense);
+    ASSERT_TRUE(retuned.ok()) << retuned.status().toString();
+    EXPECT_EQ(TuneCache::instance().hits(), hits + 1);
+    EXPECT_TRUE(sameTuning(retuned.value()->exportState()[0].tuning, tuned.value()));
+    TuneCache::instance().clear();
 }
 
 }  // namespace

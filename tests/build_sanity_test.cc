@@ -21,18 +21,20 @@ TEST(BuildSanity, UmbrellaHeaderExposesPipelineTypes)
     // all be visible from the single public include.
     static_assert(std::is_default_constructible_v<AdmmConfig>);
     static_assert(std::is_default_constructible_v<DeviceSpec>);
-    static_assert(std::is_move_constructible_v<CompiledLayer>,
-                  "CompiledLayer must at least be movable");
+    static_assert(std::is_move_constructible_v<Result<std::shared_ptr<CompiledModel>>>,
+                  "compile results must at least be movable");
     SUCCEED();
 }
 
 TEST(BuildSanity, FacadeSymbolsLink)
 {
     // Odr-use the facade entry points so a missing definition in
-    // src/core/api.cc becomes a link error in this suite.
-    auto compress_fn = &compress;
-    auto compile_fn = &compileLayer;
+    // src/core/compiler.cc becomes a link error in this suite.
+    auto compress_fn = &Compiler::compress;
+    auto tune_fn = &Compiler::tuneLayer;
+    auto compile_fn = &Compiler::compile;
     EXPECT_NE(compress_fn, nullptr);
+    EXPECT_NE(tune_fn, nullptr);
     EXPECT_NE(compile_fn, nullptr);
 }
 

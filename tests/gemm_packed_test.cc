@@ -409,20 +409,20 @@ TEST(PackedIm2col, TunedBlockingOverridesApplyAndMatch)
               0);
 }
 
-/** tuneDenseLayer memoizes under the dense (0.0-rate) key: the second
+/** Compiler::tuneLayer memoizes a dense (im2col) tuning: the second
  * call is a cache hit returning the identical parameters. */
-TEST(DenseTuning, TuneDenseLayerIsMemoizedInTuneCache)
+TEST(DenseTuning, TuneLayerIsMemoizedInTuneCache)
 {
     TuneCache::instance().clear();
     Compiler compiler(makeCpuDevice(2));
     ConvDesc d{"dense", 3, 8, 3, 3, 12, 12, 1, 1, 1, 1};
 
-    auto first = compiler.tuneDenseLayer(d);
+    auto first = compiler.tuneLayer(d, FrameworkKind::kTvmLike);
     ASSERT_TRUE(first.ok()) << first.status().toString();
     EXPECT_EQ(TuneCache::instance().hits(), 0);
     EXPECT_EQ(TuneCache::instance().size(), 1u);
 
-    auto second = compiler.tuneDenseLayer(d);
+    auto second = compiler.tuneLayer(d, FrameworkKind::kTvmLike);
     ASSERT_TRUE(second.ok()) << second.status().toString();
     EXPECT_EQ(TuneCache::instance().hits(), 1);
     EXPECT_EQ(first.value().gemm_kc, second.value().gemm_kc);

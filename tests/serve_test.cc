@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -479,7 +480,7 @@ TEST(Server, LoadedArtifactServesBurst)
     std::shared_ptr<CompiledModel> loaded = std::move(load_result).value();
     std::remove(path.c_str());
 
-    auto server = serve(loaded);
+    auto server = std::make_unique<InferenceServer>(loaded);
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 32; ++i)
         futures.push_back(server->submit(makeInput(300 + static_cast<uint64_t>(i))));

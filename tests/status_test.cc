@@ -78,8 +78,7 @@ TEST(Result, HoldsValueOrStatusIncludingMoveOnlyTypes)
     EXPECT_EQ(error.status().message(), "queue full");
     EXPECT_EQ(error.valueOr(-1), -1);
 
-    // Move-only payloads (the facade returns unique_ptr-bearing
-    // CompiledLayer values through Result).
+    // Move-only payloads.
     Result<std::unique_ptr<int>> boxed(std::make_unique<int>(7));
     ASSERT_TRUE(boxed.ok());
     EXPECT_EQ(*boxed.value(), 7);
