@@ -245,20 +245,17 @@ BENCHMARK(BM_GraphOptimize);
 
 /**
  * The activation memory planner (rt/memplan.h) over each zoo model:
- * times the lifetime-analysis + arena-packing pass alone (the compile
- * stage a v4 artifact save pays), and reports the memory column —
- * planned arena vs legacy per-layer workspace bytes at batch 1. The
- * dense framework kind skips pruning so setup stays cheap; planning is
- * geometry-only and identical across kinds.
+ * times the lifetime-analysis + arena-packing pass alone (the step
+ * every CompiledModel construction — compile or artifact load — pays),
+ * and reports the memory column — planned arena vs per-layer workspace
+ * bytes at batch 1. The dense framework kind skips pruning so setup
+ * stays cheap; planning is geometry-only and identical across kinds.
  */
 void
 BM_MemoryPlanZoo(benchmark::State& state, const char* short_name)
 {
     Model m = buildByShortName(short_name, Dataset::kCifar10);
-    CompileOptions copts;
-    copts.enable_memory_plan = false;  // The loop runs the pass itself.
-    CompiledModel compiled(m, FrameworkKind::kTfliteLike, makeCpuDevice(1),
-                           copts);
+    CompiledModel compiled(m, FrameworkKind::kTfliteLike, makeCpuDevice(1));
     std::vector<PlanNode> nodes = compiled.planNodes();
     int output_node = compiled.outputNode();
     MemoryPlan plan;

@@ -132,7 +132,17 @@ Compiler::compile(const Model& model, FrameworkKind kind) const
                            const ConvDesc& desc, TuneParams* params) {
         return TuneCache::instance().lookup(desc, device, kind, rate, params);
     };
-    return std::make_shared<CompiledModel>(model, kind, device_, opts);
+    auto compiled = std::make_shared<CompiledModel>(model, kind, device_, opts);
+    // The per-layer checks above cannot see a graph whose shapes do not
+    // chain (or a non-conv op reading the model input); the compiled
+    // model has no memory plan exactly then.
+    if (!compiled->hasMemoryPlan())
+        return Status(ErrorCode::kInvalidArgument,
+                      "compile: model '" + model.name() + "': " +
+                          CompiledModel::checkGraph(compiled->exportState(),
+                                                    compiled->outputNode())
+                              .message());
+    return compiled;
 }
 
 Result<TuneParams>

@@ -69,10 +69,12 @@ class Compiler
      * `kind` on this Compiler's device with its options (pattern set
      * mined from the weights, pruning + FKW packing for sparse kinds).
      * A conv weight must be {cout, cin/groups, kh, kw}, an FC weight
-     * {out, in}, a bias {outputs} or absent; anything else, or a
-     * malformed conv descriptor, is kInvalidArgument. Per-layer tuned
-     * parameters come from the TuneCache entries tuneLayer wrote for
-     * the same kind. The result is immutable and ready for saveModel /
+     * {out, in}, a bias {outputs} or absent; anything else, a
+     * malformed conv descriptor, or a graph whose shapes do not chain
+     * (CompiledModel::checkGraph names the node) is kInvalidArgument.
+     * Per-layer tuned parameters come from the TuneCache entries
+     * tuneLayer wrote for the same kind. The result carries its memory
+     * plan, is immutable and is ready for saveModel /
      * InferenceSession / ModelRegistry.
      */
     Result<std::shared_ptr<CompiledModel>> compile(

@@ -16,9 +16,10 @@
  * Deployment extends the pipeline past Fig. 5: saveModel()/loadModel()
  * (serve/artifact.h) freeze a CompiledModel into a distributable
  * artifact (it records the compile options + device fingerprint, so a
- * mismatched host gets a diagnostic instead of a failed invariant, and
- * the offline activation MemoryPlan, so sessions on the serving host
- * run out of one peak-live-sized arena — rt/memplan.h).
+ * mismatched host gets a diagnostic instead of a failed invariant; the
+ * loaded model re-derives its activation MemoryPlan, so sessions on
+ * the serving host run out of one peak-live-sized arena —
+ * rt/memplan.h).
  * InferenceServer (serve/server.h) is the async batched server —
  * per-request deadlines, cancellation, and a linger window that
  * coalesces sparse request streams — and ModelRegistry

@@ -215,16 +215,6 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
 // ---------------------------------------------------------------------------
 
 void
-Workspace::bindPlan(const MemoryPlan* plan)
-{
-    plan_ = plan;
-    batch_ = 0;
-    arena_ = Tensor();
-    for (Tensor& v : values_)
-        v = Tensor();
-}
-
-void
 Workspace::beginRun(int64_t batch)
 {
     if (plan_ == nullptr)
@@ -496,23 +486,27 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
         executors_[static_cast<size_t>(n.id)] = std::move(ex);
     }
 
-    if (opts.precision == Precision::kInt8)
+    derivePlan();
+    // Calibration runs the graph, so one whose shapes do not chain
+    // (no plan; Compiler::compile refuses it) is never calibrated.
+    if (opts.precision == Precision::kInt8 && hasMemoryPlan())
         quantizeDenseConvLayers();
+}
 
-    if (opts.enable_memory_plan) {
-        std::vector<PlanNode> plan_nodes = planNodes();
-        if (!plan_nodes.empty())
-            plan_ = planActivations(plan_nodes, output_node_);
-    }
-    if (!plan_.empty()) {
-        // Most-recent-compile planner quality, for dashboards/tests.
-        MetricsRegistry& reg = MetricsRegistry::global();
-        reg.gauge("memplan.arena_kb_per_sample")
-            .set(static_cast<double>(plan_.arenaBytes(1)) / 1024.0);
-        reg.gauge("memplan.reuse_x")
-            .set(static_cast<double>(plan_.sumElemsPerSample()) /
-                 static_cast<double>(plan_.arenaElemsPerSample()));
-    }
+void
+CompiledModel::derivePlan()
+{
+    std::vector<PlanNode> nodes = planNodes();
+    if (nodes.empty())
+        return;
+    plan_ = planActivations(nodes, output_node_);
+    // Most-recent-model planner quality, for dashboards/tests.
+    MetricsRegistry& reg = MetricsRegistry::global();
+    reg.gauge("memplan.arena_kb_per_sample")
+        .set(static_cast<double>(plan_.arenaBytes(1)) / 1024.0);
+    reg.gauge("memplan.reuse_x")
+        .set(static_cast<double>(plan_.sumElemsPerSample()) /
+             static_cast<double>(plan_.arenaElemsPerSample()));
 }
 
 void
@@ -605,6 +599,7 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
         labelExecutor(*ex, id);
         executors_[id] = std::move(ex);
     }
+    derivePlan();
 }
 
 std::vector<PlanNode>
@@ -625,18 +620,6 @@ CompiledModel::checkGraph(const std::vector<CompiledLayerState>& layers,
     return inferShapes(
         layers.size(), output_node,
         [&](size_t id) { return layers[id].live ? &layers[id] : nullptr; }, &nodes);
-}
-
-Status
-CompiledModel::adoptMemoryPlan(MemoryPlan plan)
-{
-    std::vector<PlanNode> nodes = planNodes();
-    if (nodes.empty())
-        return Status(ErrorCode::kInvalidArgument,
-                      "memory plan: model shapes cannot be inferred");
-    PATDNN_RETURN_IF_ERROR(plan.validateAgainst(nodes, output_node_));
-    plan_ = std::move(plan);
-    return Status::OK();
 }
 
 std::vector<CompiledLayerState>

@@ -80,16 +80,6 @@ struct CompileOptions
     bool run_graph_passes = true;
     uint64_t seed = 5;
     /**
-     * Run the offline activation-lifetime pass (rt/memplan.h) after
-     * compilation and attach the resulting single-arena MemoryPlan to
-     * the CompiledModel. Planning is geometry-only and cheap; the plan
-     * is recorded in model artifacts and lets sessions replace their
-     * per-layer Workspace with one arena of plan.arenaBytes(batch)
-     * (SessionMemory::kAuto picks this up automatically). Disable only
-     * to reproduce pre-plan behaviour byte-for-byte.
-     */
-    bool enable_memory_plan = true;
-    /**
      * Optional per-layer tuned-parameter source consulted for each
      * conv layer at compile time (Compiler::compile wires the process
      * TuneCache here, so a compile picks up the tunings
@@ -150,29 +140,25 @@ struct CompiledLayerState
  * concurrent sessions sharing one immutable CompiledModel never share
  * intermediate buffers.
  *
- * Two backing modes:
- *  - per-layer (default): every slot owns its own allocation, sized on
- *    first touch and kept across runs;
- *  - planned (bindPlan()): slots are views into ONE 64-byte-aligned
- *    arena laid out by an offline MemoryPlan, so the whole session
- *    costs plan.arenaBytes(batch) — peak-live, not sum-of-layers.
+ * The backing is fixed at construction:
+ *  - planned (a MemoryPlan): slots are views into ONE 64-byte-aligned
+ *    arena laid out by the model's offline plan, so the whole session
+ *    costs plan.arenaBytes(batch) — peak-live, not sum-of-layers. Every
+ *    InferenceSession is planned;
+ *  - per-layer (no plan): every slot owns its own allocation, sized on
+ *    first touch and kept across runs. CompiledModel::run(input) and
+ *    the kInt8 calibration pass (which reads every conv's retained
+ *    input) use this mode.
  */
 class Workspace
 {
   public:
+    /** `plan`, when non-null, must outlive the workspace (sessions
+     * point at their shared model's plan). */
+    explicit Workspace(const MemoryPlan* plan = nullptr) : plan_(plan) {}
+
     void resize(size_t nodes) { values_.resize(nodes); }
     size_t size() const { return values_.size(); }
-
-    /**
-     * Back this workspace with an activation plan; nullptr restores
-     * per-layer mode. The plan must outlive the workspace (sessions
-     * point at their shared model's plan). Switching modes drops all
-     * cached slots.
-     */
-    void bindPlan(const MemoryPlan* plan);
-
-    /** True when slots alias a planned arena. */
-    bool planned() const { return plan_ != nullptr; }
 
     /** Called by CompiledModel at the start of every run: sizes the
      * arena for this batch and rebuilds slot views when the batch (and
@@ -242,7 +228,7 @@ class CompiledModel
      * always uses the ISA of `device`, so a mismatch only means the
      * parameters may be off-width for this host. `compile_opts` is the
      * option record from the artifact header. `layers` must pass
-     * checkGraph().
+     * checkGraph(), so the restored model derives its memory plan.
      */
     CompiledModel(FrameworkKind kind, DeviceSpec device,
                   std::vector<CompiledLayerState> layers, int output_node,
@@ -306,10 +292,10 @@ class CompiledModel
     const CompileOptions& compileOptions() const { return compile_opts_; }
 
     /**
-     * The activation MemoryPlan computed at compile time (or restored
-     * from an artifact). Empty when planning was disabled or the graph
-     * shapes could not be inferred — sessions then fall back to
-     * per-layer workspaces.
+     * The activation MemoryPlan, derived from the graph by both
+     * constructors (planActivations over planNodes()). Empty only when
+     * planNodes() is: Compiler::compile refuses such a model and the
+     * artifact loader never builds one.
      */
     bool hasMemoryPlan() const { return !plan_.empty(); }
     const MemoryPlan& memoryPlan() const { return plan_; }
@@ -346,15 +332,6 @@ class CompiledModel
     static Status checkGraph(const std::vector<CompiledLayerState>& layers,
                              int output_node);
 
-    /**
-     * Validate `plan` against this model's graph and adopt it
-     * (artifact-restore path: the plan record is parsed after the
-     * layers, so it is attached after construction but before the
-     * model is shared). kInvalidArgument with a diagnostic when the
-     * plan does not fit this graph; the model is left plan-less.
-     */
-    Status adoptMemoryPlan(MemoryPlan plan);
-
   private:
     struct Executor;
     Tensor runLayers(const Tensor& input, Workspace& ws, RunProfile* profile) const;
@@ -369,6 +346,9 @@ class CompiledModel
     /** Fill the executor's display label / engine-kind / ISA strings
      * (profile + trace attribution), after its engine is selected. */
     void labelExecutor(Executor& ex, size_t id) const;
+    /** The one plan site of both constructors: plan_ from planNodes(),
+     * plus the memplan.* gauges. */
+    void derivePlan();
 
     FrameworkKind kind_;
     DeviceSpec device_;
@@ -376,7 +356,7 @@ class CompiledModel
     CompileOptions compile_opts_;
     int output_node_ = -1;
     std::vector<std::unique_ptr<Executor>> executors_;  ///< Per node id.
-    MemoryPlan plan_;  ///< Activation arena plan; may be empty.
+    MemoryPlan plan_;  ///< Activation arena plan; empty iff planNodes() is.
 };
 
 }  // namespace patdnn

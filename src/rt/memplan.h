@@ -11,7 +11,8 @@
  * allocator under interval-overlap constraints: two buffers may share
  * addresses iff their lifetimes are disjoint. The result — a
  * MemoryPlan of (offset, size) slots plus the arena extent — is
- * computed once at compile time, stored in model artifacts, and
+ * derived by every CompiledModel from its graph (compile and artifact
+ * restore alike; it is never stored), and
  * turns an InferenceSession into a single allocation of
  * arenaBytes(batch) instead of one malloc per layer (the FlexNN-style
  * "memory-planned execution" direction in ROADMAP.md).
@@ -62,10 +63,9 @@ struct PlanSlot
 };
 
 /**
- * A single-arena allocation plan over a compiled layer graph. Empty()
- * plans mean "no plan" (planning disabled, or a graph whose shapes
- * could not be inferred) — sessions then fall back to the
- * per-layer Workspace.
+ * A single-arena allocation plan over a compiled layer graph. An
+ * empty() plan means "no plan": the graph's shapes could not be
+ * inferred, so it cannot back a session.
  */
 class MemoryPlan
 {
@@ -102,9 +102,8 @@ class MemoryPlan
      * aligned and inside the arena, the arena never exceeds the
      * per-layer sum, and no two buffers with overlapping lifetimes
      * overlap in the arena. kInvalidArgument with a diagnostic on the
-     * first violation. Artifact loading runs this before a restored
-     * plan may back a session, so a corrupted plan record can never
-     * alias live activations.
+     * first violation. The oracle of tests/memplan_test.cc's
+     * randomized-graph property sweep.
      */
     Status validateAgainst(const std::vector<PlanNode>& nodes,
                            int output_node) const;

@@ -189,7 +189,6 @@ emitPayload(const CompiledModel& model, const Emit& emit)
     buf.push_back(co.opts.tuned ? 1 : 0);
     buf.push_back(co.run_graph_passes ? 1 : 0);
     putU64(buf, co.seed);
-    buf.push_back(co.enable_memory_plan ? 1 : 0);
     // Quantization provenance: the precision knob and the calibration
     // settings the activation scales came from.
     buf.push_back(static_cast<uint8_t>(co.precision));
@@ -241,28 +240,6 @@ emitPayload(const CompiledModel& model, const Emit& emit)
         }
         emitBuf(emit, buf);
     }
-
-    // Memory-plan record: per-slot arena placement in per-sample
-    // elements, so serving hosts skip lifetime analysis.
-    bool has_plan = model.hasMemoryPlan();
-    buf.push_back(has_plan ? 1 : 0);
-    if (has_plan) {
-        const MemoryPlan& plan = model.memoryPlan();
-        putI64(buf, plan.alignElems());
-        putI64(buf, plan.arenaElemsPerSample());
-        putI64(buf, plan.sumElemsPerSample());
-        putU32(buf, static_cast<uint32_t>(plan.slotCount()));
-        for (const PlanSlot& s : plan.slots()) {
-            buf.push_back(s.planned ? 1 : 0);
-            if (!s.planned)
-                continue;
-            putI64(buf, s.offset_elems);
-            putI64(buf, s.size_elems);
-            putU32(buf, static_cast<uint32_t>(s.def));
-            putU32(buf, static_cast<uint32_t>(s.last_use));
-        }
-    }
-    emitBuf(emit, buf);
 }
 
 void
@@ -387,37 +364,6 @@ readLayer(Reader& r, uint32_t id, CompiledLayerState& st)
     return Status::OK();
 }
 
-/** Parse the memory-plan record. Framing plausibility here; the
- * aliasing-safety validation runs against the restored graph. */
-Status
-readMemoryPlan(Reader& r, size_t n_layers, bool* has_plan, MemoryPlan* plan)
-{
-    *has_plan = r.u8() != 0;
-    if (!*has_plan)
-        return Status::OK();
-    int64_t align_elems = r.i64();
-    int64_t arena_elems = r.i64();
-    int64_t sum_elems = r.i64();
-    uint32_t n_slots = r.u32();
-    if (!r.ok || align_elems < 1 || align_elems > 4096 || arena_elems < 0 ||
-        sum_elems < 0 || n_slots != n_layers)
-        return malformed("artifact: bad memory-plan header");
-    std::vector<PlanSlot> slots(n_slots);
-    for (PlanSlot& s : slots) {
-        s.planned = r.u8() != 0;
-        if (!s.planned)
-            continue;
-        s.offset_elems = r.i64();
-        s.size_elems = r.i64();
-        s.def = static_cast<int>(r.u32());
-        s.last_use = static_cast<int>(r.u32());
-    }
-    if (!r.ok)
-        return malformed("artifact: truncated memory-plan record");
-    *plan = MemoryPlan(std::move(slots), arena_elems, sum_elems, align_elems);
-    return Status::OK();
-}
-
 /**
  * Check the device fingerprint against the host. A scheduling-model
  * mismatch is always an error; pool width and tile budget warn unless
@@ -493,7 +439,6 @@ deserializePayload(const uint8_t* payload, size_t payload_size,
     co.opts.tuned = r.u8() != 0;
     co.run_graph_passes = r.u8() != 0;
     co.seed = r.u64();
-    co.enable_memory_plan = r.u8() != 0;
     uint8_t precision_raw = r.u8();
     uint8_t calib_method_raw = r.u8();
     co.calibration.percentile = r.f64();
@@ -537,9 +482,6 @@ deserializePayload(const uint8_t* payload, size_t payload_size,
         if (st.live)
             PATDNN_RETURN_IF_ERROR(readLayer(r, id, st));
     }
-    bool has_plan = false;
-    MemoryPlan plan;
-    PATDNN_RETURN_IF_ERROR(readMemoryPlan(r, layers.size(), &has_plan, &plan));
     if (r.pos != r.size)
         return malformed("artifact: trailing bytes in payload");
     // Layer records must agree with their descriptors and producers
@@ -548,16 +490,9 @@ deserializePayload(const uint8_t* payload, size_t payload_size,
     if (!graph.ok())
         return malformed("artifact: " + graph.message());
 
-    auto model = std::make_shared<CompiledModel>(info->kind, device, std::move(layers),
-                                                 output_node, info->tuned_isa, co);
-    if (has_plan) {
-        Status adopted = model->adoptMemoryPlan(std::move(plan));
-        if (!adopted.ok())
-            return Status(ErrorCode::kDataLoss,
-                          "artifact: invalid memory plan: " + adopted.message(),
-                          artifact_detail::kBadMemoryPlan);
-    }
-    return model;
+    // The restored model derives its memory plan from these records.
+    return std::make_shared<CompiledModel>(info->kind, device, std::move(layers),
+                                           output_node, info->tuned_isa, co);
 }
 
 Status

@@ -19,16 +19,18 @@
  *    searched on;
  *  - the provenance record: the device fingerprint (pool width,
  *    GPU-like flag, tile budget) and the compile options (pattern
- *    count, connectivity rates, optimization switches, seed, memory
- *    planning, precision and calibration settings);
+ *    count, connectivity rates, optimization switches, seed, precision
+ *    and calibration settings);
  *  - the output-node id and one record per graph-node slot: op kind,
  *    ConvDesc, producer ids, fused ReLU, pool / FC geometry, tuned
  *    parameters (including the dense GEMM blocking gemm_kc / gemm_nc),
  *    an optional quant record (activation scale + per-output-channel
  *    weight scales), the dense weight and bias tensors, and the FKW
- *    storage of pattern-compiled convs (sparse/fkw.h's serializer);
- *  - the activation MemoryPlan (rt/memplan.h), so a serving host gets
- *    the planned-arena session footprint without lifetime analysis.
+ *    storage of pattern-compiled convs (sparse/fkw.h's serializer).
+ *
+ * Nothing derivable is stored: the activation MemoryPlan (rt/memplan.h)
+ * is a function of the graph, so the restored CompiledModel derives it
+ * from the layer records, exactly as the compile did.
  *
  * Quantized weights are stored as f32 and re-quantized
  * deterministically from tensor + scales on load.
@@ -80,13 +82,12 @@ inline constexpr char kTruncatedStream[] = "artifact/truncated-stream";
 inline constexpr char kChecksumMismatch[] = "artifact/checksum-mismatch";
 inline constexpr char kMalformedPayload[] = "artifact/malformed-payload";
 inline constexpr char kFingerprintMismatch[] = "artifact/fingerprint-mismatch";
-inline constexpr char kBadMemoryPlan[] = "artifact/bad-memory-plan";
 inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 }  // namespace artifact_detail
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 6;
+constexpr uint32_t kModelArtifactVersion = 7;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

@@ -11,8 +11,7 @@
  * copy of that spec, so N models cost one set of compute workers
  * instead of N (the per-server *serving* workers are cheap: they
  * block in the queue, the compute pool does the math). Each worker's
- * session follows ServerOptions::session_memory — models restored
- * from artifacts run out of a planned activation arena, so the
+ * session runs out of its model's planned activation arena, so the
  * per-worker memory cost of holding many models stays at peak-live
  * size rather than sum-of-layers.
  *

@@ -368,7 +368,7 @@ InferenceServer::popBatch()
 void
 InferenceServer::workerLoop()
 {
-    InferenceSession session(model_, opts_.session_memory);
+    InferenceSession session(model_);
     for (;;) {
         std::vector<Request> batch = popBatch();
         if (batch.empty())

@@ -107,10 +107,6 @@ struct ServerOptions
     /// Construct paused; call start() to begin serving. Lets callers
     /// (and the queue-bound tests) stage a burst before any worker runs.
     bool start_paused = false;
-    /// Activation memory for each worker's private session: kAuto uses
-    /// the model's MemoryPlan arena when present (one peak-live-sized
-    /// allocation per worker instead of one per layer).
-    SessionMemory session_memory = SessionMemory::kAuto;
     /// Time source for deadlines and the linger window; null = the
     /// process steady clock. Tests inject a FakeClock here.
     std::shared_ptr<ServeClock> clock;

@@ -6,16 +6,22 @@
 
 namespace patdnn {
 
-InferenceSession::InferenceSession(std::shared_ptr<const CompiledModel> model,
-                                   SessionMemory memory)
-    : model_(std::move(model))
+namespace {
+
+const MemoryPlan*
+sessionPlan(const std::shared_ptr<const CompiledModel>& model)
 {
-    PATDNN_CHECK(model_ != nullptr, "session needs a model");
-    if (memory == SessionMemory::kPlannedArena)
-        PATDNN_CHECK(model_->hasMemoryPlan(),
-                     "planned-arena session requires a model memory plan");
-    if (memory != SessionMemory::kPerLayer && model_->hasMemoryPlan())
-        workspace_.bindPlan(&model_->memoryPlan());
+    PATDNN_CHECK(model != nullptr, "session needs a model");
+    PATDNN_CHECK(model->hasMemoryPlan(),
+                 "session needs a model memory plan (graph fails shape inference)");
+    return &model->memoryPlan();
+}
+
+}  // namespace
+
+InferenceSession::InferenceSession(std::shared_ptr<const CompiledModel> model)
+    : model_(std::move(model)), workspace_(sessionPlan(model_))
+{
 }
 
 Tensor

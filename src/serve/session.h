@@ -9,13 +9,13 @@
  * pressure: N concurrent streams cost one copy of the weights and N
  * copies of the (much smaller) activations.
  *
- * When the model carries an activation MemoryPlan (rt/memplan.h —
- * compiled with CompileOptions::enable_memory_plan, or restored from an
- * artifact), a session's activations collapse further: one arena of
- * plan.arenaBytes(batch) sized by peak LIVE memory instead of one
- * allocation per layer, which is what lets a host hold many more
- * concurrent sessions per GB. Planned and per-layer execution are
- * bit-exact against each other (tests/memplan_exec_test.cc).
+ * A session's activations live in one arena of plan.arenaBytes(batch),
+ * laid out by the model's activation MemoryPlan (rt/memplan.h — every
+ * compiled or restored model derives one from its graph) and sized by
+ * peak LIVE memory instead of one allocation per layer, which is what
+ * lets a host hold many more concurrent sessions per GB. Planned and
+ * per-layer execution (CompiledModel::run(input)) are bit-exact
+ * against each other (tests/memplan_exec_test.cc).
  */
 #pragma once
 
@@ -34,19 +34,6 @@ struct SessionStats
     double total_ms = 0.0;     ///< Wall-clock summed over run() calls.
 };
 
-/** Activation-memory strategy for a session. */
-enum class SessionMemory
-{
-    /// Planned arena when the model carries a MemoryPlan, else
-    /// per-layer. The default: artifacts with plans get the small
-    /// footprint, everything else keeps working.
-    kAuto,
-    /// Require the model's plan (CHECK-aborts when absent).
-    kPlannedArena,
-    /// Legacy per-layer Workspace allocations, even when a plan exists.
-    kPerLayer,
-};
-
 /**
  * A single inference stream over a shared compiled model. Not
  * thread-safe itself (one stream = one caller), but any number of
@@ -55,8 +42,10 @@ enum class SessionMemory
 class InferenceSession
 {
   public:
-    explicit InferenceSession(std::shared_ptr<const CompiledModel> model,
-                              SessionMemory memory = SessionMemory::kAuto);
+    /** `model` must carry a memory plan (CHECK-aborts otherwise; only
+     * a directly constructed graph that fails shape inference lacks
+     * one). */
+    explicit InferenceSession(std::shared_ptr<const CompiledModel> model);
 
     /** Run one NCHW batch through the shared model. */
     Tensor run(const Tensor& input);
@@ -74,12 +63,9 @@ class InferenceSession
     void setProfilingEnabled(bool on) { profiling_ = on; }
     bool profilingEnabled() const { return profiling_; }
 
-    /** True when activations live in a single planned arena. */
-    bool usesPlannedArena() const { return workspace_.planned(); }
-
-    /** Bytes currently backing this session's activations (0 before
-     * the first run). Planned sessions report the arena; per-layer
-     * sessions the sum of their slot allocations. */
+    /** Bytes of this session's activation arena: the model's
+     * memoryPlan().arenaBytes() at the largest batch run so far (0
+     * before the first run). */
     size_t activationBytes() const { return workspace_.activationBytes(); }
 
     /** Debug canary (tests): NaN-poison freed arena ranges between

@@ -137,6 +137,51 @@ TEST(Compiler, TypedErrorsInsteadOfAborts)
     fc_model.addLayer(std::move(fc));
     expectInvalid(fc_model, FrameworkKind::kPatDnn);
 
+    // Layers that are each well-formed but that shape inference rejects
+    // as a graph (the two whose shapes do not chain would read past a
+    // buffer when run): refused, naming the node inference stopped at.
+    auto layerOf = [](OpKind kind, const ConvDesc& conv = {}) {
+        Layer l;
+        l.kind = kind;
+        l.name = conv.name.empty() ? opKindName(kind) : conv.name;
+        l.conv = conv;
+        return l;
+    };
+    // kInt8 too: its calibration pass runs the graph at compile time.
+    CompileOptions int8_opts;
+    int8_opts.precision = Precision::kInt8;
+    Compiler int8_compiler(dev, int8_opts);
+    auto expectUnchained = [&](Model m, FrameworkKind kind, const char* node) {
+        m.randomizeWeights(9);
+        for (const Compiler* c : {&compiler, &int8_compiler}) {
+            auto r = c->compile(m, kind);
+            ASSERT_FALSE(r.ok()) << m.name();
+            EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << m.name();
+            EXPECT_NE(r.status().message().find(node), std::string::npos)
+                << r.status().toString();
+        }
+    };
+    // A 3->8 conv feeding a conv that declares 32 input channels.
+    Model cin_mismatch("cin-mismatch", "test");
+    cin_mismatch.addLayer(layerOf(OpKind::kConv, {"c1", 3, 8, 3, 3, 8, 8, 1, 1, 1, 1}));
+    cin_mismatch.addLayer(layerOf(OpKind::kConv, {"c2", 32, 8, 3, 3, 8, 8, 1, 1, 1, 1}));
+    expectUnchained(cin_mismatch, FrameworkKind::kPatDnnDense, "node 1 (conv)");
+    expectUnchained(cin_mismatch, FrameworkKind::kPatDnn, "node 1 (conv)");
+    // Flatten -> FC declaring 4x the producer's element count.
+    Model fc_mismatch("fc-mismatch", "test");
+    fc_mismatch.addLayer(layerOf(OpKind::kConv, {"c1", 3, 8, 3, 3, 8, 8, 1, 1, 1, 1}));
+    fc_mismatch.addLayer(layerOf(OpKind::kFlatten));
+    Layer wide_fc = layerOf(OpKind::kFullyConnected);
+    wide_fc.in_features = 4 * 8 * 8 * 8;
+    wide_fc.out_features = 4;
+    fc_mismatch.addLayer(std::move(wide_fc));
+    expectUnchained(fc_mismatch, FrameworkKind::kPatDnn, "node 2 (");
+    // A pool reading the model input: only a conv fixes the input shape.
+    Model pool_first("pool-first", "test");
+    pool_first.addLayer(layerOf(OpKind::kMaxPool));
+    pool_first.addLayer(layerOf(OpKind::kConv, {"c1", 3, 8, 3, 3, 8, 8, 1, 1, 1, 1}));
+    expectUnchained(pool_first, FrameworkKind::kPatDnn, "node 0 (");
+
     // Nonsense options.
     CompileOptions bad_opts;
     bad_opts.connectivity_rate = -1.0;

@@ -5,8 +5,9 @@
  * pointer, reads an input after writing its output's aliased range, or
  * sizes a view wrong would pass every static check and still corrupt
  * activations. So this suite runs every zoo model through a planned
- * (single-arena) session and a legacy per-layer session on identical
- * inputs and requires bit-exact (memcmp) agreement — at batch 1 and a
+ * (single-arena) session and through CompiledModel::run(input), which
+ * uses a per-layer Workspace, on identical inputs and requires
+ * bit-exact (memcmp) agreement — at batch 1 and a
  * multi-sample batch, under the vector and forced-scalar kernel paths,
  * and with the NaN poison canary filling freed arena ranges between
  * layers (any executor touching recycled memory surfaces as a NaN in
@@ -75,14 +76,12 @@ runDifferential(std::shared_ptr<const CompiledModel> model,
                 const std::string& what)
 {
     ASSERT_TRUE(model->hasMemoryPlan()) << what;
-    InferenceSession legacy(model, SessionMemory::kPerLayer);
-    InferenceSession planned(model, SessionMemory::kPlannedArena);
-    EXPECT_FALSE(legacy.usesPlannedArena());
-    EXPECT_TRUE(planned.usesPlannedArena());
+    InferenceSession planned(model);
+    Workspace per_layer;
 
     for (int64_t batch : {int64_t{1}, int64_t{3}}) {
         Tensor in = cifarInput(77 + static_cast<uint64_t>(batch), batch);
-        Tensor want = legacy.run(in);
+        Tensor want = model->run(in, per_layer);
         Tensor got = planned.run(in);
         expectBitExact(got, want,
                        what + " batch " + std::to_string(batch));
@@ -90,7 +89,7 @@ runDifferential(std::shared_ptr<const CompiledModel> model,
     // The arena really is one allocation of plan size, scaled by the
     // largest batch run so far.
     EXPECT_EQ(planned.activationBytes(), model->memoryPlan().arenaBytes(3));
-    EXPECT_LE(planned.activationBytes(), legacy.activationBytes());
+    EXPECT_LE(planned.activationBytes(), per_layer.activationBytes());
 }
 
 TEST(MemPlanExec, VggPatternBitExact)
@@ -137,12 +136,11 @@ TEST(MemPlanExec, PoisonCanaryFindsNoStaleReads)
     // job too, where the poison writes also exercise range bounds.)
     auto model = compileZoo("RNT", FrameworkKind::kPatDnn, makeCpuDevice(2));
     ASSERT_TRUE(model->hasMemoryPlan());
-    InferenceSession legacy(model, SessionMemory::kPerLayer);
-    InferenceSession canary(model, SessionMemory::kPlannedArena);
+    InferenceSession canary(model);
     canary.setDebugPoisonFreed(true);
     for (int64_t batch : {int64_t{1}, int64_t{2}}) {
         Tensor in = cifarInput(31 + static_cast<uint64_t>(batch), batch);
-        expectBitExact(canary.run(in), legacy.run(in),
+        expectBitExact(canary.run(in), model->run(in),
                        "RNT poison canary batch " + std::to_string(batch));
     }
 }
@@ -161,23 +159,42 @@ TEST(MemPlanExec, ArenaIsAtMost60PercentOfPerLayerOnResNet)
         << plan.sumBytes(1) << " B";
 }
 
-TEST(MemPlanExec, AutoModePicksArenaWhenPlanExists)
+TEST(MemPlanExec, CompiledAndRestoredModelsShareOnePlan)
 {
-    auto model = compileZoo("MBNT", FrameworkKind::kPatDnn, makeCpuDevice(2));
-    InferenceSession auto_session(model);  // kAuto default.
-    EXPECT_TRUE(auto_session.usesPlannedArena());
-
-    // Planning disabled at compile time -> kAuto falls back per-layer.
-    Model m = buildByShortName("MBNT", Dataset::kCifar10);
-    CompileOptions no_plan;
-    no_plan.enable_memory_plan = false;
-    auto unplanned = std::make_shared<const CompiledModel>(
-        m, FrameworkKind::kPatDnn, makeCpuDevice(2), no_plan);
-    EXPECT_FALSE(unplanned->hasMemoryPlan());
-    InferenceSession fallback(unplanned);
-    Tensor out = fallback.run(cifarInput(5, 1));
-    EXPECT_FALSE(fallback.usesPlannedArena());
-    EXPECT_EQ(out.shape(), Shape({1, 10}));
+    // Artifacts store no plan: a restored model derives it from the
+    // layer records, and it must be the compiled plan, slot for slot.
+    // Every session is planned: over either model, its activations are
+    // exactly the plan's arena.
+    DeviceSpec dev = makeCpuDevice(2);
+    const int64_t batch = 1;
+    Tensor in = cifarInput(5, batch);
+    for (const char* name : {"VGG", "RNT", "MBNT"})
+        for (FrameworkKind kind : {FrameworkKind::kPatDnn, FrameworkKind::kPatDnnDense}) {
+            std::string what = std::string(name) + "/" + frameworkName(kind);
+            auto compiled = compileZoo(name, kind, dev);
+            auto restored = deserializeModel(serializeModel(*compiled), dev);
+            ASSERT_TRUE(restored.ok()) << what << ": " << restored.status().toString();
+            const MemoryPlan& want = compiled->memoryPlan();
+            const MemoryPlan& got = restored.value()->memoryPlan();
+            ASSERT_FALSE(want.empty()) << what;
+            ASSERT_EQ(got.slotCount(), want.slotCount()) << what;
+            EXPECT_EQ(got.arenaElemsPerSample(), want.arenaElemsPerSample()) << what;
+            EXPECT_EQ(got.sumElemsPerSample(), want.sumElemsPerSample()) << what;
+            for (size_t i = 0; i < want.slotCount(); ++i) {
+                const PlanSlot& g = got.slot(i);
+                const PlanSlot& w = want.slot(i);
+                EXPECT_TRUE(g.planned == w.planned && g.offset_elems == w.offset_elems &&
+                            g.size_elems == w.size_elems && g.def == w.def &&
+                            g.last_use == w.last_use)
+                    << what << " slot " << i;
+            }
+            for (const auto& model :
+                 {compiled, std::shared_ptr<const CompiledModel>(restored.value())}) {
+                InferenceSession session(model);
+                EXPECT_EQ(session.run(in).shape(), Shape({batch, 10})) << what;
+                EXPECT_EQ(session.activationBytes(), want.arenaBytes(batch)) << what;
+            }
+        }
 }
 
 TEST(MemPlanExec, ConcurrentPlannedSessionsAreIndependent)
@@ -185,17 +202,16 @@ TEST(MemPlanExec, ConcurrentPlannedSessionsAreIndependent)
     // Sessions share the model but each owns its arena; concurrent
     // planned runs must not interfere (the serving workers' shape).
     auto model = compileZoo("VGG", FrameworkKind::kPatDnn, makeCpuDevice(2));
-    InferenceSession reference(model, SessionMemory::kPerLayer);
     std::vector<Tensor> inputs, expected;
     for (uint64_t s = 0; s < 4; ++s) {
         inputs.push_back(cifarInput(100 + s, 1));
-        expected.push_back(reference.run(inputs.back()));
+        expected.push_back(model->run(inputs.back()));
     }
     std::vector<Tensor> got(inputs.size());
     std::vector<std::thread> threads;
     for (size_t i = 0; i < inputs.size(); ++i)
         threads.emplace_back([&, i] {
-            InferenceSession session(model, SessionMemory::kPlannedArena);
+            InferenceSession session(model);
             got[i] = session.run(inputs[i]);
         });
     for (std::thread& t : threads)
@@ -210,8 +226,7 @@ TEST(MemPlanExec, OutputSurvivesNextRun)
     // The returned tensor must be an owning copy, not a view into the
     // arena the next run overwrites.
     auto model = compileZoo("MBNT", FrameworkKind::kPatDnn, makeCpuDevice(2));
-    InferenceSession planned(model, SessionMemory::kPlannedArena);
-    InferenceSession legacy(model, SessionMemory::kPerLayer);
+    InferenceSession planned(model);
     Tensor in_a = cifarInput(1, 1);
     Tensor in_b = cifarInput(2, 1);
     Tensor out_a = planned.run(in_a);
@@ -220,8 +235,8 @@ TEST(MemPlanExec, OutputSurvivesNextRun)
     expectBitExact(out_a, out_a_copy, "first output after second run");
     // Both outputs stay individually correct: neither is a live view
     // into the (now twice-recycled) arena.
-    expectBitExact(out_a, legacy.run(in_a), "first output vs per-layer");
-    expectBitExact(out_b, legacy.run(in_b), "second output vs per-layer");
+    expectBitExact(out_a, model->run(in_a), "first output vs per-layer");
+    expectBitExact(out_b, model->run(in_b), "second output vs per-layer");
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
  * extra long-range edges, dead slots, varying extents) and asserts the
  * planner invariants hold on every one — plus targeted shapes (chain,
  * diamond, dead output predecessors) where the expected packing is
- * known, and negative cases proving validateAgainst() rejects every
- * class of corrupted plan the artifact loader must refuse.
+ * known, and negative cases proving validateAgainst() — the sweep's
+ * oracle — rejects every class of corrupted plan.
  */
 #include <gtest/gtest.h>
 
@@ -244,8 +244,8 @@ TEST(MemPlan, LifetimesOutputSurvivesRunLoop)
     EXPECT_EQ(lives[2].last_use, 3);  // == node count: read after the loop.
 }
 
-/** validateAgainst must refuse every corruption class a hostile v4
- * artifact could carry — these are the load-time safety net. */
+/** validateAgainst must refuse every corruption class of a plan, or it
+ * could not serve as the property sweep's oracle. */
 class MemPlanValidate : public ::testing::Test
 {
   protected:

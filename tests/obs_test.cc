@@ -666,7 +666,6 @@ TEST(SessionProfile, CompileRegistersMemplanGaugesAndRunsCount)
     EXPECT_GE(MetricsRegistry::global().gauge("memplan.reuse_x").value(), 1.0);
 
     InferenceSession session(model);
-    ASSERT_TRUE(session.usesPlannedArena());
     Tensor in(Shape{1, 3, 8, 8});
     Rng rng(5);
     in.fillUniform(rng, -1.0f, 1.0f);

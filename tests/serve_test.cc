@@ -267,11 +267,13 @@ TEST(Session, SharedModelConcurrentSessionsMatchSerial)
                 << "session " << s << " request " << r;
 }
 
-TEST(Session, SingleElementOutputReusesWorkspaceSafely)
+TEST(Workspace, PerLayerSingleElementOutputReusesSlotSafely)
 {
-    // Regression: a fresh Workspace slot is rank-0 with numel() == 1
-    // but no storage; a 1-element output (e.g. a scalar regression
-    // head) must allocate it rather than reshape it.
+    // Regression: a fresh per-layer Workspace slot is rank-0 with
+    // numel() == 1 but no storage; a 1-element output (e.g. a scalar
+    // regression head) must allocate it rather than reshape it. The
+    // model reads its input through a flatten, so it has no memory plan
+    // and runs on the per-layer Workspace only.
     Model m("scalar-head", "test");
     Layer fl;
     fl.kind = OpKind::kFlatten;
@@ -286,14 +288,13 @@ TEST(Session, SingleElementOutputReusesWorkspaceSafely)
     m.randomizeWeights(5);
 
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    auto model = std::make_shared<const CompiledModel>(
-        m, FrameworkKind::kPatDnnDense, dev);
-    InferenceSession session(model);
+    CompiledModel model(m, FrameworkKind::kPatDnnDense, dev);
+    Workspace ws;
     Tensor in(Shape{1, 3, 4, 4});
     Rng rng(6);
     in.fillUniform(rng, -1.0f, 1.0f);
-    Tensor a = session.run(in);
-    Tensor b = session.run(in);
+    Tensor a = model.run(in, ws);
+    Tensor b = model.run(in, ws);
     EXPECT_EQ(a.shape(), Shape({1, 1}));
     EXPECT_EQ(Tensor::maxAbsDiff(a, b), 0.0);
 }
@@ -919,25 +920,21 @@ TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
 }
 
 // ---------------------------------------------------------------------------
-// Artifact memory-plan record
+// Artifact memory plan
 // ---------------------------------------------------------------------------
 
-TEST(Artifact, V4RoundTripRestoresMemoryPlan)
+TEST(Artifact, RestoredModelDerivesTheCompiledMemoryPlan)
 {
+    // The artifact stores no plan: the restored model derives it from
+    // the layer records, and it is the compiled plan, slot for slot.
     Model m = tinyModel();
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     ASSERT_TRUE(compiled.hasMemoryPlan());
 
-    ArtifactInfo info;
-    auto loaded = deserializeModel(serializeModel(compiled), dev,
-                                   ArtifactLoadOptions{}, &info);
+    auto loaded = deserializeModel(serializeModel(compiled), dev);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(info.version, kModelArtifactVersion);
-    EXPECT_TRUE(info.compile_opts.enable_memory_plan);
     ASSERT_TRUE(loaded.value()->hasMemoryPlan());
-
-    // The restored plan is the compiled plan, slot for slot.
     const MemoryPlan& want = compiled.memoryPlan();
     const MemoryPlan& got = loaded.value()->memoryPlan();
     ASSERT_EQ(got.slotCount(), want.slotCount());
@@ -948,14 +945,15 @@ TEST(Artifact, V4RoundTripRestoresMemoryPlan)
         EXPECT_EQ(got.slot(i).planned, want.slot(i).planned) << i;
         EXPECT_EQ(got.slot(i).offset_elems, want.slot(i).offset_elems) << i;
         EXPECT_EQ(got.slot(i).size_elems, want.slot(i).size_elems) << i;
+        EXPECT_EQ(got.slot(i).def, want.slot(i).def) << i;
         EXPECT_EQ(got.slot(i).last_use, want.slot(i).last_use) << i;
     }
 
-    // A planned-arena session over the restored model runs bit-exact
-    // against the original compile.
+    // A session over the restored model runs bit-exact against the
+    // original compile.
     Tensor in = makeInput(41, 2);
     Tensor expect = compiled.run(in);
-    InferenceSession session(loaded.value(), SessionMemory::kPlannedArena);
+    InferenceSession session(loaded.value());
     Tensor out = session.run(in);
     ASSERT_EQ(out.shape(), expect.shape());
     EXPECT_EQ(std::memcmp(out.data(), expect.data(),
@@ -1102,58 +1100,6 @@ TEST(Artifact, CorruptQuantRecordIsDataLossWithQuantSlug)
     }
 }
 
-TEST(Artifact, CorruptMemoryPlanIsDataLossWithPlanSlug)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    std::vector<uint8_t> bytes = serializeModel(compiled);
-
-    // The plan record sits at the payload tail; the final four bytes
-    // before the checksum are the last planned slot's last_use. Mutate
-    // it and reseal the checksum: the bytes are well-framed and
-    // checksum-valid, so only the plan validation gate can refuse them.
-    {
-        std::vector<uint8_t> bad = bytes;
-        bad[bad.size() - 9] ^= 0x04;  // last_use high bits.
-        auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kBadMemoryPlan);
-    }
-    // An offset mutation that breaks alignment / aliasing is refused
-    // the same way (never reaches a session).
-    {
-        std::vector<uint8_t> bad = bytes;
-        bad[bad.size() - 9 - 4 - 4 - 8] ^= 0x01;  // offset_elems low byte.
-        auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kBadMemoryPlan);
-    }
-}
-
-TEST(Artifact, TruncatedMemoryPlanRecordIsDataLoss)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    std::vector<uint8_t> bytes = serializeModel(compiled);
-
-    // Drop the tail of the plan record but keep the framing honest
-    // (payload size backpatched, checksum recomputed): a mid-plan EOF
-    // is a malformed payload, not a checksum or stream error.
-    for (size_t cut : {size_t(1), size_t(5), size_t(17)}) {
-        std::vector<uint8_t> bad = bytes;
-        bad.erase(bad.end() - 8 - static_cast<long>(cut), bad.end() - 8);
-        auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
-        ASSERT_FALSE(r.ok()) << cut;
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << cut;
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kMalformedPayload)
-            << cut;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // One artifact format; artifact bytes as untrusted input
 // ---------------------------------------------------------------------------
@@ -1227,7 +1173,7 @@ TEST(Artifact, RejectsEveryOtherVersion)
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::vector<uint8_t> bytes = serializeModel(compiled);
     std::string path = tempArtifactPath("version");
-    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 0xFFFFFFFFu}) {
+    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
         auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
@@ -1250,8 +1196,8 @@ TEST(Artifact, RejectsEveryOtherVersion)
 
 /** A small model built by hand through the restore constructor: fixed
  * weights, explicit tuning, provenance and tuned ISA, one FKW (pattern)
- * conv, one int8 dense conv, a dead slot and a memory plan, so its
- * serialized bytes depend on nothing but the artifact layout. */
+ * conv, one int8 dense conv and a dead slot, so its serialized bytes
+ * depend on nothing but the artifact layout. */
 std::shared_ptr<CompiledModel>
 formatPinModel()
 {
@@ -1331,25 +1277,21 @@ formatPinModel()
     co.opts = sw;
     co.run_graph_passes = true;
     co.seed = 9;
-    co.enable_memory_plan = true;
     co.precision = Precision::kInt8;
     co.calibration.method = CalibrationMethod::kPercentile;
     co.calibration.percentile = 99.0;
     co.calibration.samples = 3;
     co.calibration.seed = 11;
-    auto model = std::make_shared<CompiledModel>(
-        FrameworkKind::kPatDnnDense, makeFixedWidthCpuDevice(2), std::move(layers),
-        4, SimdIsa::kAvx2, co);
-    Status adopted = model->adoptMemoryPlan(planActivations(model->planNodes(), 4));
-    EXPECT_TRUE(adopted.ok()) << adopted.toString();
-    return model;
+    return std::make_shared<CompiledModel>(FrameworkKind::kPatDnnDense,
+                                           makeFixedWidthCpuDevice(2),
+                                           std::move(layers), 4, SimdIsa::kAvx2, co);
 }
 
 TEST(Artifact, FormatPinnedForTheCurrentVersion)
 {
     // Any change to the byte layout must bump kModelArtifactVersion and
     // re-pin these values: loaders refuse every other version.
-    ASSERT_EQ(kModelArtifactVersion, 6u);
+    ASSERT_EQ(kModelArtifactVersion, 7u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1357,8 +1299,8 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h ^= b;
         h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(bytes.size(), 1930u);
-    EXPECT_EQ(h, 0xa647cf47a13f0911ULL);
+    EXPECT_EQ(bytes.size(), 1799u);
+    EXPECT_EQ(h, 0xc2e374e2bd39abe2ULL);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(serializeModel(*loaded.value()), bytes);
@@ -1372,17 +1314,17 @@ TEST(Artifact, InflatedLayerCountIsRefusedWithoutAllocating)
     std::vector<uint8_t> bytes = serializeModel(compiled);
     // The fixed-size payload prefix ends with the output-node id and the
     // layer count; the layer table starts right after it.
-    const size_t count_at = kArtifactHeader + 80;
+    const size_t count_at = kArtifactHeader + 79;
     ASSERT_EQ(std::vector<uint8_t>(bytes.begin() + count_at,
                                    bytes.begin() + count_at + 4),
               le(compiled.nodeCount(), 4));
 
-    // 108 bytes claiming 2^20 layers: header, provenance, output node,
+    // 107 bytes claiming 2^20 layers: header, provenance, output node,
     // count, checksum and no layer records at all.
     std::vector<uint8_t> bad(bytes.begin(), bytes.begin() + static_cast<long>(count_at) + 4);
     poke(bad, count_at, 1u << 20, 4);
     bad.resize(bad.size() + 8);
-    ASSERT_EQ(bad.size(), 108u);
+    ASSERT_EQ(bad.size(), 107u);
     rusage before{};
     getrusage(RUSAGE_SELF, &before);
     expectMalformed(bad, dev);
@@ -1391,14 +1333,9 @@ TEST(Artifact, InflatedLayerCountIsRefusedWithoutAllocating)
     EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024) << "KB of peak RSS";
 
     // A count the bytes could hold, but the payload ends inside the
-    // table: a plan-less model's records with the closing has-plan byte
-    // dropped and one more record claimed.
-    CompileOptions no_plan;
-    no_plan.enable_memory_plan = false;
-    CompiledModel planless(m, FrameworkKind::kPatDnn, dev, no_plan);
-    bad = serializeModel(planless);
-    bad.erase(bad.end() - 9);
-    poke(bad, count_at, planless.nodeCount() + 1, 4);
+    // table: every record of the model, and one more claimed.
+    bad = bytes;
+    poke(bad, count_at, compiled.nodeCount() + 1, 4);
     expectMalformed(std::move(bad), dev);
 }
 

@@ -7,9 +7,9 @@
 # AVX2 — and anyone reproducing the CI matrix's scalar cell — run
 # tier-1 against the same configuration CI uses without clobbering the
 # default build tree's cache. The memory-planner suites (memplan_test,
-# memplan_exec_test) run in both cells: planned-arena execution must be
-# bit-exact against per-layer execution on the vector AND scalar kernel
-# paths.
+# memplan_exec_test) run in both cells: every session runs out of its
+# model's planned arena, and it must be bit-exact against the per-layer
+# Workspace of CompiledModel::run on the vector AND scalar kernel paths.
 #
 # --trace-off configures with -DPATDNN_ENABLE_TRACING=OFF in
 # build-notrace/, reproducing CI's tracing-compiled-out cell: proves
