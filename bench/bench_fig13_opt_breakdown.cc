@@ -7,8 +7,10 @@
  *   No-opt          — loose format, per-kernel dispatch, no LRE,
  *                     default untuned parameters;
  *   +Reorder        — FKR (tight FKW, branch-free segments, balance);
- *   +Reorder+LRE    — adds register-level load redundancy elimination;
- *   +Reorder+LRE+Tune — adds GA-tuned tile/unroll/permutation.
+ *   +Reorder+LRE    — adds register-level load redundancy elimination:
+ *                     the padded flat-row kernel with per-filter
+ *                     register accumulators;
+ *   +Reorder+LRE+Tune — adds GA-tuned row tile/task size/permutation.
  */
 #include "bench_common.h"
 
@@ -25,12 +27,12 @@ timeConfig(const ConvDesc& d, const DeviceSpec& dev, bool reorder, bool lre,
     opts.opts.lre = lre;
     opts.opts.tuned = tune;
     if (!tune) {
-        // Deliberately bland defaults: whole-plane, no spatial blocking.
-        // Filter-level LRE (unroll_oc bundling) is part of the +LRE
-        // level per Fig. 11; everything else stays untuned.
+        // Deliberately bland defaults: whole-plane, no spatial
+        // blocking, weight-stationary loop order; LRE alone keeps each
+        // filter's accumulators in registers across its kernels.
         opts.default_tuning.blocked = false;
-        opts.default_tuning.permute = LoopPermutation::kCoCiHW;
-        opts.default_tuning.unroll_oc = lre ? 4 : 1;
+        opts.default_tuning.permute = lre ? LoopPermutation::kCoHWCi
+                                          : LoopPermutation::kCoCiHW;
         opts.default_tuning.filters_per_task = 64;
     }
     bench::ConvLayerModel layer(d, FrameworkKind::kPatDnn, dev, opts);

@@ -2,8 +2,11 @@
  * @file
  * Fig. 15 reproduction: achieved GFLOPS of each unique VGG CONV layer
  * under the four loop configurations the auto-tuner chooses between —
- * {CoCiHW, CoHWCi} x {no-block, block}. Different layers prefer
- * different configurations, which is why per-layer tuning pays.
+ * the register pixel block inside the kernel loop (CoCiHW: accumulators
+ * round-trip memory per kernel) or outside it (CoHWCi: they stay in
+ * registers across the filter's kernels), each with and without
+ * 8-row tiling. Different layers prefer different configurations,
+ * which is why per-layer tuning pays.
  */
 #include "bench_common.h"
 
@@ -30,7 +33,7 @@ main()
 {
     bench::banner("Fig. 15", "GFLOPS across loop permutations and blocking");
     DeviceSpec dev = makeCpuDevice(8);
-    Table t({"Layer", "CoCiHW", "CoHWCi", "CoCiHW-Block", "CoHWCi-Block"});
+    Table t({"Layer", "BlockIn", "BlockOut", "BlockIn-Rows", "BlockOut-Rows"});
     for (const auto& d : vggUniqueLayers(bench::spatialScale())) {
         t.addRow({d.name,
                   Table::num(gflopsFor(d, dev, LoopPermutation::kCoCiHW, false), 2),

@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark micro-benchmarks for the hot building blocks:
- * pattern micro-kernels (LRE vs no-LRE vs multi-filter), FKW packing,
+ * pattern micro-kernels (padded LRE vs guarded vs no-LRE), FKW packing,
  * FKR, projections, and a single pattern-engine layer. These are the
  * kernels whose relative costs explain the figure-level results.
  */
@@ -34,43 +34,94 @@ struct KernelFixture
     }
 };
 
-void
-BM_SimdAccumRows(benchmark::State& state, const SimdOps& ops)
+/**
+ * The padded flat-row form of a 64x64 plane at pad 1 (rows of 66
+ * floats) holding `channels` input channels, with the pattern's taps
+ * as flat offsets: what SimdOps::pattern_accum reads in PatternConv.
+ */
+struct PaddedFixture
 {
-    Rng rng(6);
-    constexpr int64_t kN = 1024;
-    constexpr int kLive = 4;
-    Tensor row_data(Shape{kLive, kN});
-    row_data.fillUniform(rng, -1.0f, 1.0f);
-    const float* rows[kLive];
-    float w[kLive];
-    for (int e = 0; e < kLive; ++e) {
-        rows[e] = row_data.data() + e * kN;
-        w[e] = rng.normal();
+    static constexpr int64_t kWp = 66;
+    static constexpr int64_t kPlane = kWp * kWp;
+    static constexpr int64_t kLen = 63 * kWp + 64;  ///< Flat output positions.
+    int32_t taps[4];
+    std::vector<float> in;
+    std::vector<float> acc;
+    std::vector<float> weights;
+    std::vector<int32_t> channels;
+
+    explicit PaddedFixture(int kernels)
+    {
+        KernelFixture k;
+        for (int e = 0; e < 4; ++e)
+            taps[e] = static_cast<int32_t>(k.pk.dy[e] * kWp + k.pk.dx[e]);
+        Rng rng(5);
+        in.resize(static_cast<size_t>(kernels * kPlane + 8));
+        for (auto& v : in)
+            v = rng.uniform(-1.0f, 1.0f);
+        acc.assign(static_cast<size_t>(kLen), 0.0f);
+        for (int i = 0; i < kernels * 4; ++i)
+            weights.push_back(rng.normal());
+        for (int c = 0; c < kernels; ++c)
+            channels.push_back(c);
     }
-    Tensor out(Shape{kN});
+
+    PatternSegment
+    segment(int kernels) const
+    {
+        return {taps, 4, weights.data(), channels.data(), kernels};
+    }
+};
+
+/** One 16-kernel filter over the padded plane, per kernel table. */
+void
+BM_SimdPatternAccum(benchmark::State& state, const SimdOps& ops)
+{
+    constexpr int kKernels = 16;
+    PaddedFixture f(kKernels);
+    PatternSegment seg = f.segment(kKernels);
     for (auto _ : state) {
-        ops.accum_rows(rows, w, kLive, out.data(), kN, 16);
-        benchmark::DoNotOptimize(out.data());
+        ops.pattern_accum(f.in.data(), PaddedFixture::kPlane, &seg, 1,
+                          f.acc.data(), PaddedFixture::kLen);
+        benchmark::DoNotOptimize(f.acc.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kN * kLive);
+    state.SetItemsProcessed(state.iterations() * PaddedFixture::kLen * kKernels * 4);
     state.SetLabel(ops.name);
 }
-BENCHMARK_CAPTURE(BM_SimdAccumRows, scalar, scalarSimdOps());
-BENCHMARK_CAPTURE(BM_SimdAccumRows, dispatched, resolveSimdOps(detectSimdIsa()));
+BENCHMARK_CAPTURE(BM_SimdPatternAccum, scalar, scalarSimdOps());
+BENCHMARK_CAPTURE(BM_SimdPatternAccum, dispatched, resolveSimdOps(detectSimdIsa()));
 
+/** One kernel over the plane with LRE: the padded kernel the engine
+ * runs on stride-1 layers (same work as BM_MicrokernelNoLre). */
 void
 BM_MicrokernelLre(benchmark::State& state)
 {
+    PaddedFixture f(1);
+    PatternSegment seg = f.segment(1);
+    const SimdOps& ops = resolveSimdOps(detectSimdIsa());
+    for (auto _ : state) {
+        ops.pattern_accum(f.in.data(), PaddedFixture::kPlane, &seg, 1,
+                          f.acc.data(), PaddedFixture::kLen);
+        benchmark::DoNotOptimize(f.acc.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 64 * 64 * 4);
+}
+BENCHMARK(BM_MicrokernelLre);
+
+/** The guarded single-pass LRE loop strided layers keep. */
+void
+BM_MicrokernelLreGuarded(benchmark::State& state)
+{
     KernelFixture f;
     for (auto _ : state) {
-        kernelAccumulateLre(f.pk, f.weights, f.in.data(), f.out.data(), f.geom,
-                            static_cast<int>(state.range(0)));
+        kernelAccumulateLre(f.pk, f.weights, f.in.data(), f.out.data(), f.geom);
         benchmark::DoNotOptimize(f.out.data());
     }
     state.SetItemsProcessed(state.iterations() * 64 * 64 * 4);
 }
-BENCHMARK(BM_MicrokernelLre)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_MicrokernelLreGuarded);
 
 void
 BM_MicrokernelNoLre(benchmark::State& state)
@@ -83,27 +134,6 @@ BM_MicrokernelNoLre(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 64 * 64 * 4);
 }
 BENCHMARK(BM_MicrokernelNoLre);
-
-void
-BM_MicrokernelMultiFilter(benchmark::State& state)
-{
-    KernelFixture f;
-    int count = static_cast<int>(state.range(0));
-    std::vector<Tensor> outs(static_cast<size_t>(count), Tensor(Shape{64, 64}));
-    std::vector<float*> optrs;
-    std::vector<const float*> wptrs;
-    for (int i = 0; i < count; ++i) {
-        optrs.push_back(outs[static_cast<size_t>(i)].data());
-        wptrs.push_back(f.weights);
-    }
-    for (auto _ : state) {
-        kernelAccumulateMultiFilter(f.pk, wptrs.data(), f.in.data(), optrs.data(),
-                                    count, f.geom);
-        benchmark::DoNotOptimize(optrs.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * 64 * 4 * count);
-}
-BENCHMARK(BM_MicrokernelMultiFilter)->Arg(2)->Arg(4);
 
 void
 BM_ProjectJoint(benchmark::State& state)

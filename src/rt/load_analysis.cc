@@ -1,5 +1,7 @@
 #include "rt/load_analysis.h"
 
+#include <algorithm>
+
 namespace patdnn {
 
 LoadCounts
@@ -7,33 +9,33 @@ analyzeLoads(const ConvDesc& desc, const FkwLayer& fkw, const LayerwiseRep& lr,
              const DeviceSpec& device)
 {
     LoadCounts counts;
-    PatternPlan plan = preparePatternPlan(fkw, lr, device);
-    int64_t oh = desc.outH();
-    int64_t ow = desc.outW();
-    int64_t pixels = oh * ow;
-    int entries = plan.entries;
-
-    for (const auto& item : plan.items) {
-        for (const auto& op : item.ops) {
-            int64_t fc = op.filter_count;
-            if (lr.opts.lre) {
-                // One pass per op: each output element of each filter in
-                // the bundle is loaded once; input values are loaded
-                // once per x position (shared across the bundle);
-                // weights are loaded once per op into registers.
-                counts.output_loads += fc * pixels;
-                counts.input_loads += static_cast<int64_t>(entries) * pixels;
-                counts.weight_loads += fc * entries;
-            } else {
-                // One pass per entry: output re-loaded per entry; input
-                // loaded per (entry, pixel) for every filter separately;
-                // weight re-loaded per pass.
-                counts.output_loads += fc * pixels * entries;
-                counts.input_loads += fc * pixels * entries;
-                counts.weight_loads += fc * entries;
-            }
-        }
+    const int64_t oh = desc.outH(), ow = desc.outW();
+    const int64_t entries = fkw.entries;
+    const int64_t kernels = fkw.kernelCount();
+    if (!lr.opts.lre || desc.stride != 1) {
+        // Guarded passes over the output pixels: per entry without LRE
+        // (output re-loaded per entry), per kernel with it.
+        const int64_t pixels = oh * ow;
+        const int64_t passes = lr.opts.lre ? kernels : kernels * entries;
+        counts.output_loads = passes * pixels;
+        counts.input_loads = kernels * entries * pixels;
+        counts.weight_loads = kernels * entries;
+        return counts;
     }
+    // The padded flat-row kernel, tile by tile as PatternConv runs it.
+    const int64_t wp = desc.w + 2 * desc.pad;
+    const int64_t block = 4 * resolveSimdOps(device.simd_isa).width;
+    const int64_t tile = lr.tuning.blocked ? std::max<int64_t>(1, lr.tuning.tile_oh) : oh;
+    int64_t positions = 0, blocks = 0;
+    for (int64_t y0 = 0; y0 < oh; y0 += tile) {
+        const int64_t len = (std::min(oh, y0 + tile) - y0 - 1) * wp + ow;
+        positions += len;
+        blocks += (len + block - 1) / block;
+    }
+    const bool block_outside = lr.tuning.permute == LoopPermutation::kCoHWCi;
+    counts.output_loads = (block_outside ? fkw.filters : kernels) * positions;
+    counts.input_loads = kernels * entries * positions;
+    counts.weight_loads = kernels * entries * blocks;
     return counts;
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * Register-load analysis (Fig. 14b): counts the register load operations
- * the generated code performs with and without LRE, by walking the same
- * PatternPlan the executor runs. The counts are exact for the engine's
- * code structure (one load per input value read, one per output-value
- * read-modify-write read), so the before/after ratio mirrors the
- * paper's profiling experiment.
+ * the engine's code performs with and without LRE, for the loop
+ * structure PatternConv actually runs on the layer. Counts are per
+ * value (a vector load of w floats counts w), so the before/after
+ * ratio mirrors the paper's profiling experiment independent of the
+ * vector width.
  */
 #pragma once
 
@@ -28,9 +28,14 @@ struct LoadCounts
  * Count register loads for executing `fkw` under `lr` on `device`.
  *
  * Without LRE every entry performs its own pass: each output element is
- * re-loaded per entry and every input value is loaded per use. With LRE
- * a kernel makes one pass (single output load per element) and bundled
- * filters share one set of input loads.
+ * re-loaded per entry and every input value is loaded per use. A
+ * strided layer with LRE makes one guarded pass per kernel. A stride-1
+ * layer with LRE runs SimdOps::pattern_accum over flat rows of
+ * OH·(W+2p) positions (pad columns included): with the pixel block
+ * outside the kernel loop each accumulator is loaded once per filter
+ * and row tile, inside it once per kernel; every input value is loaded
+ * once per (kernel, entry, position) and every weight once per
+ * (kernel, entry, register block of 4 vectors of the device's ISA).
  */
 LoadCounts analyzeLoads(const ConvDesc& desc, const FkwLayer& fkw,
                         const LayerwiseRep& lr, const DeviceSpec& device);

@@ -26,9 +26,8 @@ LayerwiseRep::str() const
             out << ", ";
     }
     out << "], \"layout\": " << layout << "}\n";
-    out << "    tuning:  {\"unroll\": [" << tuning.unroll_oc << ", "
-        << tuning.unroll_w << "], \"tile\": [" << tuning.tile_oh << ", "
-        << tuning.tile_ow << "], \"permute\": "
+    out << "    tuning:  {\"tile\": [" << tuning.tile_oh << "], \"tasks\": "
+        << tuning.filters_per_task << ", \"permute\": "
         << permutationName(tuning.permute, tuning.blocked) << "}\n";
     out << "    info:    {\"strides\": [" << conv.stride << ", " << conv.stride
         << "], \"dilations\": [" << conv.dilation << ", " << conv.dilation << "]}\n";

@@ -5,7 +5,7 @@
  * The LR is the high-level, sparsity-aware description of one layer
  * that the execution-code-generation stage consumes: which pattern
  * types are present, how the weights are stored (FKW), and the
- * tuning-decided parameters (tile sizes, unroll factors, the loop
+ * tuning-decided parameters (row tile, task size, the loop
  * permutation). The pattern engine is configured entirely from an LR,
  * and the auto-tuner's job is to fill in its `tuning` block.
  */
@@ -19,11 +19,14 @@
 
 namespace patdnn {
 
-/** Computation loop permutations explored by tuning (Fig. 15). */
+/**
+ * Computation loop permutations explored by tuning (Fig. 15). On the
+ * stride-1 LRE path the spatial loop is the register pixel block.
+ */
 enum class LoopPermutation
 {
     kCoCiHW,  ///< filter -> kernel -> spatial (weight-stationary).
-    kCoHWCi,  ///< filter -> spatial tile -> kernel (input-stationary).
+    kCoHWCi,  ///< filter -> spatial -> kernel (accumulators stay put).
 };
 
 /** Permutation display name ("cohwci_b"-style as in Fig. 8). */
@@ -35,9 +38,6 @@ struct TuneParams
     LoopPermutation permute = LoopPermutation::kCoHWCi;
     bool blocked = true;      ///< Spatial tiling on/off.
     int64_t tile_oh = 16;     ///< Output-row tile (when blocked).
-    int64_t tile_ow = 64;     ///< Output-col tile (when blocked).
-    int unroll_w = 8;         ///< Register-blocked outputs per x step.
-    int unroll_oc = 4;        ///< Filter-level unrolling for LRE.
     int filters_per_task = 8; ///< Scheduling granularity.
 
     // Dense packed-GEMM cache blocking (rt/gemm_packed.h). 0 = derive

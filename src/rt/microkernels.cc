@@ -23,25 +23,7 @@ lowerPattern(const Pattern& p)
 
 namespace {
 
-/**
- * Interior x-range of an output row where every entry's input column is
- * in bounds (stride 1): [max_e(pad - dx_e), min_e(w + pad - dx_e)).
- */
-void
-interiorRange(const PatternKernel& pk, int64_t w, int64_t pad, int64_t x0, int64_t x1,
-              int64_t& lo, int64_t& hi)
-{
-    lo = x0;
-    hi = x1;
-    for (int e = 0; e < pk.entries; ++e) {
-        lo = std::max<int64_t>(lo, pad - pk.dx[e]);
-        hi = std::min<int64_t>(hi, w + pad - pk.dx[e]);
-    }
-    if (hi < lo)
-        hi = lo;
-}
-
-/** Fully guarded accumulation for one output element (border path). */
+/** Fully guarded accumulation for one output element. */
 inline float
 guardedDot(const PatternKernel& pk, const float* weights, const float* in, int64_t h,
            int64_t w, int64_t pad, int64_t stride, int64_t y, int64_t x)
@@ -67,55 +49,12 @@ guardedPatternDot(const PatternKernel& pk, const float* weights, const float* in
 
 void
 kernelAccumulateLre(const PatternKernel& pk, const float* weights, const float* in,
-                    float* out, const PlaneGeom& g, int unroll_w,
-                    const SimdOps* ops)
+                    float* out, const PlaneGeom& g)
 {
-    if (g.stride != 1) {
-        // Generic strided path (guarded, single pass).
-        for (int64_t y = g.y0; y < g.y1; ++y) {
-            float* orow = out + y * g.ow;
-            for (int64_t x = g.x0; x < g.x1; ++x)
-                orow[x] += guardedDot(pk, weights, in, g.h, g.w, g.pad, g.stride, y, x);
-        }
-        return;
-    }
-    const SimdOps& simd = ops != nullptr ? *ops : resolveSimdOps(detectSimdIsa());
-    const int uw = std::max(1, unroll_w);
     for (int64_t y = g.y0; y < g.y1; ++y) {
-        // Row validity per entry and hoisted input-row pointers: the
-        // "statically determined data access" of the generated code.
-        // Folding dy/dx into the base pointers here is what lets the
-        // vector kernels run branch-free over the interior columns.
-        const float* rows[9];
-        int live = 0;
-        float wv[9];
-        for (int e = 0; e < pk.entries; ++e) {
-            int64_t iy = y - g.pad + pk.dy[e];
-            if (iy < 0 || iy >= g.h)
-                continue;
-            rows[live] = in + iy * g.w + pk.dx[e] - g.pad;
-            wv[live] = weights[e];
-            ++live;
-        }
         float* orow = out + y * g.ow;
-        if (live == 0)
-            continue;
-        int64_t lo, hi;
-        interiorRange(pk, g.w, g.pad, g.x0, g.x1, lo, hi);
-        // Left border (guarded).
-        for (int64_t x = g.x0; x < lo; ++x)
-            orow[x] += guardedDot(pk, weights, in, g.h, g.w, g.pad, 1, y, x);
-        // Interior: single pass through the dispatched kernel table,
-        // output row loaded/stored once, weights broadcast per entry.
-        if (hi > lo) {
-            const float* shifted[9];
-            for (int e = 0; e < live; ++e)
-                shifted[e] = rows[e] + lo;
-            simd.accum_rows(shifted, wv, live, orow + lo, hi - lo, uw);
-        }
-        // Right border (guarded).
-        for (int64_t x = std::max(lo, hi); x < g.x1; ++x)
-            orow[x] += guardedDot(pk, weights, in, g.h, g.w, g.pad, 1, y, x);
+        for (int64_t x = g.x0; x < g.x1; ++x)
+            orow[x] += guardedDot(pk, weights, in, g.h, g.w, g.pad, g.stride, y, x);
     }
 }
 
@@ -140,59 +79,6 @@ kernelAccumulateNoLre(const PatternKernel& pk, const float* weights, const float
                     continue;
                 orow[x] += wv * irow[ix];
             }
-        }
-    }
-}
-
-void
-kernelAccumulateMultiFilter(const PatternKernel& pk, const float* const* weights,
-                            const float* in, float* const* outs, int count,
-                            const PlaneGeom& g, const SimdOps* ops)
-{
-    const SimdOps& simd = ops != nullptr ? *ops : resolveSimdOps(detectSimdIsa());
-    if (g.stride != 1 || count == 1) {
-        for (int f = 0; f < count; ++f)
-            kernelAccumulateLre(pk, weights[f], in, outs[f], g, 4, &simd);
-        return;
-    }
-    for (int64_t y = g.y0; y < g.y1; ++y) {
-        const float* rows[9];
-        int live = 0;
-        int live_map[9];
-        for (int e = 0; e < pk.entries; ++e) {
-            int64_t iy = y - g.pad + pk.dy[e];
-            if (iy < 0 || iy >= g.h)
-                continue;
-            rows[live] = in + iy * g.w + pk.dx[e] - g.pad;
-            live_map[live] = e;
-            ++live;
-        }
-        if (live == 0)
-            continue;
-        int64_t lo, hi;
-        interiorRange(pk, g.w, g.pad, g.x0, g.x1, lo, hi);
-        for (int f = 0; f < count; ++f) {
-            float* orow = outs[f] + y * g.ow;
-            for (int64_t x = g.x0; x < lo; ++x)
-                orow[x] +=
-                    guardedDot(pk, weights[f], in, g.h, g.w, g.pad, 1, y, x);
-            for (int64_t x = std::max(lo, hi); x < g.x1; ++x)
-                orow[x] +=
-                    guardedDot(pk, weights[f], in, g.h, g.w, g.pad, 1, y, x);
-        }
-        // Interior: the shared input columns are loaded once per vector
-        // and fanned out to all filters — the filter-level reuse of
-        // Fig. 11 — through the dispatched multi-filter kernel.
-        if (hi > lo) {
-            const float* shifted[9];
-            for (int e = 0; e < live; ++e)
-                shifted[e] = rows[e] + lo;
-            float* orow_ptrs[16];
-            PATDNN_CHECK_LE(count, 16, "multi-filter bundle limited to 16");
-            for (int f = 0; f < count; ++f)
-                orow_ptrs[f] = outs[f] + y * g.ow + lo;
-            simd.accum_rows_multi(shifted, live, live_map, weights, orow_ptrs,
-                                  count, hi - lo);
         }
     }
 }

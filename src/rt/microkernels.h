@@ -6,30 +6,29 @@
  * The real system emits one straight-line code block per kernel pattern
  * with all data-access instructions statically determined. Here each
  * pattern is "compiled" once into a PatternKernel — its kept positions
- * resolved to (dy, dx) offsets — and executed by fixed-arity unrolled
- * loops with no per-weight indirection, the branch-free property FKR
- * guarantees. Two variants exist per kernel:
+ * resolved to (dy, dx) offsets — and executed with no per-weight
+ * indirection, the branch-free property FKR guarantees.
  *
- *  - the LRE variant: one pass per kernel over the output tile with a
- *    register accumulator (output loaded/stored once; the unrolled
- *    entry group reuses the input rows held in registers), plus a
- *    filter-level variant that computes `unroll_oc` filters sharing a
- *    (pattern, input channel) on one set of input loads (Fig. 11);
+ * The stride-1 LRE path of the engine runs through the SimdOps
+ * `pattern_accum` kernel over a zero-padded input (rt/conv_pattern.h),
+ * which needs only the pattern's tap offsets. The guarded loops here
+ * serve everything else, each one pass per kernel over an unpadded
+ * plane:
+ *
+ *  - the LRE variant for strided layers: one pass per kernel over the
+ *    output tile with a register accumulator (output loaded/stored
+ *    once);
  *  - the no-LRE variant: one pass per entry, reloading output and
- *    input each time — the redundant-load behaviour LRE removes.
+ *    input each time — the redundant-load behaviour LRE removes;
+ *  - guardedPatternDot, the per-pixel call of the No-opt baseline.
  *
- * The LRE variants execute their stride-1 interior through a SimdOps
- * kernel table (rt/simd/dispatch.h) — AVX2/NEON when available, the
- * bit-identical scalar table otherwise. The no-LRE variant is
- * deliberately left scalar: it models the unoptimized baseline.
+ * All three are deliberately scalar and bounds-checked.
  */
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "prune/pattern.h"
-#include "rt/simd/dispatch.h"
 
 namespace patdnn {
 
@@ -57,17 +56,11 @@ struct PlaneGeom
 };
 
 /**
- * LRE micro-kernel: out[y][x] += sum_e w[e] * in[y*s-pad+dy[e]][...] for
- * the tile, single pass, `unroll_w`-wide register blocking on the
- * stride-1 interior fast path. The interior runs through `ops`
- * (a SimdOps kernel table; null = the process-best table), with the
- * per-pattern dy/dx offsets pre-folded into hoisted row pointers so the
- * vector kernels only broadcast weights and stream columns. Borders and
- * strided tiles keep the guarded scalar path.
+ * LRE micro-kernel for strided layers: out[y][x] += sum_e w[e] *
+ * in[y*s-pad+dy[e]][x*s-pad+dx[e]] over the tile, one guarded pass.
  */
 void kernelAccumulateLre(const PatternKernel& pk, const float* weights,
-                         const float* in, float* out, const PlaneGeom& g,
-                         int unroll_w, const SimdOps* ops = nullptr);
+                         const float* in, float* out, const PlaneGeom& g);
 
 /**
  * No-LRE micro-kernel: one full pass over the tile per entry (output
@@ -75,19 +68,6 @@ void kernelAccumulateLre(const PatternKernel& pk, const float* weights,
  */
 void kernelAccumulateNoLre(const PatternKernel& pk, const float* weights,
                            const float* in, float* out, const PlaneGeom& g);
-
-/**
- * Filter-level LRE micro-kernel (Fig. 11 right): `count` filters share
- * this (pattern, input channel); input values are loaded once and
- * accumulated into every filter's output plane. `weights[f]` points at
- * the f-th filter's packed kernel weights and `outs[f]` at its output
- * plane. Interior columns go through `ops->accum_rows_multi` (input
- * rows loaded once per vector, fanned out to every filter).
- */
-void kernelAccumulateMultiFilter(const PatternKernel& pk,
-                                 const float* const* weights, const float* in,
-                                 float* const* outs, int count,
-                                 const PlaneGeom& g, const SimdOps* ops = nullptr);
 
 /**
  * One guarded output element: sum over the pattern's entries with full

@@ -5,18 +5,19 @@
  * PatDNN's generated mobile code leans on the vector units (NEON on the
  * paper's Snapdragon/Kirin targets); this layer is the host-side
  * equivalent. Each ISA provides one table of vectorized primitives
- * (SimdOps) for the hot inner loops — the LRE interior accumulation,
- * the filter-level multi-filter fan-out, the CSR row saxpy, the ReLU
- * epilogue and the packed-GEMM tile kernel the dense im2col/Winograd
- * executors run on — and one binary selects the best table at load
+ * (SimdOps) for the hot inner loops — the pattern engine's per-filter
+ * register-block accumulation, the CSR row saxpy, the ReLU epilogue and
+ * the packed-GEMM tile kernel the dense im2col/Winograd executors run
+ * on — and one binary selects the best table at load
  * time from CPU features (AVX2 on x86-64, NEON on aarch64, scalar
  * otherwise).
  *
  * Determinism contract: every table computes bit-identical results to
  * scalarSimdOps() — same per-element operation order, plain IEEE mul
  * then add, no FMA contraction — so executors can switch ISA freely
- * (and tests can diff exactly). Vector kernels only widen the x loop;
- * they never reassociate the per-entry accumulation chain.
+ * (and tests can diff exactly). Vector kernels only widen the
+ * position loop; they never reassociate the per-entry accumulation
+ * chain.
  *
  * Build gating: PATDNN_ENABLE_SIMD=OFF compiles only the scalar table.
  * The AVX2 translation unit is compiled with -mavx2 but its table is
@@ -47,6 +48,19 @@ const char* isaName(SimdIsa isa);
 bool parseIsaName(const std::string& s, SimdIsa* out);
 
 /**
+ * One pattern segment of a reordered filter as pattern_accum walks it:
+ * `count` consecutive FKW kernels sharing one pattern.
+ */
+struct PatternSegment
+{
+    const int32_t* taps = nullptr;      ///< `entries` flat tap offsets.
+    int entries = 0;
+    const float* weights = nullptr;     ///< count x entries, FKW order.
+    const int32_t* channels = nullptr;  ///< count input channels (FKW index).
+    int64_t count = 0;
+};
+
+/**
  * One ISA's vectorized primitives. All functions tolerate unaligned
  * pointers and any n >= 0; `out`/`y` must not alias the inputs.
  */
@@ -54,26 +68,26 @@ struct SimdOps
 {
     SimdIsa isa = SimdIsa::kScalar;
     const char* name = "scalar";
-    int width = 1;  ///< Floats per vector step (tuning hint).
+    int width = 1;  ///< Floats per vector step.
 
     /**
-     * LRE interior accumulation over `n` output columns:
-     *   out[i] = (((out[i] + w[0]*rows[0][i]) + w[1]*rows[1][i]) + ...)
-     * for e in [0, live). `unroll` is the tuner's register-block width
-     * (columns per blocked step); ISAs treat it as a hint.
+     * Pattern-engine inner loop (rt/conv_pattern.h): one reordered
+     * filter's FKW kernels over flat output positions [0, n) of a
+     * zero-padded, row-flattened input, held in registers in blocks of
+     * up to 4 vectors. For every position i:
+     *   acc = out[i];
+     *   for each segment s, kernel k < s.count, entry e < s.entries:
+     *     acc = acc + s.weights[k*s.entries + e]
+     *                 * in[s.channels[k]*plane + s.taps[e] + i];
+     *   out[i] = acc;
+     * — one fixed order, mul then add, whatever the block size.
+     * Writes exactly out[0, n). Reads each tap up to position
+     * roundup(n, width) - 1, so the caller leaves width - 1 readable
+     * floats past the furthest tap of the last position.
      */
-    void (*accum_rows)(const float* const* rows, const float* w, int live,
-                       float* out, int64_t n, int unroll);
-
-    /**
-     * Filter-level LRE interior (Fig. 11 right): load rows[e][i] once,
-     * fan out to `count` filters:
-     *   outs[f][i] += sum_e w[f][wsel[e]] * rows[e][i]
-     * with the same sequential per-entry order as accum_rows.
-     */
-    void (*accum_rows_multi)(const float* const* rows, int live,
-                             const int* wsel, const float* const* w,
-                             float* const* outs, int count, int64_t n);
+    void (*pattern_accum)(const float* in, int64_t plane,
+                          const PatternSegment* segs, int nsegs, float* out,
+                          int64_t n);
 
     /** y[i] += a * x[i] (the CSR stride-1 inner row update). */
     void (*axpy)(float a, const float* x, float* y, int64_t n);

@@ -1,11 +1,11 @@
 /**
  * @file
- * AVX2 SimdOps table: 8 output columns per vector, 16 on the blocked
- * main loop. Compiled with -mavx2 (no -mfma: the mul+add pair must
- * round like the scalar reference — the FMA's single rounding would
- * break the bit-exactness contract of dispatch.h). Per-pattern weights
- * arrive pre-hoisted by the caller (rows[] already folds dy/dx into
- * the base pointers) and are broadcast-loaded once per entry.
+ * AVX2 SimdOps table: 8 output positions per vector, up to 4 vectors
+ * per pattern register block. Compiled with -mavx2 (no -mfma: the
+ * mul+add pair must round like the scalar reference — the FMA's single
+ * rounding would break the bit-exactness contract of dispatch.h).
+ * Pattern tap offsets arrive pre-computed per segment and weights are
+ * broadcast-loaded once per kernel and block.
  *
  * This TU contains AVX2 instructions, so it must only be reached via
  * simdOpsFor(kAvx2), which checks cpuid first.
@@ -21,78 +21,79 @@
 namespace patdnn {
 namespace {
 
-void
-accumRowsAvx2(const float* const* rows, const float* w, int live, float* out,
-              int64_t n, int unroll)
+// One block of NV full vectors (8 positions each) held in ymm
+// accumulators across the filter's whole kernel walk. Four-entry
+// patterns — every PatDNN pattern — get straight-line code with the
+// segment's tap offsets hoisted into registers; other sizes loop over
+// the entries. Either way each lane sees the reference chain order.
+template <int NV>
+inline void
+patternBlockAvx2(const float* in, int64_t plane, const PatternSegment* segs,
+                 int nsegs, float* out)
 {
-    int64_t i = 0;
-    // Two accumulators per step when the tuner asks for a block of at
-    // least two vectors: hides the add latency without reassociating
-    // any per-lane chain.
-    if (unroll >= 16) {
-        for (; i + 16 <= n; i += 16) {
-            __m256 a0 = _mm256_loadu_ps(out + i);
-            __m256 a1 = _mm256_loadu_ps(out + i + 8);
-            for (int e = 0; e < live; ++e) {
-                const __m256 wv = _mm256_set1_ps(w[e]);
-                a0 = _mm256_add_ps(
-                    a0, _mm256_mul_ps(wv, _mm256_loadu_ps(rows[e] + i)));
-                a1 = _mm256_add_ps(
-                    a1, _mm256_mul_ps(wv, _mm256_loadu_ps(rows[e] + i + 8)));
+    __m256 acc[NV];
+    for (int v = 0; v < NV; ++v)
+        acc[v] = _mm256_loadu_ps(out + 8 * v);
+    for (int s = 0; s < nsegs; ++s) {
+        const PatternSegment& sg = segs[s];
+        const float* w = sg.weights;
+        if (sg.entries == 4) {
+            const int64_t t0 = sg.taps[0], t1 = sg.taps[1];
+            const int64_t t2 = sg.taps[2], t3 = sg.taps[3];
+            for (int64_t k = 0; k < sg.count; ++k, w += 4) {
+                const float* base = in + sg.channels[k] * plane;
+                const __m256 w0 = _mm256_broadcast_ss(w);
+                const __m256 w1 = _mm256_broadcast_ss(w + 1);
+                const __m256 w2 = _mm256_broadcast_ss(w + 2);
+                const __m256 w3 = _mm256_broadcast_ss(w + 3);
+                for (int v = 0; v < NV; ++v) {
+                    const float* x = base + 8 * v;
+                    __m256 a = acc[v];
+                    a = _mm256_add_ps(a, _mm256_mul_ps(w0, _mm256_loadu_ps(x + t0)));
+                    a = _mm256_add_ps(a, _mm256_mul_ps(w1, _mm256_loadu_ps(x + t1)));
+                    a = _mm256_add_ps(a, _mm256_mul_ps(w2, _mm256_loadu_ps(x + t2)));
+                    a = _mm256_add_ps(a, _mm256_mul_ps(w3, _mm256_loadu_ps(x + t3)));
+                    acc[v] = a;
+                }
             }
-            _mm256_storeu_ps(out + i, a0);
-            _mm256_storeu_ps(out + i + 8, a1);
+            continue;
+        }
+        for (int64_t k = 0; k < sg.count; ++k, w += sg.entries) {
+            const float* base = in + sg.channels[k] * plane;
+            for (int e = 0; e < sg.entries; ++e) {
+                const __m256 we = _mm256_broadcast_ss(w + e);
+                const float* x = base + sg.taps[e];
+                for (int v = 0; v < NV; ++v)
+                    acc[v] = _mm256_add_ps(
+                        acc[v], _mm256_mul_ps(we, _mm256_loadu_ps(x + 8 * v)));
+            }
         }
     }
-    for (; i + 8 <= n; i += 8) {
-        __m256 acc = _mm256_loadu_ps(out + i);
-        for (int e = 0; e < live; ++e)
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_set1_ps(w[e]),
-                                   _mm256_loadu_ps(rows[e] + i)));
-        _mm256_storeu_ps(out + i, acc);
-    }
-    for (; i < n; ++i) {
-        float acc = out[i];
-        for (int e = 0; e < live; ++e)
-            acc += w[e] * rows[e][i];
-        out[i] = acc;
-    }
+    for (int v = 0; v < NV; ++v)
+        _mm256_storeu_ps(out + 8 * v, acc[v]);
 }
 
 void
-accumRowsMultiAvx2(const float* const* rows, int live, const int* wsel,
-                   const float* const* w, float* const* outs, int count,
-                   int64_t n)
+patternAccumAvx2(const float* in, int64_t plane, const PatternSegment* segs,
+                 int nsegs, float* out, int64_t n)
 {
     int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // Shared input loads (live <= 9 vectors + 1 accumulator + 1
-        // broadcast fits the 16 ymm registers).
-        __m256 iv[9];
-        for (int e = 0; e < live; ++e)
-            iv[e] = _mm256_loadu_ps(rows[e] + i);
-        for (int f = 0; f < count; ++f) {
-            const float* wf = w[f];
-            __m256 acc = _mm256_loadu_ps(outs[f] + i);
-            for (int e = 0; e < live; ++e)
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(wf[wsel[e]]), iv[e]));
-            _mm256_storeu_ps(outs[f] + i, acc);
-        }
+    for (; i + 32 <= n; i += 32)
+        patternBlockAvx2<4>(in + i, plane, segs, nsegs, out + i);
+    const int64_t rest = n - i;
+    if (rest == 0)
+        return;
+    // The last 1-4 vectors run on a stack copy of the accumulators, so
+    // no lane past n is stored (the next row tile may own it).
+    alignas(32) float edge[32] = {};
+    std::memcpy(edge, out + i, static_cast<size_t>(rest) * sizeof(float));
+    switch ((rest + 7) / 8) {
+    case 1: patternBlockAvx2<1>(in + i, plane, segs, nsegs, edge); break;
+    case 2: patternBlockAvx2<2>(in + i, plane, segs, nsegs, edge); break;
+    case 3: patternBlockAvx2<3>(in + i, plane, segs, nsegs, edge); break;
+    default: patternBlockAvx2<4>(in + i, plane, segs, nsegs, edge); break;
     }
-    for (; i < n; ++i) {
-        float iv[9];
-        for (int e = 0; e < live; ++e)
-            iv[e] = rows[e][i];
-        for (int f = 0; f < count; ++f) {
-            const float* wf = w[f];
-            float acc = outs[f][i];
-            for (int e = 0; e < live; ++e)
-                acc += wf[wsel[e]] * iv[e];
-            outs[f][i] = acc;
-        }
-    }
+    std::memcpy(out + i, edge, static_cast<size_t>(rest) * sizeof(float));
 }
 
 void
@@ -301,8 +302,7 @@ const SimdOps&
 avx2SimdOps()
 {
     static const SimdOps ops = {SimdIsa::kAvx2, "avx2", 8,
-                                accumRowsAvx2, accumRowsMultiAvx2,
-                                axpyAvx2, reluAvx2,
+                                patternAccumAvx2, axpyAvx2, reluAvx2,
                                 kGemmMrAvx2, kGemmNrAvx2, gemmTileAvx2,
                                 kGemmI8MrAvx2, kGemmI8NrAvx2, gemmTileI8Avx2,
                                 quantizeRowI8Avx2};

@@ -1,8 +1,8 @@
 /**
  * @file
- * NEON SimdOps table (aarch64): 4 output columns per vector, 8 on the
- * blocked main loop — the layout PatDNN's generated mobile kernels
- * target. Explicit vmulq+vaddq (never vmlaq/vfmaq: aarch64 fuses those
+ * NEON SimdOps table (aarch64): 4 output positions per vector, up to
+ * 4 vectors per pattern register block — the layout PatDNN's generated
+ * mobile kernels target. Explicit vmulq+vaddq (never vmlaq/vfmaq: aarch64 fuses those
  * into a single-rounding FMLA, which would break the bit-exactness
  * contract of dispatch.h). NEON is baseline on aarch64, so this TU
  * needs no extra compile flags and no cpuid gate.
@@ -18,70 +18,77 @@
 namespace patdnn {
 namespace {
 
-void
-accumRowsNeon(const float* const* rows, const float* w, int live, float* out,
-              int64_t n, int unroll)
+// One block of NV full vectors (4 positions each) held in q-register
+// accumulators across the filter's whole kernel walk; the same code
+// shape as the AVX2 table (see kernels_avx2.cc).
+template <int NV>
+inline void
+patternBlockNeon(const float* in, int64_t plane, const PatternSegment* segs,
+                 int nsegs, float* out)
 {
-    int64_t i = 0;
-    if (unroll >= 8) {
-        for (; i + 8 <= n; i += 8) {
-            float32x4_t a0 = vld1q_f32(out + i);
-            float32x4_t a1 = vld1q_f32(out + i + 4);
-            for (int e = 0; e < live; ++e) {
-                const float32x4_t wv = vdupq_n_f32(w[e]);
-                a0 = vaddq_f32(a0, vmulq_f32(wv, vld1q_f32(rows[e] + i)));
-                a1 = vaddq_f32(a1, vmulq_f32(wv, vld1q_f32(rows[e] + i + 4)));
+    float32x4_t acc[NV];
+    for (int v = 0; v < NV; ++v)
+        acc[v] = vld1q_f32(out + 4 * v);
+    for (int s = 0; s < nsegs; ++s) {
+        const PatternSegment& sg = segs[s];
+        const float* w = sg.weights;
+        if (sg.entries == 4) {
+            const int64_t t0 = sg.taps[0], t1 = sg.taps[1];
+            const int64_t t2 = sg.taps[2], t3 = sg.taps[3];
+            for (int64_t k = 0; k < sg.count; ++k, w += 4) {
+                const float* base = in + sg.channels[k] * plane;
+                const float32x4_t w0 = vdupq_n_f32(w[0]);
+                const float32x4_t w1 = vdupq_n_f32(w[1]);
+                const float32x4_t w2 = vdupq_n_f32(w[2]);
+                const float32x4_t w3 = vdupq_n_f32(w[3]);
+                for (int v = 0; v < NV; ++v) {
+                    const float* x = base + 4 * v;
+                    float32x4_t a = acc[v];
+                    a = vaddq_f32(a, vmulq_f32(w0, vld1q_f32(x + t0)));
+                    a = vaddq_f32(a, vmulq_f32(w1, vld1q_f32(x + t1)));
+                    a = vaddq_f32(a, vmulq_f32(w2, vld1q_f32(x + t2)));
+                    a = vaddq_f32(a, vmulq_f32(w3, vld1q_f32(x + t3)));
+                    acc[v] = a;
+                }
             }
-            vst1q_f32(out + i, a0);
-            vst1q_f32(out + i + 4, a1);
+            continue;
+        }
+        for (int64_t k = 0; k < sg.count; ++k, w += sg.entries) {
+            const float* base = in + sg.channels[k] * plane;
+            for (int e = 0; e < sg.entries; ++e) {
+                const float32x4_t we = vdupq_n_f32(w[e]);
+                const float* x = base + sg.taps[e];
+                for (int v = 0; v < NV; ++v)
+                    acc[v] = vaddq_f32(acc[v],
+                                       vmulq_f32(we, vld1q_f32(x + 4 * v)));
+            }
         }
     }
-    for (; i + 4 <= n; i += 4) {
-        float32x4_t acc = vld1q_f32(out + i);
-        for (int e = 0; e < live; ++e)
-            acc = vaddq_f32(
-                acc, vmulq_f32(vdupq_n_f32(w[e]), vld1q_f32(rows[e] + i)));
-        vst1q_f32(out + i, acc);
-    }
-    for (; i < n; ++i) {
-        float acc = out[i];
-        for (int e = 0; e < live; ++e)
-            acc += w[e] * rows[e][i];
-        out[i] = acc;
-    }
+    for (int v = 0; v < NV; ++v)
+        vst1q_f32(out + 4 * v, acc[v]);
 }
 
 void
-accumRowsMultiNeon(const float* const* rows, int live, const int* wsel,
-                   const float* const* w, float* const* outs, int count,
-                   int64_t n)
+patternAccumNeon(const float* in, int64_t plane, const PatternSegment* segs,
+                 int nsegs, float* out, int64_t n)
 {
     int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        float32x4_t iv[9];
-        for (int e = 0; e < live; ++e)
-            iv[e] = vld1q_f32(rows[e] + i);
-        for (int f = 0; f < count; ++f) {
-            const float* wf = w[f];
-            float32x4_t acc = vld1q_f32(outs[f] + i);
-            for (int e = 0; e < live; ++e)
-                acc = vaddq_f32(acc,
-                                vmulq_f32(vdupq_n_f32(wf[wsel[e]]), iv[e]));
-            vst1q_f32(outs[f] + i, acc);
-        }
+    for (; i + 16 <= n; i += 16)
+        patternBlockNeon<4>(in + i, plane, segs, nsegs, out + i);
+    const int64_t rest = n - i;
+    if (rest == 0)
+        return;
+    // The last 1-4 vectors run on a stack copy of the accumulators, so
+    // no lane past n is stored (the next row tile may own it).
+    float edge[16] = {};
+    std::memcpy(edge, out + i, static_cast<size_t>(rest) * sizeof(float));
+    switch ((rest + 3) / 4) {
+    case 1: patternBlockNeon<1>(in + i, plane, segs, nsegs, edge); break;
+    case 2: patternBlockNeon<2>(in + i, plane, segs, nsegs, edge); break;
+    case 3: patternBlockNeon<3>(in + i, plane, segs, nsegs, edge); break;
+    default: patternBlockNeon<4>(in + i, plane, segs, nsegs, edge); break;
     }
-    for (; i < n; ++i) {
-        float iv[9];
-        for (int e = 0; e < live; ++e)
-            iv[e] = rows[e][i];
-        for (int f = 0; f < count; ++f) {
-            const float* wf = w[f];
-            float acc = outs[f][i];
-            for (int e = 0; e < live; ++e)
-                acc += wf[wsel[e]] * iv[e];
-            outs[f][i] = acc;
-        }
-    }
+    std::memcpy(out + i, edge, static_cast<size_t>(rest) * sizeof(float));
 }
 
 void
@@ -273,8 +280,7 @@ const SimdOps&
 neonSimdOps()
 {
     static const SimdOps ops = {SimdIsa::kNeon, "neon", 4,
-                                accumRowsNeon, accumRowsMultiNeon,
-                                axpyNeon, reluNeon,
+                                patternAccumNeon, axpyNeon, reluNeon,
                                 kGemmMrNeon, kGemmNrNeon, gemmTileNeon,
                                 kGemmI8MrNeon, kGemmI8NrNeon, gemmTileI8Neon,
                                 quantizeRowI8Neon};

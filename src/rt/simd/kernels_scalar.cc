@@ -2,8 +2,9 @@
  * @file
  * Portable scalar SimdOps table: the exactness reference every vector
  * table must match bit-for-bit (see dispatch.h). The accumulation
- * order here — output loaded once, entries added in index order —
- * defines the numerics of the whole pattern engine.
+ * order here — output loaded once, then kernels in FKW order and each
+ * kernel's entries in index order — defines the numerics of the whole
+ * pattern engine.
  */
 #include "rt/simd/dispatch.h"
 
@@ -12,46 +13,43 @@
 namespace patdnn {
 namespace {
 
+// One block of NB consecutive positions: the accumulators stay in
+// locals across the filter's whole kernel walk, so each position is
+// loaded and stored once (the engine's register-level LRE).
+template <int NB>
 void
-accumRowsScalar(const float* const* rows, const float* w, int live, float* out,
-                int64_t n, int unroll)
+patternBlockScalar(const float* in, int64_t plane, const PatternSegment* segs,
+                   int nsegs, float* out)
 {
-    const int uw = std::max(1, unroll);
-    int64_t i = 0;
-    // Register-blocked main loop: `uw` independent accumulators per
-    // step (the tuner's unroll_w knob; the compiler maps them onto
-    // whatever vector width the baseline target has).
-    for (; i + uw <= n; i += uw) {
-        for (int u = 0; u < uw; ++u) {
-            float acc = out[i + u];
-            for (int e = 0; e < live; ++e)
-                acc += w[e] * rows[e][i + u];
-            out[i + u] = acc;
+    float acc[NB];
+    for (int v = 0; v < NB; ++v)
+        acc[v] = out[v];
+    for (int s = 0; s < nsegs; ++s) {
+        const PatternSegment& sg = segs[s];
+        const float* w = sg.weights;
+        for (int64_t k = 0; k < sg.count; ++k, w += sg.entries) {
+            const float* base = in + sg.channels[k] * plane;
+            for (int e = 0; e < sg.entries; ++e) {
+                const float* x = base + sg.taps[e];
+                for (int v = 0; v < NB; ++v)
+                    acc[v] += w[e] * x[v];
+            }
         }
     }
-    for (; i < n; ++i) {
-        float acc = out[i];
-        for (int e = 0; e < live; ++e)
-            acc += w[e] * rows[e][i];
-        out[i] = acc;
-    }
+    for (int v = 0; v < NB; ++v)
+        out[v] = acc[v];
 }
 
 void
-accumRowsMultiScalar(const float* const* rows, int live, const int* wsel,
-                     const float* const* w, float* const* outs, int count,
-                     int64_t n)
+patternAccumScalar(const float* in, int64_t plane, const PatternSegment* segs,
+                   int nsegs, float* out, int64_t n)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        float iv[9];
-        for (int e = 0; e < live; ++e)
-            iv[e] = rows[e][i];
-        for (int f = 0; f < count; ++f) {
-            const float* wf = w[f];
-            float acc = outs[f][i];
-            for (int e = 0; e < live; ++e)
-                acc += wf[wsel[e]] * iv[e];
-            outs[f][i] = acc;
+    for (int64_t i = 0; i < n; i += 4) {
+        switch (std::min<int64_t>(4, n - i)) {
+        case 1: patternBlockScalar<1>(in + i, plane, segs, nsegs, out + i); break;
+        case 2: patternBlockScalar<2>(in + i, plane, segs, nsegs, out + i); break;
+        case 3: patternBlockScalar<3>(in + i, plane, segs, nsegs, out + i); break;
+        default: patternBlockScalar<4>(in + i, plane, segs, nsegs, out + i); break;
         }
     }
 }
@@ -154,8 +152,7 @@ const SimdOps&
 scalarSimdOps()
 {
     static const SimdOps ops = {SimdIsa::kScalar, "scalar", 1,
-                                accumRowsScalar, accumRowsMultiScalar,
-                                axpyScalar, reluScalar,
+                                patternAccumScalar, axpyScalar, reluScalar,
                                 kGemmMrScalar, kGemmNrScalar, gemmTileScalar,
                                 kGemmI8MrScalar, kGemmI8NrScalar,
                                 gemmTileI8Scalar, quantizeRowI8Scalar};

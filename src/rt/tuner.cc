@@ -11,8 +11,7 @@ namespace {
 /** Chromosome: indices into each axis of the TuneSpace. */
 struct Genes
 {
-    int tile_oh = 0, tile_ow = 0, unroll_w = 0, unroll_oc = 0;
-    int filters_per_task = 0, permutation = 0, blocked = 0;
+    int tile_oh = 0, filters_per_task = 0, permutation = 0, blocked = 0;
     int gemm_kc = 0, gemm_nc = 0;
 };
 
@@ -21,9 +20,6 @@ decode(const Genes& g, const TuneSpace& s)
 {
     TuneParams p;
     p.tile_oh = s.tile_oh[static_cast<size_t>(g.tile_oh)];
-    p.tile_ow = s.tile_ow[static_cast<size_t>(g.tile_ow)];
-    p.unroll_w = s.unroll_w[static_cast<size_t>(g.unroll_w)];
-    p.unroll_oc = s.unroll_oc[static_cast<size_t>(g.unroll_oc)];
     p.filters_per_task = s.filters_per_task[static_cast<size_t>(g.filters_per_task)];
     p.permute = s.permutations[static_cast<size_t>(g.permutation)];
     p.blocked = s.blocked[static_cast<size_t>(g.blocked)];
@@ -40,9 +36,6 @@ randomGenes(const TuneSpace& s, Rng& rng)
     };
     Genes g;
     g.tile_oh = pick(s.tile_oh.size());
-    g.tile_ow = pick(s.tile_ow.size());
-    g.unroll_w = pick(s.unroll_w.size());
-    g.unroll_oc = pick(s.unroll_oc.size());
     g.filters_per_task = pick(s.filters_per_task.size());
     g.permutation = pick(s.permutations.size());
     g.blocked = pick(s.blocked.size());
@@ -56,9 +49,6 @@ crossover(const Genes& a, const Genes& b, Rng& rng)
 {
     Genes c;
     c.tile_oh = rng.bernoulli(0.5) ? a.tile_oh : b.tile_oh;
-    c.tile_ow = rng.bernoulli(0.5) ? a.tile_ow : b.tile_ow;
-    c.unroll_w = rng.bernoulli(0.5) ? a.unroll_w : b.unroll_w;
-    c.unroll_oc = rng.bernoulli(0.5) ? a.unroll_oc : b.unroll_oc;
     c.filters_per_task = rng.bernoulli(0.5) ? a.filters_per_task : b.filters_per_task;
     c.permutation = rng.bernoulli(0.5) ? a.permutation : b.permutation;
     c.blocked = rng.bernoulli(0.5) ? a.blocked : b.blocked;
@@ -75,9 +65,6 @@ mutate(Genes& g, const TuneSpace& s, double rate, Rng& rng)
             gene = static_cast<int>(rng.uniformInt(0, static_cast<int64_t>(n) - 1));
     };
     maybe(g.tile_oh, s.tile_oh.size());
-    maybe(g.tile_ow, s.tile_ow.size());
-    maybe(g.unroll_w, s.unroll_w.size());
-    maybe(g.unroll_oc, s.unroll_oc.size());
     maybe(g.filters_per_task, s.filters_per_task.size());
     maybe(g.permutation, s.permutations.size());
     maybe(g.blocked, s.blocked.size());
@@ -92,12 +79,6 @@ tuneSpaceFor(SimdIsa isa)
 {
     TuneSpace s;
     const SimdOps& ops = resolveSimdOps(isa);
-    if (ops.width > 1) {
-        // One, two and four vectors per register block; column tiles
-        // sized so every blocked step is a whole number of vectors.
-        s.unroll_w = {ops.width, 2 * ops.width, 4 * ops.width};
-        s.tile_ow = {8 * ops.width, 16 * ops.width, 32 * ops.width};
-    }
     // GEMM N-blocks in whole tile widths of this ISA's gemm_nr (so a
     // block never splits a tile); 0 keeps the budget heuristic as a
     // candidate. kc candidates are ISA-independent (panel depth).
@@ -195,9 +176,6 @@ PerfEstimator::features(const TuneParams& p)
     return {
         1.0,
         std::log2(static_cast<double>(std::max<int64_t>(1, p.tile_oh))),
-        std::log2(static_cast<double>(std::max<int64_t>(1, p.tile_ow))),
-        std::log2(static_cast<double>(std::max(1, p.unroll_w))),
-        std::log2(static_cast<double>(std::max(1, p.unroll_oc))),
         std::log2(static_cast<double>(std::max(1, p.filters_per_task))),
         p.permute == LoopPermutation::kCoHWCi ? 1.0 : 0.0,
         p.blocked ? 1.0 : 0.0,
@@ -274,30 +252,24 @@ PerfEstimator::argminOver(const TuneSpace& space) const
     TuneParams best;
     double best_y = 1e30;
     for (int64_t toh : space.tile_oh)
-        for (int64_t tow : space.tile_ow)
-            for (int uw : space.unroll_w)
-                for (int uoc : space.unroll_oc)
-                    for (int fpt : space.filters_per_task)
-                        for (auto perm : space.permutations)
-                            for (bool blk : space.blocked)
-                                for (int64_t gkc : space.gemm_kc)
-                                    for (int64_t gnc : space.gemm_nc) {
-                                        TuneParams p;
-                                        p.tile_oh = toh;
-                                        p.tile_ow = tow;
-                                        p.unroll_w = uw;
-                                        p.unroll_oc = uoc;
-                                        p.filters_per_task = fpt;
-                                        p.permute = perm;
-                                        p.blocked = blk;
-                                        p.gemm_kc = gkc;
-                                        p.gemm_nc = gnc;
-                                        double y = predict(p);
-                                        if (y < best_y) {
-                                            best_y = y;
-                                            best = p;
-                                        }
-                                    }
+        for (int fpt : space.filters_per_task)
+            for (auto perm : space.permutations)
+                for (bool blk : space.blocked)
+                    for (int64_t gkc : space.gemm_kc)
+                        for (int64_t gnc : space.gemm_nc) {
+                            TuneParams p;
+                            p.tile_oh = toh;
+                            p.filters_per_task = fpt;
+                            p.permute = perm;
+                            p.blocked = blk;
+                            p.gemm_kc = gkc;
+                            p.gemm_nc = gnc;
+                            double y = predict(p);
+                            if (y < best_y) {
+                                best_y = y;
+                                best = p;
+                            }
+                        }
     return best;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parameter auto-tuning (paper Section 5.5): a Genetic-Algorithm
- * explorer over the configuration space (data placement / tile sizes /
- * loop permutations / unroll factors) plus a learned performance
+ * explorer over the configuration space (row tiles / task sizes / loop
+ * permutations / dense GEMM blocking) plus a learned performance
  * estimator (linear least-squares over configuration features, the
  * paper's "performance estimation model created from historical data")
  * that warm-starts tuning on a new platform.
@@ -27,9 +27,6 @@ namespace patdnn {
 struct TuneSpace
 {
     std::vector<int64_t> tile_oh = {4, 8, 16, 32};
-    std::vector<int64_t> tile_ow = {32, 64, 128};
-    std::vector<int> unroll_w = {2, 4, 8};
-    std::vector<int> unroll_oc = {1, 2, 4, 8};
     std::vector<int> filters_per_task = {2, 4, 8, 16};
     std::vector<LoopPermutation> permutations = {LoopPermutation::kCoCiHW,
                                                  LoopPermutation::kCoHWCi};
@@ -42,10 +39,10 @@ struct TuneSpace
 
 /**
  * Search space specialized to the kernel ISA the layer will execute
- * with: register-block widths are multiples of the vector width and
- * column tiles scale with it, so tuned TuneParams are meaningful for
- * the kernels that will actually run (and an artifact records which
- * ISA its parameters were searched on — serve/artifact.h).
+ * with: dense GEMM N-blocks are whole tile widths of its gemm_nr, so
+ * tuned TuneParams are meaningful for the kernels that will actually
+ * run (and an artifact records which ISA its parameters were searched
+ * on — serve/artifact.h).
  */
 TuneSpace tuneSpaceFor(SimdIsa isa);
 

@@ -59,9 +59,6 @@ putTuning(std::vector<uint8_t>& out, const TuneParams& p)
     putU32(out, p.permute == LoopPermutation::kCoCiHW ? 0u : 1u);
     putU32(out, p.blocked ? 1u : 0u);
     putI64(out, p.tile_oh);
-    putI64(out, p.tile_ow);
-    putU32(out, static_cast<uint32_t>(p.unroll_w));
-    putU32(out, static_cast<uint32_t>(p.unroll_oc));
     putU32(out, static_cast<uint32_t>(p.filters_per_task));
     putI64(out, p.gemm_kc);
     putI64(out, p.gemm_nc);
@@ -108,9 +105,6 @@ struct Reader : bytes::Reader
         p.permute = u32() == 0 ? LoopPermutation::kCoCiHW : LoopPermutation::kCoHWCi;
         p.blocked = u32() != 0;
         p.tile_oh = i64();
-        p.tile_ow = i64();
-        p.unroll_w = static_cast<int>(u32());
-        p.unroll_oc = static_cast<int>(u32());
         p.filters_per_task = static_cast<int>(u32());
         p.gemm_kc = i64();
         p.gemm_nc = i64();

@@ -87,7 +87,7 @@ inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 7;
+constexpr uint32_t kModelArtifactVersion = 8;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

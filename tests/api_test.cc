@@ -19,9 +19,7 @@ bool
 sameTuning(const TuneParams& a, const TuneParams& b)
 {
     return a.permute == b.permute && a.blocked == b.blocked &&
-           a.tile_oh == b.tile_oh && a.tile_ow == b.tile_ow &&
-           a.unroll_w == b.unroll_w && a.unroll_oc == b.unroll_oc &&
-           a.filters_per_task == b.filters_per_task && a.gemm_kc == b.gemm_kc &&
+           a.tile_oh == b.tile_oh && a.filters_per_task == b.filters_per_task && a.gemm_kc == b.gemm_kc &&
            a.gemm_nc == b.gemm_nc;
 }
 
@@ -79,7 +77,7 @@ TEST(Api, TuneLayerThenCompile)
     // The tuned parameters must be a legal configuration, and the
     // compiled pattern layer must carry them.
     EXPECT_GT(tuned.value().tile_oh, 0);
-    EXPECT_GT(tuned.value().unroll_w, 0);
+    EXPECT_GT(tuned.value().filters_per_task, 0);
     auto model = compiler.compile(singleConvModel(d, 3));
     ASSERT_TRUE(model.ok()) << model.status().toString();
     std::vector<CompiledLayerState> state = model.value()->exportState();

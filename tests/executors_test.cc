@@ -131,7 +131,6 @@ TEST_P(PatternEngineSweep, MatchesReferenceOnPrunedWeights)
     lr.tuning.blocked = pc.blocked;
     lr.tuning.permute = pc.perm;
     lr.tuning.tile_oh = 4;
-    lr.tuning.unroll_oc = 4;
     lr.tuning.filters_per_task = 5;
 
     DeviceSpec dev = pc.gpu ? makeGpuDevice() : makeCpuDevice(4);

@@ -1,8 +1,12 @@
-/** @file Pattern engine internals: plans, bundles, LR rendering. */
+/** @file Pattern engine internals: plans, segments, paths vs reference, LR rendering. */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "prune/projections.h"
 #include "rt/conv_pattern.h"
+#include "rt/conv_ref.h"
 #include "sparse/fkw.h"
 
 namespace patdnn {
@@ -30,42 +34,32 @@ struct Built
     }
 };
 
-TEST(PatternPlan, CoversEveryKernelExactlyOnce)
+TEST(PatternPlan, ItemsAndSegmentsCoverEveryKernelExactlyOnce)
 {
     Built b(1);
     LayerwiseRep lr;
     lr.conv = b.desc;
     PatternPlan plan = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
     std::vector<int> seen(static_cast<size_t>(b.fkw.kernelCount()), 0);
-    for (const auto& item : plan.items)
-        for (const auto& op : item.ops)
-            for (int32_t gk : op.kernel_index)
-                seen[static_cast<size_t>(gk)] += 1;
+    int64_t filters = 0;
+    for (const auto& item : plan.items) {
+        for (int32_t f = item.filter_begin; f < item.filter_end; ++f, ++filters) {
+            forEachSegment(b.fkw, f, [&](int pid, int32_t k0, int32_t count) {
+                EXPECT_GT(count, 0);
+                for (int32_t k = k0; k < k0 + count; ++k) {
+                    seen[static_cast<size_t>(k)] += 1;
+                    // The stride segment a kernel sits in is its pattern.
+                    EXPECT_GE(k - b.fkw.offset[static_cast<size_t>(f)],
+                              b.fkw.strideAt(f, pid));
+                    EXPECT_LT(k - b.fkw.offset[static_cast<size_t>(f)],
+                              b.fkw.strideAt(f, pid + 1));
+                }
+            });
+        }
+    }
+    EXPECT_EQ(filters, b.desc.cout);
     for (int v : seen)
         EXPECT_EQ(v, 1);
-}
-
-TEST(PatternPlan, BundlesOnlyFormWithLreAndMatchingKernels)
-{
-    Built b(2);
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    lr.opts.lre = false;
-    PatternPlan no_lre = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
-    for (const auto& item : no_lre.items)
-        for (const auto& op : item.ops)
-            EXPECT_EQ(op.filter_count, 1);
-
-    lr.opts.lre = true;
-    PatternPlan with_lre = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
-    for (const auto& item : with_lre.items)
-        for (const auto& op : item.ops) {
-            // Bundled kernels must agree on pattern and input channel.
-            for (size_t i = 0; i < op.kernel_index.size(); ++i)
-                EXPECT_EQ(b.fkw.index[static_cast<size_t>(
-                              op.kernel_index[i])],
-                          op.input_channel);
-        }
 }
 
 TEST(PatternPlan, GpuDeviceMapsGroupsToSingleItems)
@@ -89,21 +83,23 @@ TEST(PatternPlan, CpuSplitsLargeGroups)
         EXPECT_LE(item.filter_end - item.filter_begin, 2);
 }
 
-TEST(PatternPlan, LooseFormatFallsBackToPerKernelDispatch)
+TEST(PatternPlan, LooseFormatSegmentsAreRunsOfOnePattern)
 {
     Built b(5, /*reorder=*/false);
     ASSERT_FALSE(b.fkw.kernel_pattern.empty());
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    lr.opts.reorder = false;
-    PatternPlan plan = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
-    int64_t ops = 0;
-    for (const auto& item : plan.items) {
-        for (const auto& op : item.ops)
-            EXPECT_EQ(op.filter_count, 1);
-        ops += static_cast<int64_t>(item.ops.size());
+    int64_t kernels = 0;
+    for (int64_t f = 0; f < b.fkw.filters; ++f) {
+        int32_t next = b.fkw.offset[static_cast<size_t>(f)];
+        forEachSegment(b.fkw, f, [&](int pid, int32_t k0, int32_t count) {
+            EXPECT_EQ(k0, next);
+            for (int32_t k = k0; k < k0 + count; ++k)
+                EXPECT_EQ(b.fkw.kernel_pattern[static_cast<size_t>(k)], pid);
+            next = k0 + count;
+            kernels += count;
+        });
+        EXPECT_EQ(next, b.fkw.offset[static_cast<size_t>(f) + 1]);
     }
-    EXPECT_EQ(ops, b.fkw.kernelCount());
+    EXPECT_EQ(kernels, b.fkw.kernelCount());
 }
 
 TEST(MicroKernels, LoweredPatternOffsetsMatchMask)
@@ -143,34 +139,72 @@ TEST(MicroKernels, LreAndNoLreProduceIdenticalResults)
     g.x0 = 0;
     g.x1 = w_;
     Tensor out_a(Shape{h, w_}), out_b(Shape{h, w_});
-    kernelAccumulateLre(pk, weights, in.data(), out_a.data(), g, 8);
+    kernelAccumulateLre(pk, weights, in.data(), out_a.data(), g);
     kernelAccumulateNoLre(pk, weights, in.data(), out_b.data(), g);
     EXPECT_LT(Tensor::maxAbsDiff(out_a, out_b), 1e-5);
 }
 
-TEST(MicroKernels, MultiFilterMatchesRepeatedSingle)
+/** Pattern layer `d` run by PatternConv vs convReference on the
+ * pruned weights; returns max |diff| / max |reference|. */
+double
+relativeErrorVsReference(const ConvDesc& d, int64_t batch, uint64_t seed,
+                         bool* padded)
 {
-    Rng rng(7);
-    Pattern p(3, 3, std::vector<int>{4, 0, 2, 6});
-    PatternKernel pk = lowerPattern(p);
-    float w0[4], w1[4];
-    for (int i = 0; i < 4; ++i) {
-        w0[i] = rng.normal();
-        w1[i] = rng.normal();
-    }
-    int64_t h = 7, w_ = 8;
-    Tensor in(Shape{h, w_});
+    Rng rng(seed);
+    Tensor w(Shape{d.cout, d.cin, 3, 3});
+    w.fillNormal(rng, 0.0f, 0.5f);
+    PatternSet set = canonicalPatternSet(8);
+    PatternAssignment asg = projectJoint(w, set, d.cout * d.cin * 10 / 36);
+    FkwLayer fkw = buildFkw(w, set, asg, filterKernelReorder(asg));
+    Tensor bias(Shape{d.cout});
+    bias.fillNormal(rng, 0.0f, 0.1f);
+    Tensor in(Shape{batch, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
-    PlaneGeom g{h, w_, h, w_, 1, 1, 0, h, 0, w_};
-    Tensor a0(Shape{h, w_}), a1(Shape{h, w_});
-    Tensor b0(Shape{h, w_}), b1(Shape{h, w_});
-    const float* ws[2] = {w0, w1};
-    float* outs[2] = {a0.data(), a1.data()};
-    kernelAccumulateMultiFilter(pk, ws, in.data(), outs, 2, g);
-    kernelAccumulateLre(pk, w0, in.data(), b0.data(), g, 4);
-    kernelAccumulateLre(pk, w1, in.data(), b1.data(), g, 4);
-    EXPECT_LT(Tensor::maxAbsDiff(a0, b0), 1e-5);
-    EXPECT_LT(Tensor::maxAbsDiff(a1, b1), 1e-5);
+    Epilogue ep;
+    ep.bias = &bias;
+    LayerwiseRep lr;
+    lr.conv = d;
+    PatternConv engine(d, &fkw, lr, makeCpuDevice(2));
+    *padded = engine.padded();
+    Tensor want = makeConvOutput(d, batch);
+    convReference(d, w, in, want, ep);
+    Tensor got = makeConvOutput(d, batch);
+    engine.run(in, got, ep);
+    double scale = 0.0;
+    for (int64_t i = 0; i < want.numel(); ++i)
+        scale = std::max(scale, static_cast<double>(std::fabs(want[i])));
+    return Tensor::maxAbsDiff(want, got) / scale;
+}
+
+TEST(PatternConv, PaddedPathWithinRelativeBoundOfReference)
+{
+    // The padded kernel sums each output in FKW order, convReference in
+    // dense (ci, ky, kx) order: only rounding differs. Stated bound:
+    // 1e-6 of the largest output magnitude, here with up to 64 input
+    // channels (~18 kernels x 4 entries per output).
+    const int64_t planes[][2] = {{32, 32}, {8, 8}, {4, 4}, {2, 2}, {7, 5}};
+    for (const auto& hw : planes) {
+        for (int64_t pad : {0, 1}) {
+            ConvDesc d{"rel", 64, 16, 3, 3, hw[0], hw[1], 1, pad, 1, 1};
+            if (d.outH() < 1 || d.outW() < 1)
+                continue;
+            bool padded = false;
+            double rel = relativeErrorVsReference(d, 3, 11, &padded);
+            EXPECT_TRUE(padded);
+            EXPECT_LE(rel, 1e-6) << d.h << "x" << d.w << " pad=" << pad;
+        }
+    }
+}
+
+TEST(PatternConv, StrideTwoLayerKeepsGuardedPathAndMatchesReference)
+{
+    for (int64_t pad : {0, 1}) {
+        ConvDesc d{"s2", 16, 12, 3, 3, 15, 12, 2, pad, 1, 1};
+        bool padded = true;
+        double rel = relativeErrorVsReference(d, 2, 13, &padded);
+        EXPECT_FALSE(padded);
+        EXPECT_LE(rel, 1e-6) << "pad=" << pad;
+    }
 }
 
 TEST(LayerwiseRepStr, RendersFig8Fields)

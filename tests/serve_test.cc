@@ -1173,7 +1173,7 @@ TEST(Artifact, RejectsEveryOtherVersion)
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::vector<uint8_t> bytes = serializeModel(compiled);
     std::string path = tempArtifactPath("version");
-    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u, 0xFFFFFFFFu}) {
+    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
         auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
@@ -1211,9 +1211,6 @@ formatPinModel()
     tune.permute = LoopPermutation::kCoHWCi;
     tune.blocked = true;
     tune.tile_oh = 2;
-    tune.tile_ow = 4;
-    tune.unroll_w = 4;
-    tune.unroll_oc = 2;
     tune.filters_per_task = 1;
     tune.gemm_kc = 16;
     tune.gemm_nc = 8;
@@ -1291,7 +1288,7 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
 {
     // Any change to the byte layout must bump kModelArtifactVersion and
     // re-pin these values: loaders refuse every other version.
-    ASSERT_EQ(kModelArtifactVersion, 7u);
+    ASSERT_EQ(kModelArtifactVersion, 8u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1299,8 +1296,8 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h ^= b;
         h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(bytes.size(), 1799u);
-    EXPECT_EQ(h, 0xc2e374e2bd39abe2ULL);
+    EXPECT_EQ(bytes.size(), 1735u);
+    EXPECT_EQ(h, 0x0e18491d87681e38ULL);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(serializeModel(*loaded.value()), bytes);

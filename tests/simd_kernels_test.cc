@@ -104,93 +104,52 @@ TEST(SimdDispatch, DeviceSpecReportsIsa)
 // Primitive conformance vs the scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(SimdKernels, AccumRowsMatchesScalar)
+TEST(SimdKernels, PatternAccumMatchesDocumentedChain)
 {
+    // The dispatch.h contract, restated here: per position, acc = out,
+    // then kernels in segment order, entries in order, mul then add.
+    // Entries 1-9; every length 1..70 covers blocks of 1-4 vectors and
+    // partial last vectors on every width; an empty segment sits
+    // between two live ones; sentinels past n must survive.
     Rng rng(7);
-    const SimdOps& ref = scalarSimdOps();
+    const int64_t plane = 97;
+    const int channels = 5;
+    const float sentinel = 12345.0f;
     for (const SimdOps* ops : allTables()) {
-        for (int live = 1; live <= 9; ++live) {
-            for (int64_t n : {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64,
-                              100}) {
-                for (int unroll : {1, 4, 8, 16, 32}) {
-                    std::vector<std::vector<float>> storage;
-                    std::vector<const float*> rows;
-                    for (int e = 0; e < live; ++e) {
-                        storage.push_back(randomVec(rng, static_cast<size_t>(n)));
-                        rows.push_back(storage.back().data());
-                    }
-                    std::vector<float> w = randomVec(rng, 9);
-                    std::vector<float> base =
-                        randomVec(rng, static_cast<size_t>(n));
-                    std::vector<float> got = base, want = base;
-                    ref.accum_rows(rows.data(), w.data(), live, want.data(), n,
-                                   unroll);
-                    ops->accum_rows(rows.data(), w.data(), live, got.data(), n,
-                                    unroll);
-                    EXPECT_BITWISE_EQ(got.data(), want.data(),
-                                      static_cast<size_t>(n),
-                                      ops->name << " live=" << live
-                                                << " n=" << n
-                                                << " unroll=" << unroll);
-                }
+        for (int entries = 1; entries <= 9; ++entries) {
+            std::vector<int32_t> taps;
+            for (int e = 0; e < entries; ++e)
+                taps.push_back((e * 7) % 23);
+            const int64_t counts[3] = {2, 0, 3};
+            std::vector<float> weights = randomVec(rng, 5 * static_cast<size_t>(entries));
+            std::vector<int32_t> chans = {4, 0, 2, 2, 1};
+            PatternSegment segs[3];
+            int64_t k0 = 0;
+            for (int s = 0; s < 3; ++s) {
+                segs[s] = {taps.data(), entries, weights.data() + k0 * entries,
+                           chans.data() + k0, counts[s]};
+                k0 += counts[s];
             }
-        }
-    }
-}
-
-TEST(SimdKernels, AccumRowsMultiMatchesScalar)
-{
-    Rng rng(11);
-    const SimdOps& ref = scalarSimdOps();
-    for (const SimdOps* ops : allTables()) {
-        for (int live : {1, 2, 3, 4, 7, 9}) {
-            for (int count : {1, 2, 3, 7, 16}) {
-                for (int64_t n : {0, 1, 3, 7, 8, 9, 17, 33, 64}) {
-                    std::vector<std::vector<float>> row_storage;
-                    std::vector<const float*> rows;
-                    for (int e = 0; e < live; ++e) {
-                        row_storage.push_back(
-                            randomVec(rng, static_cast<size_t>(n)));
-                        rows.push_back(row_storage.back().data());
-                    }
-                    // wsel indexes into each filter's 9-entry kernel.
-                    std::vector<int> wsel;
-                    for (int e = 0; e < live; ++e)
-                        wsel.push_back((e * 2) % 9);
-                    std::vector<std::vector<float>> w_storage;
-                    std::vector<const float*> weights;
-                    for (int f = 0; f < count; ++f) {
-                        w_storage.push_back(randomVec(rng, 9));
-                        weights.push_back(w_storage.back().data());
-                    }
-                    std::vector<std::vector<float>> want_storage, got_storage;
-                    for (int f = 0; f < count; ++f) {
-                        auto base = randomVec(rng, static_cast<size_t>(n));
-                        want_storage.push_back(base);
-                        got_storage.push_back(base);
-                    }
-                    std::vector<float*> want_ptrs, got_ptrs;
-                    for (int f = 0; f < count; ++f) {
-                        want_ptrs.push_back(want_storage[static_cast<size_t>(f)]
-                                                .data());
-                        got_ptrs.push_back(
-                            got_storage[static_cast<size_t>(f)].data());
-                    }
-                    ref.accum_rows_multi(rows.data(), live, wsel.data(),
-                                         weights.data(), want_ptrs.data(),
-                                         count, n);
-                    ops->accum_rows_multi(rows.data(), live, wsel.data(),
-                                          weights.data(), got_ptrs.data(),
-                                          count, n);
-                    for (int f = 0; f < count; ++f)
-                        EXPECT_BITWISE_EQ(got_ptrs[static_cast<size_t>(f)],
-                                          want_ptrs[static_cast<size_t>(f)],
-                                          static_cast<size_t>(n),
-                                          ops->name << " live=" << live
-                                                    << " count=" << count
-                                                    << " n=" << n << " f="
-                                                    << f);
+            for (int64_t n = 1; n <= 70; ++n) {
+                std::vector<float> in =
+                    randomVec(rng, static_cast<size_t>(channels * plane + 23 + n + 16));
+                std::vector<float> base = randomVec(rng, static_cast<size_t>(n));
+                base.resize(static_cast<size_t>(n) + 16, sentinel);
+                std::vector<float> want = base;
+                for (int64_t i = 0; i < n; ++i) {
+                    float acc = want[static_cast<size_t>(i)];
+                    for (const PatternSegment& sg : segs)
+                        for (int64_t k = 0; k < sg.count; ++k)
+                            for (int e = 0; e < entries; ++e)
+                                acc = acc + sg.weights[k * entries + e] *
+                                                in[static_cast<size_t>(
+                                                    sg.channels[k] * plane + taps[static_cast<size_t>(e)] + i)];
+                    want[static_cast<size_t>(i)] = acc;
                 }
+                std::vector<float> got = base;
+                ops->pattern_accum(in.data(), plane, segs, 3, got.data(), n);
+                EXPECT_BITWISE_EQ(got.data(), want.data(), got.size(),
+                                  ops->name << " entries=" << entries << " n=" << n);
             }
         }
     }
@@ -418,146 +377,6 @@ TEST(SimdKernels, ReluMatchesScalarIncludingSpecials)
 }
 
 // ---------------------------------------------------------------------------
-// Whole micro-kernel conformance across geometries
-// ---------------------------------------------------------------------------
-
-TEST(SimdKernels, KernelAccumulateLreMatchesScalarAcrossGeometries)
-{
-    const std::vector<std::vector<int>> shapes = {
-        {4},                          // single entry
-        {0, 8},                       // opposite corners
-        {4, 1, 3, 5},                 // the canonical cross
-        {0, 2, 4, 6, 8},              // X shape
-        {0, 1, 2, 3, 4, 5, 6, 7, 8},  // dense 3x3
-    };
-    Rng rng(17);
-    const SimdOps& ref = scalarSimdOps();
-    for (const SimdOps* ops : allTables()) {
-        for (const auto& kept : shapes) {
-            PatternKernel pk = lowerPattern(Pattern(3, 3, kept));
-            std::vector<float> w = randomVec(rng, kept.size());
-            for (int64_t stride : {1, 2}) {
-                for (int64_t pad : {0, 1, 2}) {
-                    // Widths below one vector (1..7), around one vector
-                    // and spanning several.
-                    for (int64_t in_w : {1, 2, 3, 5, 7, 8, 9, 17, 33}) {
-                        for (int64_t in_h : {1, 3, 7}) {
-                            int64_t ow = (in_w + 2 * pad - 3) / stride + 1;
-                            int64_t oh = (in_h + 2 * pad - 3) / stride + 1;
-                            if (ow < 1 || oh < 1)
-                                continue;
-                            for (int unroll : {1, 8, 16}) {
-                                auto in = randomVec(
-                                    rng, static_cast<size_t>(in_h * in_w));
-                                auto base = randomVec(
-                                    rng, static_cast<size_t>(oh * ow));
-                                PlaneGeom g;
-                                g.h = in_h;
-                                g.w = in_w;
-                                g.oh = oh;
-                                g.ow = ow;
-                                g.pad = pad;
-                                g.stride = stride;
-                                g.y0 = 0;
-                                g.y1 = oh;
-                                g.x0 = 0;
-                                g.x1 = ow;
-                                auto want = base;
-                                auto got = base;
-                                kernelAccumulateLre(pk, w.data(), in.data(),
-                                                    want.data(), g, unroll,
-                                                    &ref);
-                                kernelAccumulateLre(pk, w.data(), in.data(),
-                                                    got.data(), g, unroll,
-                                                    ops);
-                                EXPECT_BITWISE_EQ(
-                                    got.data(), want.data(),
-                                    static_cast<size_t>(oh * ow),
-                                    ops->name << " entries=" << pk.entries
-                                              << " stride=" << stride
-                                              << " pad=" << pad << " w="
-                                              << in_w << " h=" << in_h
-                                              << " unroll=" << unroll);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(SimdKernels, KernelAccumulateMultiFilterMatchesScalar)
-{
-    Rng rng(19);
-    const SimdOps& ref = scalarSimdOps();
-    PatternKernel pk = lowerPattern(Pattern(3, 3, std::vector<int>{4, 1, 3, 5}));
-    for (const SimdOps* ops : allTables()) {
-        for (int count : {2, 5, 16}) {
-            for (int64_t stride : {1, 2}) {
-                for (int64_t pad : {0, 1}) {
-                    for (int64_t in_w : {5, 8, 20, 33}) {
-                        int64_t in_h = 9;
-                        int64_t ow = (in_w + 2 * pad - 3) / stride + 1;
-                        int64_t oh = (in_h + 2 * pad - 3) / stride + 1;
-                        if (ow < 1 || oh < 1)
-                            continue;
-                        auto in =
-                            randomVec(rng, static_cast<size_t>(in_h * in_w));
-                        std::vector<std::vector<float>> w_storage;
-                        std::vector<const float*> weights;
-                        for (int f = 0; f < count; ++f) {
-                            w_storage.push_back(randomVec(rng, 4));
-                            weights.push_back(w_storage.back().data());
-                        }
-                        std::vector<std::vector<float>> want_storage,
-                            got_storage;
-                        std::vector<float*> want_ptrs, got_ptrs;
-                        for (int f = 0; f < count; ++f) {
-                            auto base =
-                                randomVec(rng, static_cast<size_t>(oh * ow));
-                            want_storage.push_back(base);
-                            got_storage.push_back(base);
-                        }
-                        for (int f = 0; f < count; ++f) {
-                            want_ptrs.push_back(
-                                want_storage[static_cast<size_t>(f)].data());
-                            got_ptrs.push_back(
-                                got_storage[static_cast<size_t>(f)].data());
-                        }
-                        PlaneGeom g;
-                        g.h = in_h;
-                        g.w = in_w;
-                        g.oh = oh;
-                        g.ow = ow;
-                        g.pad = pad;
-                        g.stride = stride;
-                        g.y0 = 0;
-                        g.y1 = oh;
-                        g.x0 = 0;
-                        g.x1 = ow;
-                        kernelAccumulateMultiFilter(pk, weights.data(),
-                                                    in.data(), want_ptrs.data(),
-                                                    count, g, &ref);
-                        kernelAccumulateMultiFilter(pk, weights.data(),
-                                                    in.data(), got_ptrs.data(),
-                                                    count, g, ops);
-                        for (int f = 0; f < count; ++f)
-                            EXPECT_BITWISE_EQ(
-                                got_ptrs[static_cast<size_t>(f)],
-                                want_ptrs[static_cast<size_t>(f)],
-                                static_cast<size_t>(oh * ow),
-                                ops->name << " count=" << count << " stride="
-                                          << stride << " pad=" << pad
-                                          << " w=" << in_w << " f=" << f);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Executor-level: forcing each ISA on a device yields identical outputs
 // ---------------------------------------------------------------------------
 
@@ -618,41 +437,95 @@ TEST(SimdExecutors, CsrConvIdenticalAcrossForcedIsas)
     }
 }
 
-TEST(SimdExecutors, OversizedUnrollOcClampsToBundleCap)
+/**
+ * A pattern-pruned FKW for `d` (8 canonical patterns, ~3.6x
+ * connectivity) whose first filter has no kernels at all; `weight`
+ * receives the pruned dense weights.
+ */
+FkwLayer
+prunedFkwWithEmptyFilter(const ConvDesc& d, uint64_t seed, Tensor* weight)
 {
-    // unroll_oc beyond the 16-filter bundle cap (hand-written tuning
-    // or a crafted artifact) must clamp at plan time — same plan, same
-    // bits as 16 — not silently drop filters 17+ at run time.
-    ConvDesc d{"clamp", 8, 48, 3, 3, 15, 17, 1, 1, 1, 1};
-    Tensor in(Shape{1, d.cin, d.h, d.w});
-    Rng rng(37);
-    in.fillUniform(rng, -1.0f, 1.0f);
-    DeviceSpec dev = makeCpuDevice(2);
-    CompileOptions opts;
-    opts.seed = 37;
-    opts.default_tuning.unroll_oc = 16;
-    Tensor out_capped = runSingleConv(d, FrameworkKind::kPatDnn, dev, opts, in);
-    opts.default_tuning.unroll_oc = 64;
-    Tensor out_oversized = runSingleConv(d, FrameworkKind::kPatDnn, dev, opts, in);
-    EXPECT_BITWISE_EQ(out_oversized.data(), out_capped.data(),
-                      static_cast<size_t>(out_capped.numel()), "unroll_oc=64");
+    Rng rng(seed);
+    *weight = Tensor(Shape{d.cout, d.cin, d.kh, d.kw});
+    weight->fillNormal(rng, 0.0f, 0.5f);
+    for (int64_t i = 0; i < d.cin * d.kh * d.kw; ++i)
+        (*weight)[i] = 0.0f;
+    PatternSet set = canonicalPatternSet(8);
+    PatternAssignment asg = projectJoint(*weight, set, d.cout * d.cin * 10 / 36);
+    return buildFkw(*weight, set, asg, filterKernelReorder(asg));
 }
 
-TEST(SimdExecutors, TuneSpaceScalesWithVectorWidth)
+TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
 {
-    TuneSpace scalar_space = tuneSpaceFor(SimdIsa::kScalar);
-    EXPECT_EQ(scalar_space.unroll_w, TuneSpace{}.unroll_w);
+    // Every ISA x the four Fig. 15 loop orders ({pixel block outside,
+    // inside the kernel loop} x {row-tiled, not}) must give the same
+    // bits: they differ only in blocking, never in a position's chain.
+    // Planes from 32x32 down to 2x2 plus an odd 7x5, pad 0 and 1,
+    // batch 3, one filter without kernels (and, with 8 patterns over
+    // few kernels per filter, many empty pattern segments).
+    const int64_t planes[][2] = {{32, 32}, {16, 16}, {8, 8}, {4, 4}, {2, 2}, {7, 5}};
+    for (const auto& hw : planes) {
+        for (int64_t pad : {0, 1}) {
+            ConvDesc d{"bits", 6, 10, 3, 3, hw[0], hw[1], 1, pad, 1, 1};
+            if (d.outH() < 1 || d.outW() < 1)
+                continue;
+            Tensor weight;
+            FkwLayer fkw = prunedFkwWithEmptyFilter(d, 41, &weight);
+            bool has_empty = false;
+            for (int64_t f = 0; f < d.cout; ++f)
+                has_empty |= fkw.offset[static_cast<size_t>(f)] ==
+                             fkw.offset[static_cast<size_t>(f) + 1];
+            ASSERT_TRUE(has_empty);
+            Rng rng(43);
+            Tensor in(Shape{3, d.cin, d.h, d.w});
+            in.fillUniform(rng, -1.0f, 1.0f);
+            Tensor bias(Shape{d.cout});
+            bias.fillNormal(rng, 0.0f, 0.1f);
+            Epilogue ep;
+            ep.bias = &bias;
+            ep.relu = true;
+
+            Tensor want;
+            bool have_want = false;
+            for (SimdIsa isa : availableSimdIsas()) {
+                for (LoopPermutation perm :
+                     {LoopPermutation::kCoHWCi, LoopPermutation::kCoCiHW}) {
+                    for (bool blocked : {false, true}) {
+                        LayerwiseRep lr;
+                        lr.conv = d;
+                        lr.tuning.permute = perm;
+                        lr.tuning.blocked = blocked;
+                        lr.tuning.tile_oh = 3;
+                        lr.tuning.filters_per_task = 3;
+                        DeviceSpec dev = makeCpuDevice(2);
+                        dev.simd_isa = isa;
+                        PatternConv engine(d, &fkw, lr, dev);
+                        ASSERT_TRUE(engine.padded());
+                        Tensor got = makeConvOutput(d, 3);
+                        engine.run(in, got, ep);
+                        if (!have_want) {
+                            want = got;
+                            have_want = true;
+                            continue;
+                        }
+                        EXPECT_BITWISE_EQ(got.data(), want.data(),
+                                          static_cast<size_t>(got.numel()),
+                                          isaName(isa) << " " << permutationName(perm, blocked)
+                                                       << " " << d.h << "x" << d.w
+                                                       << " pad=" << pad);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdExecutors, TuneSpaceBlocksInWholeGemmTiles)
+{
     for (SimdIsa isa : availableSimdIsas()) {
         const SimdOps& ops = *simdOpsFor(isa);
-        if (ops.width <= 1)
-            continue;
-        TuneSpace space = tuneSpaceFor(isa);
-        for (int uw : space.unroll_w)
-            EXPECT_EQ(uw % ops.width, 0)
-                << isaName(isa) << " unroll_w=" << uw;
-        for (int64_t tow : space.tile_ow)
-            EXPECT_EQ(tow % ops.width, 0)
-                << isaName(isa) << " tile_ow=" << tow;
+        for (int64_t nc : tuneSpaceFor(isa).gemm_nc)
+            EXPECT_EQ(nc % ops.gemm_nr, 0) << isaName(isa) << " gemm_nc=" << nc;
     }
 }
 

@@ -90,34 +90,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{16, 2.0, 10, 10, 16, 6},
                       SweepCase{8, 1.0, 6, 6, 8, 8}));
 
-/** The load model must be monotone in the bundling knob. */
-class BundleSweep : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(BundleSweep, InputLoadsMonotoneInUnrollOc)
-{
-    ConvDesc d{"b", 16, 32, 3, 3, 12, 12, 1, 1, 1, 1};
-    Rng rng(2);
-    Tensor w(Shape{d.cout, d.cin, 3, 3});
-    w.fillNormal(rng);
-    PatternSet set = canonicalPatternSet(4);  // Few patterns -> many bundles.
-    Tensor pruned = w;
-    FkwLayer fkw = pruneAndPack(pruned, set, 142);
-    DeviceSpec dev = makeCpuDevice(4);
-    LayerwiseRep narrow;
-    narrow.conv = d;
-    narrow.tuning.unroll_oc = 1;
-    LayerwiseRep wide = narrow;
-    wide.tuning.unroll_oc = GetParam();
-    LoadCounts a = analyzeLoads(d, fkw, narrow, dev);
-    LoadCounts b = analyzeLoads(d, fkw, wide, dev);
-    EXPECT_LE(b.input_loads, a.input_loads);
-    EXPECT_EQ(a.output_loads, b.output_loads);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BundleSweep, ::testing::Values(2, 4, 8, 16));
-
 /** Compression ratio follows the closed form across connectivity rates. */
 class CompressionSweep : public ::testing::TestWithParam<double>
 {

@@ -22,10 +22,17 @@
 # (serve_test's Artifact.SingleByteMutationSweep), runs under the
 # sanitizers.
 #
+# --sanitize=thread configures build-tsan/ with
+# -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPATDNN_SANITIZE=thread,
+# reproducing CI's ThreadSanitizer cell: it builds and runs only the
+# suites whose code shares state across threads (${tsan_suites}
+# below). bench_micro_smoke is left out: under TSan it overruns its
+# ctest timeout.
+#
 # --gate-only runs just the error-model header gate (the CI step's
 # single source of truth for that grep) and exits.
 #
-# Usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize]
+# Usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize|--sanitize=thread]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +42,9 @@ run_build=1
 build_dir=build
 cmake_args=()
 test_timeout=300
+build_targets=()
+ctest_args=()
+tsan_suites="pattern_engine_test simd_kernels_test serve_test serve_stress_test router_test obs_test memplan_exec_test framework_test util_test"
 for arg in "$@"; do
     case "${arg}" in
         --format-only) run_build=0 ;;
@@ -53,8 +63,15 @@ for arg in "$@"; do
             cmake_args+=(-DCMAKE_BUILD_TYPE=Debug -DPATDNN_SANITIZE=ON)
             test_timeout=600  # CI's sanitize job timeout.
             ;;
+        --sanitize=thread)
+            build_dir=build-tsan
+            cmake_args+=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DPATDNN_SANITIZE=thread)
+            test_timeout=900  # CI's tsan job timeout.
+            read -ra build_targets <<< "${tsan_suites}"
+            ctest_args+=(-R "^($(tr ' ' '|' <<< "${tsan_suites}"))\$")
+            ;;
         *)
-            echo "usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize]" >&2
+            echo "usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize|--sanitize=thread]" >&2
             exit 2
             ;;
     esac
@@ -87,6 +104,7 @@ if [[ ${run_build} -eq 1 ]]; then
     # Per-test timeout so a hung suite (e.g. a deadlocked server test)
     # fails fast instead of stalling the whole job.
     cmake -B "${build_dir}" -S . "${cmake_args[@]}" \
-        && cmake --build "${build_dir}" -j && cd "${build_dir}" \
-        && ctest --output-on-failure -j --timeout "${test_timeout}"
+        && cmake --build "${build_dir}" -j ${build_targets[@]:+--target "${build_targets[@]}"} \
+        && cd "${build_dir}" \
+        && ctest --output-on-failure -j --timeout "${test_timeout}" "${ctest_args[@]}"
 fi
