@@ -105,7 +105,7 @@ main()
                     "engine) ---\n");
         Model m = buildVGG16(Dataset::kCifar10);
         CompiledModel compiled(m, FrameworkKind::kPatDnn, makeCpuDevice(4));
-        Workspace ws;
+        Workspace ws(compiled.memoryPlan());
         Rng rng(14);
         Tensor in(Shape{1, 3, 32, 32});
         in.fillUniform(rng, -1.0f, 1.0f);

@@ -89,19 +89,20 @@ biasFits(const Tensor& bias, int64_t outputs)
  * the executor list) and checkGraph() (over exported layer state): both
  * node types carry the same fields. `node_at(id)` is null for dead
  * slots. Derives every live node's per-sample output shape (leading
- * batch dim 1) in id order while enforcing the checkGraph() rules.
+ * batch dim 1) in id order, and the per-sample model input shape the
+ * input convs read, while enforcing the checkGraph() rules.
  */
 template <class NodeAt>
 Status
 inferShapes(size_t count, int output_node, NodeAt node_at,
-            std::vector<PlanNode>* nodes)
+            std::vector<PlanNode>* nodes, Shape* model_input)
 {
     if (output_node < 0 || static_cast<size_t>(output_node) >= count ||
         node_at(static_cast<size_t>(output_node)) == nullptr)
         return Status(ErrorCode::kInvalidArgument, "output node is not a live node");
     nodes->assign(count, PlanNode{});
     std::vector<Shape> shapes(count);
-    Shape model_input;  // Rank 0 until a conv reading the input fixes it.
+    *model_input = Shape();  // Rank 0 until a conv reading the input fixes it.
     for (size_t id = 0; id < count; ++id) {
         const auto* n = node_at(id);
         if (n == nullptr)
@@ -122,7 +123,7 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
                 return bad("input is neither the model input nor a live earlier node");
         }
         const Shape& x = n->inputs[0] == -1
-                             ? model_input
+                             ? *model_input
                              : shapes[static_cast<size_t>(n->inputs[0])];
         Shape out;
         switch (n->kind) {
@@ -145,9 +146,9 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
             if (n->inputs[0] != -1) {
                 if (x != in)
                     return bad("cin/h/w disagree with the producer's output shape");
-            } else if (model_input.rank() == 0) {
-                model_input = in;
-            } else if (model_input != in) {
+            } else if (model_input->rank() == 0) {
+                *model_input = in;
+            } else if (*model_input != in) {
                 return bad("disagrees with another conv on the model input shape");
             }
             const FkwLayer* fkw = n->fkw.get();
@@ -214,14 +215,17 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
 // Workspace
 // ---------------------------------------------------------------------------
 
+Workspace::Workspace(const MemoryPlan& plan)
+    : values_(plan.slotCount()), plan_(&plan)
+{
+    PATDNN_CHECK(!plan.empty(),
+                 "workspace needs a memory plan (graph fails shape inference)");
+}
+
 void
 Workspace::beginRun(int64_t batch)
 {
-    if (plan_ == nullptr)
-        return;
-    PATDNN_CHECK_GT(batch, 0, "planned run needs a positive batch");
-    PATDNN_CHECK_EQ(values_.size(), plan_->slotCount(),
-                    "memory plan does not cover this graph");
+    PATDNN_CHECK_GT(batch, 0, "a run needs a positive batch");
     if (batch == batch_)
         return;
     batch_ = batch;
@@ -242,8 +246,6 @@ Workspace::beginRun(int64_t batch)
 void
 Workspace::poisonFreedAfter(size_t id)
 {
-    if (!poisonFreed())
-        return;
     constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
     for (size_t j = 0; j < plan_->slotCount(); ++j) {
         const PlanSlot& s = plan_->slot(j);
@@ -257,40 +259,21 @@ Workspace::poisonFreedAfter(size_t id)
 size_t
 Workspace::activationBytes() const
 {
-    if (plan_ != nullptr)
-        return arena_.shape().rank() == 0
-                   ? 0
-                   : static_cast<size_t>(arena_.numel()) * sizeof(float);
-    size_t total = 0;
-    for (const Tensor& v : values_)
-        if (v.shape().rank() != 0)
-            total += static_cast<size_t>(v.numel()) * sizeof(float);
-    return total;
+    return arena_.shape().rank() == 0
+               ? 0
+               : static_cast<size_t>(arena_.numel()) * sizeof(float);
 }
 
 Tensor&
 Workspace::raw(size_t id, const Shape& shape)
 {
-    if (plan_ != nullptr && plan_->slot(id).planned) {
-        const PlanSlot& s = plan_->slot(id);
-        PATDNN_CHECK_GT(batch_, 0, "beginRun() must precede slot access");
-        PATDNN_CHECK_EQ(shape.numel(), s.size_elems * batch_,
-                        "planned slot extent mismatch for node " << id);
-        Tensor& t = values_[id];
-        if (!t.isView() || t.shape() != shape)
-            t = Tensor::view(arena_.data() + s.offset_elems * batch_, shape);
-        return t;
-    }
+    const PlanSlot& s = plan_->slot(id);
+    PATDNN_CHECK_GT(batch_, 0, "beginRun() must precede slot access");
+    PATDNN_CHECK_EQ(shape.numel(), s.size_elems * batch_,
+                    "planned slot extent mismatch for node " << id);
     Tensor& t = values_[id];
-    if (t.shape() != shape) {
-        // A never-used slot is rank-0 with NO storage but numel() == 1,
-        // so it must be allocated, not reshaped (a reshape would hand
-        // out a 1-element view over an empty buffer).
-        if (t.shape().rank() != 0 && t.numel() == shape.numel())
-            t.reshape(shape);
-        else
-            t = Tensor(shape);
-    }
+    if (!t.isView() || t.shape() != shape)
+        t = Tensor::view(arena_.data() + s.offset_elems * batch_, shape);
     return t;
 }
 
@@ -496,9 +479,12 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
 void
 CompiledModel::derivePlan()
 {
-    std::vector<PlanNode> nodes = planNodes();
-    if (nodes.empty())
+    std::vector<PlanNode> nodes;
+    Shape input;
+    auto at = [&](size_t id) { return executors_[id].get(); };
+    if (!inferShapes(executors_.size(), output_node_, at, &nodes, &input).ok())
         return;
+    input_shape_ = input;
     plan_ = planActivations(nodes, output_node_);
     // Most-recent-model planner quality, for dashboards/tests.
     MetricsRegistry& reg = MetricsRegistry::global();
@@ -512,31 +498,26 @@ CompiledModel::derivePlan()
 void
 CompiledModel::quantizeDenseConvLayers()
 {
-    const Executor* first_conv = nullptr;
     bool any_eligible = false;
-    for (const auto& exp : executors_) {
-        if (!exp || exp->kind != OpKind::kConv)
-            continue;
-        if (first_conv == nullptr)
-            first_conv = exp.get();
-        if (denseQuantEligible(kind_, exp->conv))
+    for (const auto& exp : executors_)
+        if (exp && exp->kind == OpKind::kConv && denseQuantEligible(kind_, exp->conv))
             any_eligible = true;
-    }
-    if (first_conv == nullptr || !any_eligible)
+    if (!any_eligible)
         return;
 
-    // Synthetic calibration batch shaped for the input conv, run
-    // through the f32 engines with a per-layer workspace — per-layer
-    // slots keep every node's value after the run, so each conv's
-    // *input* distribution can be observed without new runtime hooks.
+    // Synthetic calibration batch of model inputs, run through the f32
+    // engines in a workspace that recycles nothing — every node's value
+    // survives the run, so each conv's *input* distribution can be
+    // observed without new runtime hooks.
     const CalibrationOptions& cal = compile_opts_.calibration;
-    int64_t samples = std::max(1, cal.samples);
-    Tensor calib(Shape{samples, first_conv->conv.cin, first_conv->conv.h,
-                       first_conv->conv.w});
+    std::vector<int64_t> dims = input_shape_.dims();
+    dims[0] = std::max(1, cal.samples);
+    Tensor calib{Shape{std::move(dims)}};
     Rng rng(cal.seed);
     calib.fillUniform(rng, -1.0f, 1.0f);
-    Workspace ws;
-    runLayers(calib, ws, nullptr);
+    const MemoryPlan keep_all = planWithoutReuse(planNodes(), output_node_);
+    Workspace ws(keep_all);
+    run(calib, ws);
 
     for (size_t id = 0; id < executors_.size(); ++id) {
         auto& exp = executors_[id];
@@ -606,9 +587,10 @@ std::vector<PlanNode>
 CompiledModel::planNodes() const
 {
     std::vector<PlanNode> nodes;
+    Shape input;
     Status inferred = inferShapes(
         executors_.size(), output_node_,
-        [&](size_t id) { return executors_[id].get(); }, &nodes);
+        [&](size_t id) { return executors_[id].get(); }, &nodes, &input);
     return inferred.ok() ? nodes : std::vector<PlanNode>{};
 }
 
@@ -617,9 +599,11 @@ CompiledModel::checkGraph(const std::vector<CompiledLayerState>& layers,
                           int output_node)
 {
     std::vector<PlanNode> nodes;
+    Shape input;
     return inferShapes(
         layers.size(), output_node,
-        [&](size_t id) { return layers[id].live ? &layers[id] : nullptr; }, &nodes);
+        [&](size_t id) { return layers[id].live ? &layers[id] : nullptr; }, &nodes,
+        &input);
 }
 
 std::vector<CompiledLayerState>
@@ -660,9 +644,22 @@ CompiledModel::exportState() const
     return out;
 }
 
-Tensor
-CompiledModel::runLayers(const Tensor& input, Workspace& ws, RunProfile* profile) const
+bool
+CompiledModel::acceptsInput(const Tensor& input) const
 {
+    const Shape& s = input.shape();
+    return s.rank() > 0 && s.rank() == input_shape_.rank() && s.dim(0) >= 1 &&
+           std::equal(s.dims().begin() + 1, s.dims().end(), input_shape_.dims().begin() + 1);
+}
+
+Tensor
+CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) const
+{
+    PATDNN_CHECK(acceptsInput(input), "model input " << input.shape().str()
+                                                     << " is not a batch of "
+                                                     << input_shape_.str());
+    PATDNN_CHECK_EQ(ws.size(), executors_.size(),
+                    "workspace plan does not cover this model");
     static Counter& model_runs =
         MetricsRegistry::global().counter("rt.model_runs");
     model_runs.inc();
@@ -674,7 +671,6 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, RunProfile* profile
     const int64_t run_start_ns = timing ? Tracer::nowNs() : 0;
     if (profile != nullptr)
         profile->prepare(executors_.size());
-    ws.resize(executors_.size());
     ws.beginRun(batch);
     auto input_of = [&](const Executor& ex, int i) -> const Tensor& {
         int id = ex.inputs[static_cast<size_t>(i)];
@@ -821,33 +817,21 @@ CompiledModel::runLayers(const Tensor& input, Workspace& ws, RunProfile* profile
 Tensor
 CompiledModel::run(const Tensor& input) const
 {
-    Workspace ws;
-    return runLayers(input, ws, nullptr);
-}
-
-Tensor
-CompiledModel::run(const Tensor& input, Workspace& ws) const
-{
-    return runLayers(input, ws, nullptr);
-}
-
-Tensor
-CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) const
-{
-    return runLayers(input, ws, profile);
+    Workspace ws(plan_);
+    return run(input, ws);
 }
 
 double
 CompiledModel::convOnlyTimeMs(const Tensor& input, int warmup, int reps) const
 {
-    Workspace ws;
+    Workspace ws(plan_);
     for (int i = 0; i < warmup; ++i)
-        runLayers(input, ws, nullptr);
+        run(input, ws);
     RunProfile profile;
     std::vector<double> times;
     for (int i = 0; i < reps; ++i) {
         profile.reset();
-        runLayers(input, ws, &profile);
+        run(input, ws, &profile);
         int64_t conv_ns = 0;
         for (size_t id = 0; id < executors_.size(); ++id)
             if (executors_[id] && executors_[id]->kind == OpKind::kConv)

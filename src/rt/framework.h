@@ -135,34 +135,25 @@ struct CompiledLayerState
 };
 
 /**
- * Per-session activation scratch: one value slot per graph node, reused
- * across runs. Each InferenceSession owns its own Workspace so that
- * concurrent sessions sharing one immutable CompiledModel never share
- * intermediate buffers.
- *
- * The backing is fixed at construction:
- *  - planned (a MemoryPlan): slots are views into ONE 64-byte-aligned
- *    arena laid out by the model's offline plan, so the whole session
- *    costs plan.arenaBytes(batch) — peak-live, not sum-of-layers. Every
- *    InferenceSession is planned;
- *  - per-layer (no plan): every slot owns its own allocation, sized on
- *    first touch and kept across runs. CompiledModel::run(input) and
- *    the kInt8 calibration pass (which reads every conv's retained
- *    input) use this mode.
+ * Activation scratch for runs of one model: one value slot per graph
+ * node, each a view into ONE 64-byte-aligned arena laid out by a
+ * MemoryPlan, so a run costs plan.arenaBytes(batch) — peak-live, not
+ * sum-of-layers, under the model's own plan. Each InferenceSession
+ * owns its own Workspace so that concurrent sessions sharing one
+ * immutable CompiledModel never share intermediate buffers.
  */
 class Workspace
 {
   public:
-    /** `plan`, when non-null, must outlive the workspace (sessions
-     * point at their shared model's plan). */
-    explicit Workspace(const MemoryPlan* plan = nullptr) : plan_(plan) {}
+    /** `plan` must be non-empty (CHECK-aborts otherwise) and outlive
+     * the workspace (sessions point at their shared model's plan). */
+    explicit Workspace(const MemoryPlan& plan);
 
-    void resize(size_t nodes) { values_.resize(nodes); }
     size_t size() const { return values_.size(); }
 
     /** Called by CompiledModel at the start of every run: sizes the
      * arena for this batch and rebuilds slot views when the batch (and
-     * with it every scaled offset) changed. No-op in per-layer mode. */
+     * with it every scaled offset) changed. */
     void beginRun(int64_t batch);
 
     /**
@@ -171,20 +162,17 @@ class Workspace
      * invisible to ASan): when enabled, every arena range whose
      * lifetime ends at node `id` is NaN-poisoned right after node `id`
      * executes, so an executor that reads a freed range corrupts its
-     * output instead of silently consuming stale bytes. Planned mode
-     * only.
+     * output instead of silently consuming stale bytes.
      */
     void setPoisonFreed(bool on) { poison_freed_ = on; }
-    bool poisonFreed() const { return poison_freed_ && plan_ != nullptr; }
+    bool poisonFreed() const { return poison_freed_; }
     void poisonFreedAfter(size_t id);
 
-    /** Bytes currently backing activations: the arena allocation in
-     * planned mode, the sum of slot allocations in per-layer mode
-     * (0 before the first run in either mode). */
+    /** Bytes of the arena allocation (0 before the first run). */
     size_t activationBytes() const;
 
     /** Slot for node id shaped to `shape` and zero-filled (executors
-     * accumulate into their outputs). Reallocates only on shape change. */
+     * accumulate into their outputs). */
     Tensor& fresh(size_t id, const Shape& shape);
 
     /** Slot for node id shaped to `shape`, contents unspecified; for
@@ -196,9 +184,9 @@ class Workspace
 
   private:
     std::vector<Tensor> values_;
-    const MemoryPlan* plan_ = nullptr;  ///< Null: per-layer mode.
-    Tensor arena_;                      ///< Planned mode backing store.
-    int64_t batch_ = 0;                 ///< Batch the views were built for.
+    const MemoryPlan* plan_;  ///< Never null.
+    Tensor arena_;
+    int64_t batch_ = 0;       ///< Batch the views were built for.
     bool poison_freed_ = false;
 };
 
@@ -236,22 +224,32 @@ class CompiledModel
                   CompileOptions compile_opts = {});
     ~CompiledModel();
 
-    /** Run one NCHW input through every layer; returns final output. */
+    /** Run one NCHW input through every layer in a fresh Workspace
+     * over memoryPlan(); returns the final output. */
     Tensor run(const Tensor& input) const;
 
-    /** Run using caller-owned activation scratch (serving sessions). */
-    Tensor run(const Tensor& input, Workspace& ws) const;
-
     /**
-     * Run with per-layer attribution: when `profile` is non-null, every
-     * executed node is timed and accumulated into it (prepare() is
-     * called to size it; pass the same profile across runs to
-     * accumulate, reset() it for per-run numbers). Timing uses the
-     * steady clock directly, independent of tracing; when the Tracer is
-     * enabled a span per layer (cat "layer") plus a whole-run
+     * Run in caller-owned activation scratch (serving sessions; `ws`
+     * must cover this model's nodes). `input` must be a non-empty batch
+     * of inputShape() samples (CHECK-aborts otherwise). When `profile`
+     * is non-null, every executed node is timed and accumulated into it
+     * (prepare() is called to size it; pass the same profile across
+     * runs to accumulate, reset() it for per-run numbers). Timing uses
+     * the steady clock directly, independent of tracing; when the
+     * Tracer is enabled a span per layer (cat "layer") plus a whole-run
      * "model.run" span (cat "rt") are emitted too.
      */
-    Tensor run(const Tensor& input, Workspace& ws, RunProfile* profile) const;
+    Tensor run(const Tensor& input, Workspace& ws,
+               RunProfile* profile = nullptr) const;
+
+    /** Per-sample input shape {1, C, H, W} the model's input convs
+     * read, fixed by planNodes()'s shape inference (rank 0 iff the
+     * model has no memory plan). */
+    const Shape& inputShape() const { return input_shape_; }
+
+    /** True when `input` is a non-empty batch of inputShape() samples:
+     * the only inputs run() accepts. */
+    bool acceptsInput(const Tensor& input) const;
 
     /** Median over reps (after warmup) of the summed conv rows of a
      * per-run RunProfile: conv-layer time only, the paper's reported
@@ -334,7 +332,6 @@ class CompiledModel
 
   private:
     struct Executor;
-    Tensor runLayers(const Tensor& input, Workspace& ws, RunProfile* profile) const;
     /** The one conv-engine selection point: build the engine for a
      * conv executor whose state fields (weight / fkw / tuning / quant
      * record) are already populated. */
@@ -346,8 +343,8 @@ class CompiledModel
     /** Fill the executor's display label / engine-kind / ISA strings
      * (profile + trace attribution), after its engine is selected. */
     void labelExecutor(Executor& ex, size_t id) const;
-    /** The one plan site of both constructors: plan_ from planNodes(),
-     * plus the memplan.* gauges. */
+    /** The one plan site of both constructors: plan_ and input_shape_
+     * from planNodes(), plus the memplan.* gauges. */
     void derivePlan();
 
     FrameworkKind kind_;
@@ -357,6 +354,7 @@ class CompiledModel
     int output_node_ = -1;
     std::vector<std::unique_ptr<Executor>> executors_;  ///< Per node id.
     MemoryPlan plan_;  ///< Activation arena plan; empty iff planNodes() is.
+    Shape input_shape_;  ///< Per-sample model input; rank 0 iff plan_ is empty.
 };
 
 }  // namespace patdnn

@@ -159,6 +159,23 @@ planActivations(const std::vector<PlanNode>& nodes, int output_node,
     return MemoryPlan(std::move(slots), arena_elems, sum_elems, align_elems);
 }
 
+MemoryPlan
+planWithoutReuse(const std::vector<PlanNode>& nodes, int output_node)
+{
+    std::vector<PlanSlot> slots = computeLifetimes(nodes, output_node);
+    const int64_t align = MemoryPlan::kDefaultAlignElems;
+    int64_t sum_elems = 0;
+    int64_t arena_elems = 0;
+    for (PlanSlot& s : slots) {
+        if (!s.planned)
+            continue;
+        s.offset_elems = sum_elems;
+        arena_elems = s.offset_elems + s.size_elems;
+        sum_elems += alignUp(s.size_elems, align);
+    }
+    return MemoryPlan(std::move(slots), arena_elems, sum_elems, align);
+}
+
 Status
 MemoryPlan::validateAgainst(const std::vector<PlanNode>& nodes,
                             int output_node) const
@@ -173,7 +190,7 @@ MemoryPlan::validateAgainst(const std::vector<PlanNode>& nodes,
         return bad("non-positive alignment");
     if (arena_elems_ < 0 || sum_elems_ < 0 || arena_elems_ > sum_elems_)
         return bad("arena extent " + std::to_string(arena_elems_) +
-                   " exceeds the per-layer sum " + std::to_string(sum_elems_));
+                   " exceeds the no-reuse sum " + std::to_string(sum_elems_));
 
     std::vector<PlanSlot> expect = computeLifetimes(nodes, output_node);
     int64_t max_end = 0;
@@ -202,7 +219,7 @@ MemoryPlan::validateAgainst(const std::vector<PlanNode>& nodes,
         sum += alignUp(s.size_elems, align_elems_);
     }
     if (sum != sum_elems_)
-        return bad("per-layer sum " + std::to_string(sum_elems_) +
+        return bad("no-reuse sum " + std::to_string(sum_elems_) +
                    " != recomputed " + std::to_string(sum));
     if (max_end != arena_elems_ && !(max_end == 0 && arena_elems_ == 0))
         return bad("arena extent " + std::to_string(arena_elems_) +

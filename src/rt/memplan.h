@@ -2,8 +2,8 @@
  * @file
  * Offline activation memory planning.
  *
- * A per-layer Workspace sizes a session by the SUM of every node's
- * output buffer; peak *live* memory is far smaller because most
+ * Giving every node's output its own buffer sizes a run by the SUM of
+ * every output; peak *live* memory is far smaller because most
  * intermediates die as soon as their single consumer has run. This
  * pass computes, for every value in a compiled layer graph, the
  * [first-def, last-use] interval in execution (node-id) order, then
@@ -12,10 +12,10 @@
  * addresses iff their lifetimes are disjoint. The result — a
  * MemoryPlan of (offset, size) slots plus the arena extent — is
  * derived by every CompiledModel from its graph (compile and artifact
- * restore alike; it is never stored), and
- * turns an InferenceSession into a single allocation of
- * arenaBytes(batch) instead of one malloc per layer (the FlexNN-style
- * "memory-planned execution" direction in ROADMAP.md).
+ * restore alike; it is never stored), and every run executes in a
+ * Workspace over it: a single allocation of arenaBytes(batch) instead
+ * of one malloc per layer (the FlexNN-style "memory-planned execution"
+ * direction in ROADMAP.md).
  *
  * Units: everything is in float *elements per sample*. Every op in the
  * runtime keeps the batch as the leading dimension, so a buffer's
@@ -26,8 +26,8 @@
  * Correctness of a plan is an aliasing property that ordinary unit
  * tests won't catch; see tests/memplan_test.cc (randomized-graph
  * properties) and tests/memplan_exec_test.cc (bit-exact differential
- * execution against per-layer workspaces, plus a NaN poison canary
- * over freed ranges).
+ * execution against a planWithoutReuse() workspace, plus a NaN poison
+ * canary over freed ranges).
  */
 #pragma once
 
@@ -87,9 +87,9 @@ class MemoryPlan
     int64_t arenaElemsPerSample() const { return arena_elems_; }
     size_t arenaBytes(int64_t batch) const;
 
-    /** What a per-layer Workspace would allocate (each buffer rounded
-     * to the allocator's 64-byte granularity): the baseline the arena
-     * is measured against. Always >= arenaElemsPerSample(). */
+    /** Every live buffer side by side, each rounded to the allocator's
+     * 64-byte granularity: the no-reuse baseline the arena is measured
+     * against. Always >= arenaElemsPerSample(). */
     int64_t sumElemsPerSample() const { return sum_elems_; }
     size_t sumBytes(int64_t batch) const;
 
@@ -100,7 +100,7 @@ class MemoryPlan
      * to cover: slot count and liveness match, sizes equal the node
      * extents, lifetimes equal a recomputed lifetime pass, offsets are
      * aligned and inside the arena, the arena never exceeds the
-     * per-layer sum, and no two buffers with overlapping lifetimes
+     * no-reuse sum, and no two buffers with overlapping lifetimes
      * overlap in the arena. kInvalidArgument with a diagnostic on the
      * first violation. The oracle of tests/memplan_test.cc's
      * randomized-graph property sweep.
@@ -134,5 +134,13 @@ std::vector<PlanSlot> computeLifetimes(const std::vector<PlanNode>& nodes,
  */
 MemoryPlan planActivations(const std::vector<PlanNode>& nodes, int output_node,
                            int64_t align_elems = MemoryPlan::kDefaultAlignElems);
+
+/**
+ * The plan in which every value survives the run: each live node gets
+ * its own aligned range, in node-id order. For runs that read values
+ * after the fact: kInt8 calibration and the planned-execution
+ * differential reference (tests/memplan_exec_test.cc).
+ */
+MemoryPlan planWithoutReuse(const std::vector<PlanNode>& nodes, int output_node);
 
 }  // namespace patdnn

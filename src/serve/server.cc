@@ -28,29 +28,13 @@ nsOf(ServeClock::TimePoint tp)
         .count();
 }
 
-/**
- * A servable request: leading batch dimension with at least one
- * non-empty sample. (Agreement of the per-sample dims with the model's
- * compiled input geometry remains the caller's contract, as with
- * CompiledModel::run.) Malformed tensors would otherwise break the
- * batching arithmetic for everyone sharing the worker.
- */
-bool
-validRequestInput(const Tensor& t)
+/** Refusal for an input CompiledModel::acceptsInput() rejects: the
+ * workers and the conv engines only ever see inputs they can run. */
+std::string
+malformedInputMessage(const CompiledModel& model)
 {
-    return t.shape().rank() >= 1 && t.shape().dim(0) >= 1 && t.numel() > 0;
-}
-
-/** Batchable = identical rank and per-sample dims (dim 0 is free). */
-bool
-sameSampleShape(const Shape& a, const Shape& b)
-{
-    if (a.rank() != b.rank())
-        return false;
-    for (int i = 1; i < a.rank(); ++i)
-        if (a.dim(i) != b.dim(i))
-            return false;
-    return true;
+    return "inference request is not a non-empty batch of the model's " +
+           model.inputShape().str() + " samples";
 }
 
 }  // namespace
@@ -140,11 +124,13 @@ InferenceServer::submit(Tensor input, SubmitOptions sopts, RequestId* id)
     req.input = std::move(input);
     req.deadline = sopts.deadline;
     std::future<Tensor> result = req.promise.get_future();
-    if (!validRequestInput(req.input)) {
+    if (!model_->acceptsInput(req.input)) {
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            ++rejected_;
+        }
         req.promise.set_exception(std::make_exception_ptr(
-            ServeError(ErrorCode::kInvalidArgument,
-                       "inference request needs a non-empty leading batch "
-                       "dimension")));
+            ServeError(ErrorCode::kInvalidArgument, malformedInputMessage(*model_))));
         return result;
     }
     {
@@ -188,12 +174,10 @@ InferenceServer::trySubmit(Tensor input, std::future<Tensor>* result,
     Request req;
     req.input = std::move(input);
     req.deadline = sopts.deadline;
-    if (!validRequestInput(req.input)) {
+    if (!model_->acceptsInput(req.input)) {
         std::lock_guard<std::mutex> lk(mutex_);
         ++rejected_;
-        return Status(ErrorCode::kInvalidArgument,
-                      "inference request needs a non-empty leading batch "
-                      "dimension");
+        return Status(ErrorCode::kInvalidArgument, malformedInputMessage(*model_));
     }
     RequestId assigned = 0;
     {
@@ -307,8 +291,6 @@ InferenceServer::popBatch()
         const int64_t form_start_ns =
             Tracer::enabled() ? nsOf(clock_->now()) : 0;
         int64_t rows = batch.front().input.shape().dim(0);
-        // By value: push_back below reallocates batch's storage.
-        const Shape sample = batch.front().input.shape();
         const bool linger = opts_.max_linger_ms > 0.0;
         ServeClock::TimePoint flush_at =
             linger ? clock_->after(opts_.max_linger_ms)
@@ -322,8 +304,9 @@ InferenceServer::popBatch()
                     queue_.pop_front();
                     continue;
                 }
-                if (!sameSampleShape(next.input.shape(), sample) ||
-                    rows + next.input.shape().dim(0) > opts_.max_batch)
+                // Every queued input is a batch of the model's sample
+                // shape (checked at submit), so any two stack.
+                if (rows + next.input.shape().dim(0) > opts_.max_batch)
                     break;
                 rows += next.input.shape().dim(0);
                 batch.push_back(std::move(next));

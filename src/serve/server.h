@@ -140,7 +140,7 @@ struct ServerStats
 {
     int64_t accepted = 0;          ///< Requests admitted to the queue.
     int64_t completed = 0;         ///< Requests fulfilled.
-    int64_t rejected = 0;          ///< trySubmit calls refused (queue full).
+    int64_t rejected = 0;          ///< Refused at intake (malformed, full, shed).
     int64_t deadline_exceeded = 0; ///< Shed before dispatch (deadline passed).
     int64_t cancelled = 0;         ///< Removed from the queue by cancel().
     int64_t batches = 0;           ///< Model invocations.
@@ -177,10 +177,11 @@ class InferenceServer
      * samples); blocks while the queue is full. The future resolves to
      * the model output rows for exactly this input, or fails with a
      * ServeError exposing its code: kDeadlineExceeded / kCancelled for
-     * shed work, kInvalidArgument for a malformed input (no leading
-     * batch dim / zero samples — fails only this request's future),
-     * kUnavailable when intake already stopped. `id`, when non-null,
-     * receives the accepted request's id (0 if not enqueued).
+     * shed work, kInvalidArgument (and ++rejected) for an input that
+     * is not a non-empty batch of the model's inputShape() samples
+     * (fails only this request's future), kUnavailable when intake
+     * already stopped. `id`, when non-null, receives the accepted
+     * request's id (0 if not enqueued).
      */
     std::future<Tensor> submit(Tensor input, SubmitOptions sopts = {},
                                RequestId* id = nullptr);
@@ -188,7 +189,8 @@ class InferenceServer
     /**
      * Non-throwing, non-blocking admission path: the RequestId on
      * acceptance (with *result holding the future), or a typed refusal
-     * (and ++rejected) — kInvalidArgument for a malformed input,
+     * (and ++rejected) — kInvalidArgument for an input that is not a
+     * non-empty batch of the model's inputShape() samples,
      * kResourceExhausted when the queue is full, kUnavailable when
      * intake has stopped.
      */
@@ -235,8 +237,8 @@ class InferenceServer
     };
 
     void workerLoop();
-    /** Pop a shape-compatible micro-batch, lingering per opts_; empty
-     * only when stopping and fully drained. */
+    /** Pop a micro-batch, lingering per opts_; empty only when
+     * stopping and fully drained. */
     std::vector<Request> popBatch();
     /** Shed queued requests whose deadline has passed: fail their
      * futures with ServeError(kDeadlineExceeded) and count them (mutex_ held;

@@ -8,19 +8,17 @@ namespace patdnn {
 
 namespace {
 
-const MemoryPlan*
-sessionPlan(const std::shared_ptr<const CompiledModel>& model)
+const MemoryPlan&
+modelPlan(const std::shared_ptr<const CompiledModel>& model)
 {
     PATDNN_CHECK(model != nullptr, "session needs a model");
-    PATDNN_CHECK(model->hasMemoryPlan(),
-                 "session needs a model memory plan (graph fails shape inference)");
-    return &model->memoryPlan();
+    return model->memoryPlan();
 }
 
 }  // namespace
 
 InferenceSession::InferenceSession(std::shared_ptr<const CompiledModel> model)
-    : model_(std::move(model)), workspace_(sessionPlan(model_))
+    : model_(std::move(model)), workspace_(modelPlan(model_))
 {
 }
 

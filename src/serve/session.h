@@ -13,9 +13,9 @@
  * laid out by the model's activation MemoryPlan (rt/memplan.h — every
  * compiled or restored model derives one from its graph) and sized by
  * peak LIVE memory instead of one allocation per layer, which is what
- * lets a host hold many more concurrent sessions per GB. Planned and
- * per-layer execution (CompiledModel::run(input)) are bit-exact
- * against each other (tests/memplan_exec_test.cc).
+ * lets a host hold many more concurrent sessions per GB. Runs under
+ * the model's plan are bit-exact against runs under a plan that
+ * recycles nothing (tests/memplan_exec_test.cc).
  */
 #pragma once
 
@@ -42,9 +42,9 @@ struct SessionStats
 class InferenceSession
 {
   public:
-    /** `model` must carry a memory plan (CHECK-aborts otherwise; only
-     * a directly constructed graph that fails shape inference lacks
-     * one). */
+    /** `model` must carry a memory plan (the Workspace CHECK-aborts
+     * otherwise; only a directly constructed graph that fails shape
+     * inference lacks one). */
     explicit InferenceSession(std::shared_ptr<const CompiledModel> model);
 
     /** Run one NCHW batch through the shared model. */

@@ -195,7 +195,7 @@ TEST(Compiler, TypedErrorsInsteadOfAborts)
     w5.fillNormal(rng);
     auto compiled = compiler.compile(singleConvModel(five, w5));
     ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
-    Workspace ws;
+    Workspace ws(compiled.value()->memoryPlan());
     RunProfile profile;
     compiled.value()->run(Tensor(Shape{1, 6, 12, 12}), ws, &profile);
     EXPECT_EQ(profile.entries[0].kind, "im2col");

@@ -242,7 +242,7 @@ TEST(ConvEngineSelection, EveryKindPicksItsEngine)
         for (int k = 0; k < 6; ++k) {
             SCOPED_TRACE(d.name + " " + frameworkName(kinds[k]));
             CompiledModel model(singleConvModel(d, 5), kinds[k], dev);
-            Workspace ws;
+            Workspace ws(model.memoryPlan());
             RunProfile prof;
             Tensor got = model.run(in, ws, &prof);
             const RunProfileEntry& e =

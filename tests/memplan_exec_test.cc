@@ -5,14 +5,15 @@
  * pointer, reads an input after writing its output's aliased range, or
  * sizes a view wrong would pass every static check and still corrupt
  * activations. So this suite runs every zoo model through a planned
- * (single-arena) session and through CompiledModel::run(input), which
- * uses a per-layer Workspace, on identical inputs and requires
- * bit-exact (memcmp) agreement — at batch 1 and a
- * multi-sample batch, under the vector and forced-scalar kernel paths,
- * and with the NaN poison canary filling freed arena ranges between
- * layers (any executor touching recycled memory surfaces as a NaN in
- * the diff). Also pins the headline footprint win: peak-live arena vs
- * per-layer sum on the ResNet-class model.
+ * (single-arena) session and, as the reference, through the same
+ * CompiledModel::run in a Workspace over planWithoutReuse() — a plan
+ * that recycles nothing, so the two runs differ only in the plan — on
+ * identical inputs and requires bit-exact (memcmp) agreement — at
+ * batch 1 and a multi-sample batch, under the vector and forced-scalar
+ * kernel paths, and with the NaN poison canary filling freed arena
+ * ranges between layers (any executor touching recycled memory
+ * surfaces as a NaN in the diff). Also pins the headline footprint
+ * win: peak-live arena vs the no-reuse sum on the ResNet-class model.
  */
 #include <gtest/gtest.h>
 
@@ -46,7 +47,7 @@ expectBitExact(const Tensor& got, const Tensor& want, const std::string& what)
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           static_cast<size_t>(want.numel()) * sizeof(float)),
               0)
-        << what << ": planned output differs from per-layer output "
+        << what << ": planned output differs from the no-reuse reference "
         << "(maxAbsDiff=" << Tensor::maxAbsDiff(got, want) << ")";
 }
 
@@ -70,26 +71,33 @@ compileZoo(const std::string& short_name, FrameworkKind kind,
     return compiled;
 }
 
-/** Planned vs per-layer differential over one shared model. */
+/** The reference run: `model`'s own executors in a workspace whose
+ * plan recycles nothing. */
+Tensor
+keepAllRun(const CompiledModel& model, const Tensor& in)
+{
+    const MemoryPlan keep_all = planWithoutReuse(model.planNodes(), model.outputNode());
+    Workspace ws(keep_all);
+    return model.run(in, ws);
+}
+
+/** Planned vs no-reuse differential over one shared model. */
 void
 runDifferential(std::shared_ptr<const CompiledModel> model,
                 const std::string& what)
 {
     ASSERT_TRUE(model->hasMemoryPlan()) << what;
     InferenceSession planned(model);
-    Workspace per_layer;
 
     for (int64_t batch : {int64_t{1}, int64_t{3}}) {
         Tensor in = cifarInput(77 + static_cast<uint64_t>(batch), batch);
-        Tensor want = model->run(in, per_layer);
-        Tensor got = planned.run(in);
-        expectBitExact(got, want,
+        expectBitExact(planned.run(in), keepAllRun(*model, in),
                        what + " batch " + std::to_string(batch));
     }
     // The arena really is one allocation of plan size, scaled by the
     // largest batch run so far.
     EXPECT_EQ(planned.activationBytes(), model->memoryPlan().arenaBytes(3));
-    EXPECT_LE(planned.activationBytes(), per_layer.activationBytes());
+    EXPECT_LE(planned.activationBytes(), model->memoryPlan().sumBytes(3));
 }
 
 TEST(MemPlanExec, VggPatternBitExact)
@@ -140,7 +148,7 @@ TEST(MemPlanExec, PoisonCanaryFindsNoStaleReads)
     canary.setDebugPoisonFreed(true);
     for (int64_t batch : {int64_t{1}, int64_t{2}}) {
         Tensor in = cifarInput(31 + static_cast<uint64_t>(batch), batch);
-        expectBitExact(canary.run(in), model->run(in),
+        expectBitExact(canary.run(in), keepAllRun(*model, in),
                        "RNT poison canary batch " + std::to_string(batch));
     }
 }
@@ -149,13 +157,13 @@ TEST(MemPlanExec, ArenaIsAtMost60PercentOfPerLayerOnResNet)
 {
     // The acceptance bar from the planner's reason to exist: deep nets
     // with short-lived intermediates should pack into well under the
-    // per-layer sum. ResNet-50's 100+ activations reuse a handful of
+    // no-reuse sum. ResNet-50's 100+ activations reuse a handful of
     // arena ranges.
     auto model = compileZoo("RNT", FrameworkKind::kPatDnn, makeCpuDevice(2));
     ASSERT_TRUE(model->hasMemoryPlan());
     const MemoryPlan& plan = model->memoryPlan();
     EXPECT_LE(plan.arenaBytes(1), plan.sumBytes(1) * 6 / 10)
-        << "arena " << plan.arenaBytes(1) << " B vs per-layer "
+        << "arena " << plan.arenaBytes(1) << " B vs no-reuse "
         << plan.sumBytes(1) << " B";
 }
 
@@ -205,7 +213,7 @@ TEST(MemPlanExec, ConcurrentPlannedSessionsAreIndependent)
     std::vector<Tensor> inputs, expected;
     for (uint64_t s = 0; s < 4; ++s) {
         inputs.push_back(cifarInput(100 + s, 1));
-        expected.push_back(model->run(inputs.back()));
+        expected.push_back(keepAllRun(*model, inputs.back()));
     }
     std::vector<Tensor> got(inputs.size());
     std::vector<std::thread> threads;
@@ -235,8 +243,8 @@ TEST(MemPlanExec, OutputSurvivesNextRun)
     expectBitExact(out_a, out_a_copy, "first output after second run");
     // Both outputs stay individually correct: neither is a live view
     // into the (now twice-recycled) arena.
-    expectBitExact(out_a, model->run(in_a), "first output vs per-layer");
-    expectBitExact(out_b, model->run(in_b), "second output vs per-layer");
+    expectBitExact(out_a, keepAllRun(*model, in_a), "first output vs reference");
+    expectBitExact(out_b, keepAllRun(*model, in_b), "second output vs reference");
 }
 
 }  // namespace

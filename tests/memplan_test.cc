@@ -5,7 +5,8 @@
  * compiler can produce. Unit cases can't cover that space, so the core
  * suite here generates 1000+ seeded random layer graphs (chains with
  * extra long-range edges, dead slots, varying extents) and asserts the
- * planner invariants hold on every one — plus targeted shapes (chain,
+ * planner invariants hold on every one (for planActivations() and the
+ * no-reuse planWithoutReuse() alike) — plus targeted shapes (chain,
  * diamond, dead output predecessors) where the expected packing is
  * known, and negative cases proving validateAgainst() — the sweep's
  * oracle — rejects every class of corrupted plan.
@@ -143,6 +144,20 @@ TEST(MemPlan, RandomGraphPropertySweep)
         MemoryPlan plan = planActivations(nodes, output_node);
         checkPlanInvariants(plan, nodes, output_node);
         EXPECT_TRUE(plan.validateAgainst(nodes, output_node).ok());
+
+        // The no-reuse plan is a valid plan too, and no two of its
+        // buffers share an address whatever their lifetimes.
+        MemoryPlan kept = planWithoutReuse(nodes, output_node);
+        checkPlanInvariants(kept, nodes, output_node);
+        EXPECT_TRUE(kept.validateAgainst(nodes, output_node).ok());
+        EXPECT_EQ(kept.sumElemsPerSample(), plan.sumElemsPerSample());
+        for (size_t i = 0; i < nodes.size(); ++i)
+            for (size_t j = i + 1; j < nodes.size(); ++j) {
+                if (kept.slot(i).planned && kept.slot(j).planned) {
+                    EXPECT_FALSE(addressesOverlap(kept.slot(i), kept.slot(j)))
+                        << "slots " << i << " and " << j;
+                }
+            }
     }
 }
 

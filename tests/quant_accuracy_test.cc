@@ -164,7 +164,7 @@ TEST(QuantAccuracy, RunProfileAttributesPrecisionPerLayer)
     Tensor in(Shape{1, 3, 32, 32});
     Rng rng(9);
     in.fillUniform(rng, 0.0f, 1.0f);
-    Workspace ws;
+    Workspace ws(i8.memoryPlan());
     RunProfile profile;
     i8.run(in, ws, &profile);
 

@@ -267,14 +267,21 @@ TEST(Session, SharedModelConcurrentSessionsMatchSerial)
                 << "session " << s << " request " << r;
 }
 
-TEST(Workspace, PerLayerSingleElementOutputReusesSlotSafely)
+/** flatten -> fc(out=1), a scalar head; `conv_first` puts a conv in
+ * front so the graph's shapes chain from the model input. */
+Model
+scalarHeadModel(bool conv_first)
 {
-    // Regression: a fresh per-layer Workspace slot is rank-0 with
-    // numel() == 1 but no storage; a 1-element output (e.g. a scalar
-    // regression head) must allocate it rather than reshape it. The
-    // model reads its input through a flatten, so it has no memory plan
-    // and runs on the per-layer Workspace only.
     Model m("scalar-head", "test");
+    int64_t features = 3 * 4 * 4;
+    if (conv_first) {
+        Layer conv;
+        conv.kind = OpKind::kConv;
+        conv.name = "c1";
+        conv.conv = ConvDesc{"c1", 3, 4, 3, 3, 4, 4, 1, 1, 1, 1};
+        m.addLayer(std::move(conv));
+        features = 4 * 4 * 4;
+    }
     Layer fl;
     fl.kind = OpKind::kFlatten;
     fl.name = "flatten";
@@ -282,21 +289,39 @@ TEST(Workspace, PerLayerSingleElementOutputReusesSlotSafely)
     Layer fc;
     fc.kind = OpKind::kFullyConnected;
     fc.name = "fc";
-    fc.in_features = 3 * 4 * 4;
+    fc.in_features = features;
     fc.out_features = 1;
     m.addLayer(std::move(fc));
     m.randomizeWeights(5);
+    return m;
+}
 
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel model(m, FrameworkKind::kPatDnnDense, dev);
-    Workspace ws;
+TEST(Workspace, SingleElementOutputRunsPlanned)
+{
+    // A 1-element output gets a one-element arena slot; two runs
+    // through one session agree.
+    auto model = std::make_shared<const CompiledModel>(
+        scalarHeadModel(true), FrameworkKind::kPatDnnDense, makeFixedWidthCpuDevice(2));
+    ASSERT_TRUE(model->hasMemoryPlan());
+    InferenceSession session(model);
     Tensor in(Shape{1, 3, 4, 4});
     Rng rng(6);
     in.fillUniform(rng, -1.0f, 1.0f);
-    Tensor a = model.run(in, ws);
-    Tensor b = model.run(in, ws);
+    Tensor a = session.run(in);
+    Tensor b = session.run(in);
     EXPECT_EQ(a.shape(), Shape({1, 1}));
     EXPECT_EQ(Tensor::maxAbsDiff(a, b), 0.0);
+}
+
+TEST(WorkspaceDeathTest, EmptyPlanAborts)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    // Reading the model input through a flatten fails shape inference,
+    // so a directly constructed model of it has no plan to run in.
+    CompiledModel model(scalarHeadModel(false), FrameworkKind::kPatDnnDense,
+                        makeFixedWidthCpuDevice(2));
+    ASSERT_FALSE(model.hasMemoryPlan());
+    EXPECT_DEATH(Workspace ws(model.memoryPlan()), "fails shape inference");
 }
 
 TEST(Session, TracksStats)
@@ -426,27 +451,57 @@ TEST(Server, BoundedQueueRejectsWhenFull)
 
 TEST(Server, MalformedInputFailsOnlyThatRequest)
 {
+    // Rank-0, zero-sample and mis-shaped inputs are refused at intake
+    // with a typed kInvalidArgument, through the server and the router
+    // alike, and every refusal counts. (Per-sample dims other than the
+    // model's would send the input conv past the end of its input.)
     Model m = tinyModel();
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    auto model = std::make_shared<const CompiledModel>(
-        m, FrameworkKind::kPatDnnDense, dev);
+    auto model = std::make_shared<const CompiledModel>(m, FrameworkKind::kPatDnn, dev);
+    EXPECT_EQ(model->inputShape(), Shape({1, 3, 16, 16}));
     InferenceServer server(model);
+    ShardRouter router;
+    ASSERT_TRUE(router.addLocalReplicas("m", model, 2).ok());
 
-    // Rank-0 and zero-sample tensors are rejected per-request with a
-    // typed kInvalidArgument.
-    std::future<Tensor> bad1 = server.submit(Tensor());
-    EXPECT_EQ(futureErrorCode(bad1), ErrorCode::kInvalidArgument);
-    std::future<Tensor> bad2 = server.submit(Tensor(Shape{0, 3, 16, 16}));
-    EXPECT_EQ(futureErrorCode(bad2), ErrorCode::kInvalidArgument);
-    std::future<Tensor> f;
-    Result<RequestId> refused = server.trySubmit(Tensor(), &f);
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
-    EXPECT_EQ(server.stats().rejected, 1);
+    const std::vector<Shape> bad = {Shape{},           Shape{0, 3, 16, 16},
+                                    Shape{1, 3, 8, 8}, Shape{1, 3, 16, 8},
+                                    Shape{1, 4, 16, 16}, Shape{1, 3, 16},
+                                    Shape{1, 3, 16, 16, 1}};
+    for (const Shape& shape : bad) {
+        SCOPED_TRACE(shape.str());
+        std::future<Tensor> f = server.submit(Tensor(shape));
+        EXPECT_EQ(futureErrorCode(f), ErrorCode::kInvalidArgument);
+        Result<RequestId> r = server.trySubmit(Tensor(shape), &f);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.code(), ErrorCode::kInvalidArgument);
+        Result<RequestId> routed = router.trySubmit("m", 1, Tensor(shape), &f);
+        ASSERT_FALSE(routed.ok());
+        EXPECT_EQ(routed.code(), ErrorCode::kInvalidArgument);
+    }
+    EXPECT_EQ(server.stats().rejected, static_cast<int64_t>(2 * bad.size()));
+    EXPECT_EQ(server.stats().accepted, 0);
 
-    // The server keeps serving well-formed requests afterwards.
-    Tensor in = makeInput(77);
-    EXPECT_EQ(server.submit(in).get().shape(), Shape({1, 10}));
+    // Well-formed requests are still served, bit-exact.
+    Tensor in = makeInput(78, 2);
+    Tensor want = model->run(in);
+    const size_t bytes = static_cast<size_t>(want.numel()) * sizeof(float);
+    Tensor served = server.submit(in).get();
+    ASSERT_EQ(served.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(served.data(), want.data(), bytes), 0);
+    std::future<Tensor> routed;
+    ASSERT_TRUE(router.trySubmit("m", 1, in, &routed).ok());
+    Tensor got = routed.get();
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0);
+    router.shutdownAll();
+}
+
+TEST(ModelRunDeathTest, MisShapedInputAborts)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    CompiledModel model(tinyModel(), FrameworkKind::kPatDnn, makeFixedWidthCpuDevice(2));
+    EXPECT_DEATH(model.run(Tensor(Shape{1, 3, 8, 8})), "is not a batch of");
+    EXPECT_DEATH(model.run(Tensor(Shape{1, 4, 16, 16})), "is not a batch of");
 }
 
 TEST(Server, SubmitAfterShutdownFails)

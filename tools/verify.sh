@@ -7,9 +7,9 @@
 # AVX2 — and anyone reproducing the CI matrix's scalar cell — run
 # tier-1 against the same configuration CI uses without clobbering the
 # default build tree's cache. The memory-planner suites (memplan_test,
-# memplan_exec_test) run in both cells: every session runs out of its
-# model's planned arena, and it must be bit-exact against the per-layer
-# Workspace of CompiledModel::run on the vector AND scalar kernel paths.
+# memplan_exec_test) run in both cells: every run executes in its
+# model's planned arena, and it must be bit-exact against a
+# planWithoutReuse() workspace on the vector AND scalar kernel paths.
 #
 # --trace-off configures with -DPATDNN_ENABLE_TRACING=OFF in
 # build-notrace/, reproducing CI's tracing-compiled-out cell: proves
@@ -32,10 +32,15 @@
 # --gate-only runs just the error-model header gate (the CI step's
 # single source of truth for that grep) and exits.
 #
+# Every mode ends by printing the line count under src/
+# (`git ls-files src | xargs cat | wc -l`), the simplicity measure
+# ROADMAP.md asks every change to report.
+#
 # Usage: tools/verify.sh [--format-only|--no-format|--gate-only] [--simd-off|--trace-off|--sanitize|--sanitize=thread]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+repo_root=$(pwd)
 
 run_format=1
 run_build=1
@@ -99,6 +104,7 @@ if [[ ${run_format} -eq 1 ]]; then
     fi
 fi
 
+status=0
 if [[ ${run_build} -eq 1 ]]; then
     echo "== tier-1: configure + build + ctest (${build_dir}) =="
     # Per-test timeout so a hung suite (e.g. a deadlocked server test)
@@ -106,5 +112,9 @@ if [[ ${run_build} -eq 1 ]]; then
     cmake -B "${build_dir}" -S . "${cmake_args[@]}" \
         && cmake --build "${build_dir}" -j ${build_targets[@]:+--target "${build_targets[@]}"} \
         && cd "${build_dir}" \
-        && ctest --output-on-failure -j --timeout "${test_timeout}" "${ctest_args[@]}"
+        && ctest --output-on-failure -j --timeout "${test_timeout}" "${ctest_args[@]}" \
+        || status=$?
 fi
+
+echo "== src/ line count: $(cd "${repo_root}" && git ls-files src | xargs cat | wc -l) =="
+exit "${status}"
