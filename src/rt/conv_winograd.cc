@@ -73,45 +73,49 @@ WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec devic
       ops_(&resolveSimdOps(device_.simd_isa))
 {
     PATDNN_CHECK(applies(desc_), "Winograd needs a stride-1 3x3 conv");
-    // U is read only while packing, so it lives just for construction.
-    Tensor transformed(Shape{16, desc_.cout, desc_.cin});
+    // Each transformed filter lands straight in the stage-2 RHS column
+    // panels of the 16 U[t]^T [cin x cout], which stay zero past cout.
+    const int nr = ops_->gemm_nr;
+    blocking_ = gemmBlockingFor(*ops_, desc_.cin, desc_.cout,
+                                device_.tile_budget_kb, tuning.gemm_kc,
+                                tuning.gemm_nc);
+    int64_t per_t = packedRhsElems(desc_.cin, desc_.cout, nr);
+    packed_u_ = Tensor(Shape{16 * per_t});
     for (int64_t oc = 0; oc < desc_.cout; ++oc) {
         for (int64_t ic = 0; ic < desc_.cin; ++ic) {
             float u[16];
             transformFilter(weight->data() + (oc * desc_.cin + ic) * 9, u);
+            float* dst = packed_u_.data() + ((oc / nr) * desc_.cin + ic) * nr +
+                         oc % nr;
             for (int t = 0; t < 16; ++t)
-                transformed[(static_cast<int64_t>(t) * desc_.cout + oc) *
-                                 desc_.cin + ic] = u[t];
+                dst[t * per_t] = u[t];
         }
     }
-    // Pack the 16 transformed-filter matrices [cout x cin] as LHS tile
-    // panels for the stage-2 GEMMs.
-    int64_t tiles = ((desc_.outH() + 1) / 2) * ((desc_.outW() + 1) / 2);
-    blocking_ = gemmBlockingFor(*ops_, desc_.cin, tiles,
-                                device_.tile_budget_kb, tuning.gemm_kc,
-                                tuning.gemm_nc);
-    int64_t per_t = packedLhsElems(desc_.cout, desc_.cin, ops_->gemm_mr);
-    packed_u_ = Tensor(Shape{16 * per_t});
-    for (int t = 0; t < 16; ++t)
-        packLhsTiles(transformed.data() + static_cast<int64_t>(t) *
-                         desc_.cout * desc_.cin,
-                     desc_.cout, desc_.cin, desc_.cin, ops_->gemm_mr,
-                     packed_u_.data() + t * per_t);
 }
 
 void
 WinogradConv::run(const Tensor& in, Tensor& out, const Epilogue& ep) const
 {
     const ConvDesc& d = desc_;
+    const SimdOps& ops = *ops_;
+    const int mr = ops.gemm_mr;
+    const int nr = ops.gemm_nr;
     int64_t n = in.shape().dim(0);
     int64_t oh = d.outH(), ow = d.outW();
     int64_t tiles_y = (oh + 1) / 2;
     int64_t tiles_x = (ow + 1) / 2;
     int64_t tiles = tiles_y * tiles_x;
+    int64_t lhs_tiles = (tiles + mr - 1) / mr;
+    int64_t per_t_lhs = packedLhsElems(tiles, d.cin, mr);
+    int64_t rhs_tiles = (d.cout + nr - 1) / nr;
+    int64_t per_t_rhs = packedRhsElems(d.cin, d.cout, nr);
+    // Row panels of the 16 V[t]^T [tiles x cin]; rows past `tiles` stay 0.
+    Tensor packed_v(Shape{16 * per_t_lhs});
 
     for (int64_t b = 0; b < n; ++b) {
-        // Stage 1: input transform for all tiles: V [16, cin, tiles].
-        Tensor v(Shape{16, d.cin, tiles});
+        Tensor mbuf(Shape{16, tiles, d.cout});  // M[t]^T, zeroed.
+        // Stage 1: input transform, written straight into the LHS row
+        // panels: tile is the row, ic the k index.
         device_.pool().parallelFor(d.cin, [&](int64_t ic) {
             const float* iptr = in.data() + ((b * d.cin + ic) * d.h) * d.w;
             for (int64_t ty = 0; ty < tiles_y; ++ty) {
@@ -130,54 +134,44 @@ WinogradConv::run(const Tensor& in, Tensor& out, const Epilogue& ep) const
                     transformInput(patch, vt);
                     int64_t tile = ty * tiles_x + tx;
                     for (int t = 0; t < 16; ++t)
-                        v[(static_cast<int64_t>(t) * d.cin + ic) * tiles + tile] = vt[t];
+                        packed_v[t * per_t_lhs + ((tile / mr) * d.cin + ic) * mr +
+                                 tile % mr] = vt[t];
                 }
             }
         });
 
-        // Stage 2: 16 independent GEMMs M[t] = U[t] * V[t],
-        // [cout x cin] * [cin x tiles], on the packed tile kernel.
-        const SimdOps& ops = *ops_;
-        const int mr = ops.gemm_mr;
-        const int nr = ops.gemm_nr;
-        int64_t lhs_tiles = (d.cout + mr - 1) / mr;
-        int64_t rhs_tiles = (tiles + nr - 1) / nr;
-        int64_t per_t_lhs = packedLhsElems(d.cout, d.cin, mr);
-        int64_t per_t_rhs = packedRhsElems(d.cin, tiles, nr);
-        Tensor packed_v(Shape{16 * per_t_rhs});
+        // Stage 2: 16 independent GEMMs M[t]^T = V[t]^T * U[t]^T,
+        // [tiles x cin] * [cin x cout], on the packed tile kernel. cout
+        // fills the tile's columns, so a small plane (few tiles) still
+        // runs full-width vectors. Each job owns one t and one column
+        // panel and walks every row tile over it, so its U^T panel
+        // streams from memory once. Each element's chain is 0 + V*U in
+        // cin order, and V*U == U*V exactly.
         device_.pool().parallelFor(16 * rhs_tiles, [&](int64_t job) {
             int64_t t = job / rhs_tiles;
-            int64_t j = job % rhs_tiles;
-            int64_t live = std::min<int64_t>(nr, tiles - j * nr);
-            packRhsTiles(v.data() + t * d.cin * tiles + j * nr, d.cin, live,
-                         tiles, nr,
-                         packed_v.data() + t * per_t_rhs + j * d.cin * nr);
-        });
-        Tensor mbuf(Shape{16, d.cout, tiles});
-        device_.pool().parallelFor(16 * lhs_tiles, [&](int64_t job) {
-            int64_t t = job / lhs_tiles;
-            int64_t i = job % lhs_tiles;
-            float* mbase = mbuf.data() + t * d.cout * tiles;
-            int64_t row1 = std::min<int64_t>((i + 1) * mr, d.cout);
-            std::fill(mbase + i * mr * tiles, mbase + row1 * tiles, 0.0f);
-            packedGemmRowTiles(ops, packed_u_.data() + t * per_t_lhs,
-                               packed_v.data() + t * per_t_rhs, d.cout, d.cin,
-                               tiles, mbase, tiles, i, i + 1, blocking_);
+            int64_t col0 = (job % rhs_tiles) * nr;
+            int64_t cols = std::min<int64_t>(nr, d.cout - col0);
+            packedGemmRowTiles(ops, packed_v.data() + t * per_t_lhs,
+                               packed_u_.data() + t * per_t_rhs + col0 * d.cin,
+                               tiles, d.cin, cols,
+                               mbuf.data() + t * tiles * d.cout + col0, d.cout,
+                               0, lhs_tiles, blocking_);
         });
 
-        // Stage 3: output transform.
-        device_.pool().parallelFor(d.cout, [&](int64_t oc) {
-            float bias = ep.bias ? (*ep.bias)[oc] : 0.0f;
-            float* optr = out.data() + ((b * d.cout + oc) * oh) * ow;
-            for (int64_t ty = 0; ty < tiles_y; ++ty) {
-                for (int64_t tx = 0; tx < tiles_x; ++tx) {
-                    int64_t tile = ty * tiles_x + tx;
+        // Stage 3: output transform. Each worker takes a range of
+        // tiles; a tile's 16 rows of M^T each hold every oc in order.
+        device_.pool().parallelChunks(tiles, [&](int64_t tile0, int64_t tile1) {
+            for (int64_t tile = tile0; tile < tile1; ++tile) {
+                int64_t ty = tile / tiles_x, tx = tile % tiles_x;
+                const float* mrow = mbuf.data() + tile * d.cout;
+                for (int64_t oc = 0; oc < d.cout; ++oc) {
                     float m[16];
                     for (int t = 0; t < 16; ++t)
-                        m[t] = mbuf[(static_cast<int64_t>(t) * d.cout + oc) * tiles +
-                                    tile];
+                        m[t] = mrow[t * tiles * d.cout + oc];
                     float y[4];
                     transformOutput(m, y);
+                    float bias = ep.bias ? (*ep.bias)[oc] : 0.0f;
+                    float* optr = out.data() + ((b * d.cout + oc) * oh) * ow;
                     for (int r = 0; r < 2; ++r) {
                         int64_t oy = ty * 2 + r;
                         if (oy >= oh)

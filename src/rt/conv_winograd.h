@@ -4,10 +4,11 @@
  * paper enables "for all dense runs" (Section 6.1) and the MNN-like
  * facade's fast 3x3 kernel. It applies to stride-1 3x3 convs only
  * (applies()); selectConvEngine() runs every other geometry on im2col.
- * The 16 per-tile-position stage-2 GEMMs run on the same packed
- * SimdOps::gemm_tile kernel as the im2col backend (rt/gemm_packed.h):
- * the transformed filters are packed once at construction, the
- * transformed input is packed per run.
+ * The 16 per-tile-position stage-2 GEMMs run on the im2col backend's
+ * packed SimdOps::gemm_tile kernel (rt/gemm_packed.h) as M[t]^T =
+ * V[t]^T * U[t]^T, [tiles x cin] * [cin x cout], so cout fills the
+ * tile's columns even on a 2x2 plane. U^T is packed once at
+ * construction; the input transform writes V^T straight into its panels.
  */
 #pragma once
 
@@ -42,7 +43,7 @@ class WinogradConv : public ConvEngine
     ConvDesc desc_;
     DeviceSpec device_;
     const SimdOps* ops_ = nullptr;  ///< Resolved kernel table.
-    Tensor packed_u_;     ///< 16 packed LHS tile-panel sets of U.
+    Tensor packed_u_;     ///< 16 packed RHS column-panel sets of U^T.
     GemmBlocking blocking_;
 };
 

@@ -109,7 +109,7 @@ struct SimdOps
      * `ldc`, already holding the accumulation state (bias or the
      * previous K block's partial sums). mr/nr are the live extents
      * (< gemm_mr/gemm_nr only on edge tiles; the padded panel lanes
-     * hold zeros and are never stored).
+     * hold zeros, and C past the live extent is never read or written).
      *
      * Numerics: for every output element the chain is
      *   acc = c[m*ldc+n]; for k in [0,kc): acc += a[k][m] * b[k][n];

@@ -133,55 +133,60 @@ reluAvx2(float* y, int64_t n)
 
 // Packed-GEMM tile: 4 LHS rows x 16 RHS columns = 8 ymm accumulators,
 // plus one broadcast and two RHS loads per k step — 11 of the 16 ymm
-// registers, leaving headroom for addressing.
+// registers, leaving headroom for addressing. Full and edge tiles share
+// one vector path: the live row count is a template argument, so dead
+// rows are never computed, and C moves through lane masks, so a padded
+// column lane is neither read nor written (its accumulator only ever
+// multiplies the panel's zero padding). The RHS panel is prefetched 4 KB
+// ahead, since a small-M GEMM streams it from memory; the address is an
+// integer, so no pointer leaves the panel (prefetches never fault).
 constexpr int kGemmMrAvx2 = 4;
 constexpr int kGemmNrAvx2 = 16;
+
+template <int MR>
+inline void
+gemmRowsAvx2(const float* a_panel, const float* b_panel, float* c, int64_t ldc,
+             int64_t kc, int nr)
+{
+    // Lane j of the low (high) vector is live when j < nr (j + 8 < nr); with
+    // no live high lane, `hi` keeps its pointers inside C's live extent.
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i mask0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr), lane);
+    const __m256i mask1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr - 8), lane);
+    const int64_t hi = nr > 8 ? 8 : 0;
+    __m256 acc[MR][2];
+    for (int m = 0; m < MR; ++m) {
+        acc[m][0] = _mm256_maskload_ps(c + m * ldc, mask0);
+        acc[m][1] = _mm256_maskload_ps(c + m * ldc + hi, mask1);
+    }
+    for (int64_t k = 0; k < kc; ++k) {
+        const uintptr_t ahead = reinterpret_cast<uintptr_t>(b_panel + k * kGemmNrAvx2) + 4096;
+        _mm_prefetch(reinterpret_cast<const char*>(ahead), _MM_HINT_T0);
+        const __m256 b0 = _mm256_loadu_ps(b_panel + k * kGemmNrAvx2);
+        const __m256 b1 = _mm256_loadu_ps(b_panel + k * kGemmNrAvx2 + 8);
+        const float* a = a_panel + k * kGemmMrAvx2;
+        for (int m = 0; m < MR; ++m) {
+            const __m256 av = _mm256_set1_ps(a[m]);
+            acc[m][0] = _mm256_add_ps(acc[m][0], _mm256_mul_ps(av, b0));
+            acc[m][1] = _mm256_add_ps(acc[m][1], _mm256_mul_ps(av, b1));
+        }
+    }
+    for (int m = 0; m < MR; ++m) {
+        _mm256_maskstore_ps(c + m * ldc, mask0, acc[m][0]);
+        _mm256_maskstore_ps(c + m * ldc + hi, mask1, acc[m][1]);
+    }
+}
 
 void
 gemmTileAvx2(const float* a_panel, const float* b_panel, float* c, int64_t ldc,
              int64_t kc, int mr, int nr)
 {
-    if (mr == kGemmMrAvx2 && nr == kGemmNrAvx2) {
-        __m256 acc[kGemmMrAvx2][2];
-        for (int m = 0; m < kGemmMrAvx2; ++m) {
-            acc[m][0] = _mm256_loadu_ps(c + m * ldc);
-            acc[m][1] = _mm256_loadu_ps(c + m * ldc + 8);
-        }
-        for (int64_t k = 0; k < kc; ++k) {
-            const __m256 b0 = _mm256_loadu_ps(b_panel + k * kGemmNrAvx2);
-            const __m256 b1 = _mm256_loadu_ps(b_panel + k * kGemmNrAvx2 + 8);
-            const float* a = a_panel + k * kGemmMrAvx2;
-            for (int m = 0; m < kGemmMrAvx2; ++m) {
-                const __m256 av = _mm256_set1_ps(a[m]);
-                acc[m][0] =
-                    _mm256_add_ps(acc[m][0], _mm256_mul_ps(av, b0));
-                acc[m][1] =
-                    _mm256_add_ps(acc[m][1], _mm256_mul_ps(av, b1));
-            }
-        }
-        for (int m = 0; m < kGemmMrAvx2; ++m) {
-            _mm256_storeu_ps(c + m * ldc, acc[m][0]);
-            _mm256_storeu_ps(c + m * ldc + 8, acc[m][1]);
-        }
-        return;
+    switch (mr) {
+    case 1: gemmRowsAvx2<1>(a_panel, b_panel, c, ldc, kc, nr); break;
+    case 2: gemmRowsAvx2<2>(a_panel, b_panel, c, ldc, kc, nr); break;
+    case 3: gemmRowsAvx2<3>(a_panel, b_panel, c, ldc, kc, nr); break;
+    default: gemmRowsAvx2<4>(a_panel, b_panel, c, ldc, kc, nr); break;
     }
-    // Edge tiles: same per-element k chain, scalar lanes.
-    float acc[kGemmMrAvx2][kGemmNrAvx2];
-    for (int m = 0; m < mr; ++m)
-        for (int n = 0; n < nr; ++n)
-            acc[m][n] = c[m * ldc + n];
-    for (int64_t k = 0; k < kc; ++k) {
-        const float* a = a_panel + k * kGemmMrAvx2;
-        const float* b = b_panel + k * kGemmNrAvx2;
-        for (int m = 0; m < mr; ++m) {
-            float av = a[m];
-            for (int n = 0; n < nr; ++n)
-                acc[m][n] += av * b[n];
-        }
-    }
-    for (int m = 0; m < mr; ++m)
-        for (int n = 0; n < nr; ++n)
-            c[m * ldc + n] = acc[m][n];
 }
 
 // Int8 tile: 4 LHS rows x 16 RHS columns. One k-PAIR per step: the

@@ -5,6 +5,10 @@
  * core correctness property of the runtime — the pattern engine's
  * FKR/FKW/LRE transformations must be observationally invisible.
  */
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "prune/pattern_set.h"
@@ -87,6 +91,144 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{8, 8, 5, 14, 14, 1, 2}, ConvCase{6, 10, 3, 8, 8, 1, 0},
                       ConvCase{12, 12, 3, 20, 10, 2, 1},
                       ConvCase{5, 7, 3, 11, 13, 1, 1}));
+
+/**
+ * WinogradConv in its documented order, restated expression for
+ * expression: U = G g G^T per filter, V = B^T d B per input tile, then
+ * per (oc, tile, t) a sum that starts from 0 and adds U*V in cin order,
+ * then Y = A^T m A, bias and ReLU. No tiling or ISA choice may change a
+ * bit of it.
+ */
+void
+winogradReference(const ConvDesc& d, const Tensor& w, const Tensor& in,
+                  Tensor& out, const Epilogue& ep)
+{
+    const int64_t n = in.shape().dim(0);
+    const int64_t oh = d.outH(), ow = d.outW();
+    const int64_t tiles_x = (ow + 1) / 2;
+    const int64_t tiles = ((oh + 1) / 2) * tiles_x;
+    std::vector<float> u(static_cast<size_t>(d.cout * d.cin * 16));
+    for (int64_t f = 0; f < d.cout * d.cin; ++f) {
+        const float* g = w.data() + f * 9;
+        float t[4][3];
+        for (int c = 0; c < 3; ++c) {
+            t[0][c] = g[c];
+            t[1][c] = 0.5f * (g[c] + g[3 + c] + g[6 + c]);
+            t[2][c] = 0.5f * (g[c] - g[3 + c] + g[6 + c]);
+            t[3][c] = g[6 + c];
+        }
+        float* uf = u.data() + f * 16;
+        for (int r = 0; r < 4; ++r) {
+            uf[r * 4 + 0] = t[r][0];
+            uf[r * 4 + 1] = 0.5f * (t[r][0] + t[r][1] + t[r][2]);
+            uf[r * 4 + 2] = 0.5f * (t[r][0] - t[r][1] + t[r][2]);
+            uf[r * 4 + 3] = t[r][2];
+        }
+    }
+    std::vector<float> v(static_cast<size_t>(d.cin * tiles * 16));
+    for (int64_t b = 0; b < n; ++b) {
+        for (int64_t ic = 0; ic < d.cin; ++ic) {
+            for (int64_t tile = 0; tile < tiles; ++tile) {
+                const int64_t y0 = (tile / tiles_x) * 2 - d.pad;
+                const int64_t x0 = (tile % tiles_x) * 2 - d.pad;
+                float p[4][4];
+                for (int r = 0; r < 4; ++r)
+                    for (int c = 0; c < 4; ++c) {
+                        const int64_t iy = y0 + r, ix = x0 + c;
+                        p[r][c] = iy < 0 || iy >= d.h || ix < 0 || ix >= d.w
+                                      ? 0.0f
+                                      : in[((b * d.cin + ic) * d.h + iy) * d.w + ix];
+                    }
+                float t[4][4];
+                for (int c = 0; c < 4; ++c) {
+                    t[0][c] = p[0][c] - p[2][c];
+                    t[1][c] = p[1][c] + p[2][c];
+                    t[2][c] = p[2][c] - p[1][c];
+                    t[3][c] = p[1][c] - p[3][c];
+                }
+                float* vt = v.data() + (ic * tiles + tile) * 16;
+                for (int r = 0; r < 4; ++r) {
+                    vt[r * 4 + 0] = t[r][0] - t[r][2];
+                    vt[r * 4 + 1] = t[r][1] + t[r][2];
+                    vt[r * 4 + 2] = t[r][2] - t[r][1];
+                    vt[r * 4 + 3] = t[r][1] - t[r][3];
+                }
+            }
+        }
+        for (int64_t oc = 0; oc < d.cout; ++oc) {
+            for (int64_t tile = 0; tile < tiles; ++tile) {
+                float m[16];
+                for (int e = 0; e < 16; ++e) {
+                    float acc = 0.0f;
+                    for (int64_t ic = 0; ic < d.cin; ++ic)
+                        acc += u[static_cast<size_t>((oc * d.cin + ic) * 16 + e)] *
+                               v[static_cast<size_t>((ic * tiles + tile) * 16 + e)];
+                    m[e] = acc;
+                }
+                float t[2][4];
+                for (int c = 0; c < 4; ++c) {
+                    t[0][c] = m[c] + m[4 + c] + m[8 + c];
+                    t[1][c] = m[4 + c] - m[8 + c] - m[12 + c];
+                }
+                const float y[4] = {t[0][0] + t[0][1] + t[0][2],
+                                    t[0][1] - t[0][2] - t[0][3],
+                                    t[1][0] + t[1][1] + t[1][2],
+                                    t[1][1] - t[1][2] - t[1][3]};
+                for (int r = 0; r < 2; ++r)
+                    for (int c = 0; c < 2; ++c) {
+                        const int64_t oy = (tile / tiles_x) * 2 + r;
+                        const int64_t ox = (tile % tiles_x) * 2 + c;
+                        if (oy >= oh || ox >= ow)
+                            continue;
+                        float val = y[r * 2 + c] + (ep.bias ? (*ep.bias)[oc] : 0.0f);
+                        if (ep.relu && val < 0.0f)
+                            val = 0.0f;
+                        out[((b * d.cout + oc) * oh + oy) * ow + ox] = val;
+                    }
+            }
+        }
+    }
+}
+
+TEST(WinogradBitwise, MatchesDocumentedOrderOnEveryIsa)
+{
+    // Ragged tile counts (3x3, 5x5 planes), planes smaller than one
+    // tile row of the GEMM (2x2, 4x4), a full 16x16 plane; cout below,
+    // off and on the tile width; batch 2. Unwritten outputs stay NaN.
+    Rng rng(18);
+    bool relu = false;
+    for (int64_t hw : {2, 3, 4, 5, 16}) {
+        for (int64_t cout : {16, 20, 64}) {
+            for (int64_t cin : {3, 64}) {
+                ConvDesc d{"t", cin, cout, 3, 3, hw, hw, 1, 1, 1, 1};
+                Tensor w(Shape{cout, cin, 3, 3});
+                w.fillNormal(rng, 0.0f, 0.5f);
+                Tensor bias(Shape{cout});
+                bias.fillNormal(rng, 0.0f, 0.1f);
+                Tensor in(Shape{2, cin, hw, hw});
+                in.fillUniform(rng, -1.0f, 1.0f);
+                Epilogue ep;
+                ep.bias = &bias;
+                ep.relu = relu = !relu;
+                Tensor want = makeConvOutput(d, 2);
+                winogradReference(d, w, in, want, ep);
+                for (SimdIsa isa : availableSimdIsas()) {
+                    DeviceSpec dev = makeCpuDevice(4);
+                    dev.simd_isa = isa;
+                    Tensor got = makeConvOutput(d, 2);
+                    got.fill(std::numeric_limits<float>::quiet_NaN());
+                    WinogradConv(d, &w, dev).run(in, got, ep);
+                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                          static_cast<size_t>(want.numel()) *
+                                              sizeof(float)),
+                              0)
+                        << isaName(isa) << " hw=" << hw << " cout=" << cout
+                        << " cin=" << cin;
+                }
+            }
+        }
+    }
+}
 
 /** Pattern engine vs reference across every optimization combination. */
 struct PatternCase
