@@ -150,6 +150,22 @@ BM_ProjectJoint(benchmark::State& state)
 }
 BENCHMARK(BM_ProjectJoint);
 
+/** Natural-pattern mining over one VGG conv4-sized weight (262,144
+ * kernels), the first step of every kPatDnn compile. */
+void
+BM_MinePatternFrequencies(benchmark::State& state)
+{
+    Rng rng(4);
+    Tensor w(Shape{512, 512, 3, 3});
+    w.fillNormal(rng);
+    for (auto _ : state) {
+        auto freqs = minePatternFrequencies({&w});
+        benchmark::DoNotOptimize(freqs.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 512 * 512);
+}
+BENCHMARK(BM_MinePatternFrequencies);
+
 void
 BM_FkrAndFkwBuild(benchmark::State& state)
 {

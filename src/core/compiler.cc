@@ -52,12 +52,12 @@ Compiler::validateOptions() const
         return Status(ErrorCode::kInvalidArgument,
                       "compile options: pattern_count must be >= 1 (got " +
                           std::to_string(opts_.pattern_count) + ")");
-    if (!(opts_.connectivity_rate > 0.0))
+    if (!(opts_.connectivity_rate >= 1.0))
         return Status(ErrorCode::kInvalidArgument,
-                      "compile options: connectivity_rate must be positive");
-    if (!(opts_.first_layer_rate > 0.0))
+                      "compile options: connectivity_rate must be >= 1");
+    if (!(opts_.first_layer_rate >= 1.0))
         return Status(ErrorCode::kInvalidArgument,
-                      "compile options: first_layer_rate must be positive");
+                      "compile options: first_layer_rate must be >= 1");
     if (opts_.calibration.samples < 1)
         return Status(ErrorCode::kInvalidArgument,
                       "compile options: calibration.samples must be >= 1 (got " +

@@ -35,16 +35,6 @@ Pattern::keeps(int64_t r, int64_t c) const
     return (mask_ >> (r * kw_ + c)) & 1u;
 }
 
-std::vector<int>
-Pattern::keptPositions() const
-{
-    std::vector<int> pos;
-    for (int i = 0; i < kh_ * kw_; ++i)
-        if ((mask_ >> i) & 1u)
-            pos.push_back(i);
-    return pos;
-}
-
 bool
 Pattern::keepsCenter() const
 {
@@ -113,18 +103,26 @@ naturalPatternOf(const float* kernel, int64_t kh, int64_t kw, int entries)
     PATDNN_CHECK_GE(entries, 1, "entries");
     int n = static_cast<int>(kh * kw);
     PATDNN_CHECK_LE(entries, n, "entries exceed kernel size");
+    PATDNN_CHECK_LE(n, 32, "pattern mask limited to 32 positions");
     int center = static_cast<int>((kh / 2) * kw + kw / 2);
-    std::vector<int> order;
+    // Key each tap by (|w| bits, 31 - i): the entries-1 largest keys are
+    // the first entries-1 of a stable descending sort by magnitude. Only
+    // key[0, n) is read, and all of it is written first.
+    uint64_t key[32];
     for (int i = 0; i < n; ++i)
-        if (i != center)
-            order.push_back(i);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return std::fabs(kernel[a]) > std::fabs(kernel[b]);
-    });
-    std::vector<int> kept = {center};
-    for (int i = 0; i < entries - 1 && i < static_cast<int>(order.size()); ++i)
-        kept.push_back(order[static_cast<size_t>(i)]);
-    return Pattern(kh, kw, kept);
+        key[i] = (uint64_t{std::bit_cast<uint32_t>(std::fabs(kernel[i]))} << 5) |
+                 static_cast<uint64_t>(31 - i);
+    key[center] = 0;
+    uint32_t mask = 1u << center;
+    for (int t = 0; t < entries - 1; ++t) {
+        uint64_t best = 0;
+        for (int i = 0; i < n; ++i)
+            best = std::max(best, key[i]);
+        int pos = 31 - static_cast<int>(best & 31u);
+        mask |= 1u << pos;
+        key[pos] = 0;
+    }
+    return Pattern(kh, kw, mask);
 }
 
 }  // namespace patdnn

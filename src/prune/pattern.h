@@ -38,8 +38,9 @@ class Pattern
     /** Whether position (r, c) is kept. */
     bool keeps(int64_t r, int64_t c) const;
 
-    /** Kept positions as flat r*kw+c indices, ascending. */
-    std::vector<int> keptPositions() const;
+    /** Kept positions as the mask's bits inside the kh x kw window (bit
+     * r*kw+c); walk them ascending with countr_zero. */
+    uint32_t keptBits() const { return mask_ & static_cast<uint32_t>((1ull << kh_ * kw_) - 1); }
 
     /** Whether the central position of an odd-sized kernel is kept. */
     bool keepsCenter() const;
@@ -76,7 +77,8 @@ std::vector<Pattern> allNaturalPatterns3x3();
 
 /**
  * The natural pattern of one kernel: the center plus the
- * (entries-1) largest-magnitude remaining positions (Section 4.1).
+ * (entries-1) largest-magnitude remaining positions (Section 4.1), the
+ * earlier position first among equal magnitudes.
  */
 Pattern naturalPatternOf(const float* kernel, int64_t kh, int64_t kw, int entries = 4);
 

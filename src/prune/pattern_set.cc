@@ -1,7 +1,7 @@
 #include "prune/pattern_set.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 
 #include "util/logging.h"
 
@@ -11,10 +11,17 @@ int
 PatternSet::bestFor(const float* kernel) const
 {
     PATDNN_CHECK(!patterns.empty(), "empty pattern set");
+    // Square each tap once; each pattern then sums its kept squares in
+    // ascending position order, the same additions as keptEnergy.
+    double sq[32] = {};
+    for (int64_t i = 0; i < patterns.front().kh() * patterns.front().kw(); ++i)
+        sq[i] = static_cast<double>(kernel[i]) * kernel[i];
     int best = 0;
     double best_e = -1.0;
     for (size_t i = 0; i < patterns.size(); ++i) {
-        double e = patterns[i].keptEnergy(kernel);
+        double e = 0.0;
+        for (uint32_t m = patterns[i].keptBits(); m != 0; m &= m - 1)
+            e += sq[std::countr_zero(m)];
         if (e > best_e) {
             best_e = e;
             best = static_cast<int>(i);
@@ -26,7 +33,8 @@ PatternSet::bestFor(const float* kernel) const
 std::vector<PatternFrequency>
 minePatternFrequencies(const std::vector<const Tensor*>& conv_weights, int entries)
 {
-    std::map<uint32_t, int64_t> hist;
+    // Every 3x3 mask is below 1 << 9.
+    int64_t hist[512] = {};
     for (const Tensor* w : conv_weights) {
         if (w == nullptr || w->shape().rank() != 4)
             continue;
@@ -42,9 +50,9 @@ minePatternFrequencies(const std::vector<const Tensor*>& conv_weights, int entri
         }
     }
     std::vector<PatternFrequency> out;
-    out.reserve(hist.size());
-    for (const auto& [mask, count] : hist)
-        out.push_back({Pattern(3, 3, mask), count});
+    for (uint32_t mask = 0; mask < 512; ++mask)
+        if (hist[mask] != 0)
+            out.push_back({Pattern(3, 3, mask), hist[mask]});
     std::sort(out.begin(), out.end(), [](const PatternFrequency& a, const PatternFrequency& b) {
         if (a.count != b.count)
             return a.count > b.count;

@@ -22,7 +22,8 @@ struct PatternSet
     /** Number of candidate patterns. */
     int size() const { return static_cast<int>(patterns.size()); }
 
-    /** Index of the pattern with maximum kept energy for this kernel. */
+    /** Index of the pattern with maximum kept energy for this kernel
+     * (the first on ties). Every pattern shares the first one's window. */
     int bestFor(const float* kernel) const;
 };
 

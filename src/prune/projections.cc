@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "util/logging.h"
@@ -13,6 +14,33 @@ void
 checkConvWeight(const Tensor& w)
 {
     PATDNN_CHECK_EQ(w.shape().rank(), 4, "conv weight must be OIHW");
+}
+
+/** Project the kernels with keep[i] != 0 (every kernel when `keep` is
+ * null) onto their best pattern; the others stay assigned -1. */
+PatternAssignment
+assignPatterns(Tensor& weight, const PatternSet& set, const uint8_t* keep)
+{
+    checkConvWeight(weight);
+    int64_t filters = weight.shape().dim(0);
+    int64_t kernels = weight.shape().dim(1);
+    int64_t kh = weight.shape().dim(2);
+    int64_t kw = weight.shape().dim(3);
+    PatternAssignment asg;
+    asg.filters = filters;
+    asg.kernels_per_filter = kernels;
+    asg.pattern_of_kernel.assign(static_cast<size_t>(filters * kernels), -1);
+    if (kh != 3 || kw != 3)
+        return asg;  // Patterns apply to 3x3 kernels only.
+    for (int64_t i = 0; i < filters * kernels; ++i) {
+        if (keep != nullptr && keep[i] == 0)
+            continue;
+        float* kp = weight.data() + i * kh * kw;
+        int best = set.bestFor(kp);
+        set.patterns[static_cast<size_t>(best)].apply(kp);
+        asg.pattern_of_kernel[static_cast<size_t>(i)] = best;
+    }
+    return asg;
 }
 
 }  // namespace
@@ -58,24 +86,7 @@ countNonZeroKernels(const Tensor& weight)
 PatternAssignment
 projectPattern(Tensor& weight, const PatternSet& set)
 {
-    checkConvWeight(weight);
-    int64_t filters = weight.shape().dim(0);
-    int64_t kernels = weight.shape().dim(1);
-    int64_t kh = weight.shape().dim(2);
-    int64_t kw = weight.shape().dim(3);
-    PatternAssignment asg;
-    asg.filters = filters;
-    asg.kernels_per_filter = kernels;
-    asg.pattern_of_kernel.assign(static_cast<size_t>(filters * kernels), -1);
-    if (kh != 3 || kw != 3)
-        return asg;  // Patterns apply to 3x3 kernels only.
-    for (int64_t i = 0; i < filters * kernels; ++i) {
-        float* kp = weight.data() + i * kh * kw;
-        int best = set.bestFor(kp);
-        set.patterns[static_cast<size_t>(best)].apply(kp);
-        asg.pattern_of_kernel[static_cast<size_t>(i)] = best;
-    }
-    return asg;
+    return assignPatterns(weight, set, nullptr);
 }
 
 std::vector<uint8_t>
@@ -88,14 +99,27 @@ projectConnectivity(Tensor& weight, int64_t alpha)
     int64_t total = filters * kernels;
     PATDNN_CHECK(alpha >= 0 && alpha <= total, "alpha out of range");
     std::vector<double> norms = kernelNorms(weight);
-    std::vector<int64_t> order(static_cast<size_t>(total));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-        return norms[static_cast<size_t>(a)] > norms[static_cast<size_t>(b)];
-    });
     std::vector<uint8_t> keep(static_cast<size_t>(total), 0);
-    for (int64_t i = 0; i < alpha; ++i)
-        keep[static_cast<size_t>(order[static_cast<size_t>(i)])] = 1;
+    if (alpha > 0) {
+        // v is the alpha-th largest norm. Keep every norm above v and the
+        // first (in index order) of those equal to v until alpha are kept:
+        // the first alpha of a stable descending sort.
+        std::vector<double> sorted = norms;
+        auto nth = sorted.begin() + (alpha - 1);
+        std::nth_element(sorted.begin(), nth, sorted.end(), std::greater<>());
+        const double v = *nth;
+        int64_t kept = 0;
+        for (size_t i = 0; i < norms.size(); ++i) {
+            keep[i] = norms[i] > v;
+            kept += keep[i];
+        }
+        // Only a NaN v (NaN weights) can leave fewer than alpha kept.
+        for (size_t i = 0; i < norms.size() && kept < alpha; ++i)
+            if (norms[i] == v) {
+                keep[i] = 1;
+                ++kept;
+            }
+    }
     for (int64_t i = 0; i < total; ++i) {
         if (!keep[static_cast<size_t>(i)]) {
             float* kp = weight.data() + i * ksz;
@@ -108,12 +132,10 @@ projectConnectivity(Tensor& weight, int64_t alpha)
 PatternAssignment
 projectJoint(Tensor& weight, const PatternSet& set, int64_t alpha)
 {
+    // Only the kernels connectivity keeps need a pattern; the rest are
+    // zero and assigned -1.
     std::vector<uint8_t> keep = projectConnectivity(weight, alpha);
-    PatternAssignment asg = projectPattern(weight, set);
-    for (size_t i = 0; i < keep.size(); ++i)
-        if (!keep[i])
-            asg.pattern_of_kernel[i] = -1;
-    return asg;
+    return assignPatterns(weight, set, keep.data());
 }
 
 void

@@ -416,9 +416,11 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
             set = selectTopK(freqs, opts.pattern_count);
     }
 
+    // The graph is local and mining has read it: its tensors move into
+    // the executors.
     executors_.resize(graph.nodes().size());
     bool first_conv = true;
-    for (const auto& n : graph.nodes()) {
+    for (auto& n : graph.nodes()) {
         if (n.dead)
             continue;
         auto ex = std::make_unique<Executor>();
@@ -430,9 +432,9 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
         ex->pool_stride = n.pool_stride;
         ex->in_features = n.in_features;
         ex->out_features = n.out_features;
-        ex->bias = n.bias;
+        ex->bias = std::move(n.bias);
         if (n.kind == OpKind::kConv) {
-            ex->weight = n.weight;
+            ex->weight = std::move(n.weight);
             ex->tuning = opts.default_tuning;
             if (opts.tune_lookup) {
                 TuneParams cached;
@@ -460,10 +462,10 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
             ex->engine = selectConvEngine(*ex);
             first_conv = false;
         } else if (n.kind == OpKind::kFullyConnected) {
-            ex->weight = n.weight;
+            ex->weight = std::move(n.weight);
         } else if (n.kind == OpKind::kBatchNorm) {
-            ex->weight = n.bn_scale;
-            ex->bias = n.bn_shift;
+            ex->weight = std::move(n.bn_scale);
+            ex->bias = std::move(n.bn_shift);
         }
         labelExecutor(*ex, static_cast<size_t>(n.id));
         executors_[static_cast<size_t>(n.id)] = std::move(ex);

@@ -73,8 +73,9 @@ struct CalibrationOptions
 struct CompileOptions
 {
     int pattern_count = 8;
+    /// Each conv keeps ceil(kernels / rate) kernels; rates must be >= 1.
     double connectivity_rate = 3.6;
-    double first_layer_rate = 1.5;
+    double first_layer_rate = 1.5;  ///< The rate of the model's first conv.
     OptSwitches opts;       ///< FKR / LRE / tuning switches.
     TuneParams default_tuning;
     bool run_graph_passes = true;

@@ -1,6 +1,7 @@
 #include "rt/microkernels.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
 
@@ -11,12 +12,11 @@ lowerPattern(const Pattern& p)
 {
     PatternKernel pk;
     pk.mask = p.mask();
-    auto kept = p.keptPositions();
-    PATDNN_CHECK_LE(kept.size(), 9u, "pattern entries limited to 9");
-    pk.entries = static_cast<int>(kept.size());
-    for (size_t i = 0; i < kept.size(); ++i) {
-        pk.dy[i] = static_cast<int32_t>(kept[i] / p.kw());
-        pk.dx[i] = static_cast<int32_t>(kept[i] % p.kw());
+    PATDNN_CHECK_LE(std::popcount(p.keptBits()), 9, "pattern entries limited to 9");
+    for (uint32_t m = p.keptBits(); m != 0; m &= m - 1, ++pk.entries) {
+        int pos = std::countr_zero(m);
+        pk.dy[pk.entries] = static_cast<int32_t>(pos / p.kw());
+        pk.dx[pk.entries] = static_cast<int32_t>(pos % p.kw());
     }
     return pk;
 }

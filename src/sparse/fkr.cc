@@ -94,7 +94,7 @@ filterKernelReorder(const PatternAssignment& assignment, const FkrOptions& opts)
     result.reorder = order;
     result.filters.reserve(order.size());
     for (int32_t original : order)
-        result.filters.push_back(per_filter[static_cast<size_t>(original)]);
+        result.filters.push_back(std::move(per_filter[static_cast<size_t>(original)]));
 
     // Build equal-length groups over the final ordering.
     size_t i = 0;

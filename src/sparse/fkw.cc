@@ -1,6 +1,7 @@
 #include "sparse/fkw.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -186,8 +187,8 @@ buildFkw(const Tensor& weight, const PatternSet& set,
                 weight.data() + (static_cast<int64_t>(original_f) * fkw.in_channels +
                                  k.input_channel) * ksz;
             const Pattern& pat = set.patterns[static_cast<size_t>(k.pattern_id)];
-            for (int pos : pat.keptPositions())
-                fkw.weights.push_back(kp[pos]);
+            for (uint32_t m = pat.keptBits(); m != 0; m &= m - 1)
+                fkw.weights.push_back(kp[std::countr_zero(m)]);
         }
         fkw.offset.push_back(static_cast<int32_t>(fkw.index.size()));
     }
@@ -233,8 +234,8 @@ fkwToDense(const FkwLayer& fkw)
             int32_t ic = fkw.index[static_cast<size_t>(gk)];
             float* kp = dense.data() +
                         (static_cast<int64_t>(original_f) * fkw.in_channels + ic) * ksz;
-            for (int pos : pat.keptPositions())
-                kp[pos] = fkw.weights[static_cast<size_t>(widx++)];
+            for (uint32_t m = pat.keptBits(); m != 0; m &= m - 1)
+                kp[std::countr_zero(m)] = fkw.weights[static_cast<size_t>(widx++)];
         }
     }
     return dense;

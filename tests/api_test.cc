@@ -1,6 +1,8 @@
 /** @file Public API (core/patdnn.h) end-to-end pipeline tests. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/patdnn.h"
 
 namespace patdnn {
@@ -186,6 +188,27 @@ TEST(Compiler, TypedErrorsInsteadOfAborts)
     auto r = Compiler(dev, bad_opts).compile(singleConvModel(d, good));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+
+    // Rates in (0, 1) would keep more kernels than a layer has (they
+    // used to abort in projectConnectivity); each names its field. A
+    // rate of exactly 1 keeps every kernel and compiles.
+    for (double rate : {0.5, 0.999, std::nan("")}) {
+        for (bool first : {false, true}) {
+            CompileOptions rate_opts;
+            (first ? rate_opts.first_layer_rate : rate_opts.connectivity_rate) = rate;
+            auto rr = Compiler(dev, rate_opts).compile(singleConvModel(d, good));
+            ASSERT_FALSE(rr.ok()) << rate;
+            EXPECT_EQ(rr.status().code(), ErrorCode::kInvalidArgument);
+            EXPECT_NE(rr.status().message().find(first ? "first_layer_rate"
+                                                        : "connectivity_rate"),
+                      std::string::npos)
+                << rr.status().toString();
+        }
+    }
+    CompileOptions keep_all;
+    keep_all.connectivity_rate = keep_all.first_layer_rate = 1.0;
+    auto dense_ok = Compiler(dev, keep_all).compile(singleConvModel(d, good));
+    ASSERT_TRUE(dense_ok.ok()) << dense_ok.status().toString();
 
     // A 5x5 layer under kPatDnn is not an error: kernel patterns exist
     // for 3x3 kernels only, so it keeps its connectivity-pruned dense

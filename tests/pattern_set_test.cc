@@ -1,6 +1,9 @@
 /** @file Pattern-set mining and selection tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "prune/pattern_set.h"
 
 namespace patdnn {
@@ -12,6 +15,46 @@ makeWeights(int64_t filters, int64_t channels, Rng& rng)
     Tensor w(Shape{filters, channels, 3, 3});
     w.fillNormal(rng, 0.0f, 1.0f);
     return w;
+}
+
+/** The std::map histogram: counts per natural-pattern mask, emitted in
+ * ascending mask order, then sorted by count (mask breaks ties). */
+std::vector<PatternFrequency>
+referenceMine(const std::vector<const Tensor*>& conv_weights, int entries)
+{
+    std::map<uint32_t, int64_t> hist;
+    for (const Tensor* w : conv_weights) {
+        if (w == nullptr || w->shape().rank() != 4 || w->shape().dim(2) != 3 ||
+            w->shape().dim(3) != 3)
+            continue;
+        for (int64_t k = 0; k < w->shape().dim(0) * w->shape().dim(1); ++k)
+            hist[naturalPatternOf(w->data() + k * 9, 3, 3, entries).mask()] += 1;
+    }
+    std::vector<PatternFrequency> out;
+    for (const auto& [mask, count] : hist)
+        out.push_back({Pattern(3, 3, mask), count});
+    std::sort(out.begin(), out.end(), [](const PatternFrequency& a, const PatternFrequency& b) {
+        if (a.count != b.count)
+            return a.count > b.count;
+        return a.pattern.mask() < b.pattern.mask();
+    });
+    return out;
+}
+
+/** The keptEnergy argmax; the first pattern wins ties. */
+int
+referenceBestFor(const PatternSet& set, const float* kernel)
+{
+    int best = 0;
+    double best_e = -1.0;
+    for (size_t i = 0; i < set.patterns.size(); ++i) {
+        double e = set.patterns[i].keptEnergy(kernel);
+        if (e > best_e) {
+            best_e = e;
+            best = static_cast<int>(i);
+        }
+    }
+    return best;
 }
 
 TEST(PatternSet, BestForMaximizesKeptEnergy)
@@ -95,6 +138,60 @@ TEST(PatternSet, PadsWithCanonicalWhenModelTooSmall)
     Tensor w = makeWeights(1, 2, rng);
     PatternSet set = designPatternSet({&w}, 12);
     EXPECT_EQ(set.size(), 12);
+}
+
+TEST(PatternSet, MiningMatchesMapReference)
+{
+    // Continuous weights, weights from {-1, 0, 1} (magnitude ties), an
+    // all-zero tensor, a non-3x3 tensor and a null entry, at entries 1-9.
+    Rng rng(21);
+    Tensor normal = makeWeights(24, 16, rng);
+    Tensor ternary(Shape{16, 12, 3, 3});
+    for (int64_t i = 0; i < ternary.numel(); ++i)
+        ternary[i] = static_cast<float>(rng.uniformInt(-1, 1));
+    Tensor zeros(Shape{4, 4, 3, 3});
+    zeros.fill(0.0f);
+    Tensor five(Shape{2, 2, 5, 5});
+    five.fillNormal(rng);
+    std::vector<const Tensor*> ws = {&normal, &ternary, &zeros, &five, nullptr};
+    for (int entries = 1; entries <= 9; ++entries) {
+        auto got = minePatternFrequencies(ws, entries);
+        auto want = referenceMine(ws, entries);
+        ASSERT_EQ(got.size(), want.size()) << "entries=" << entries;
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].pattern.mask(), want[i].pattern.mask()) << i;
+            EXPECT_EQ(got[i].count, want[i].count) << i;
+        }
+    }
+}
+
+TEST(PatternSet, BestForMatchesKeptEnergyArgmax)
+{
+    // Mined, canonical and all-56 sets; continuous kernels, kernels from
+    // {-1, 0, 1} and {-0.5, 0.5} whose patterns tie on kept energy, and
+    // the zero kernel (every pattern ties at 0: the first wins).
+    Rng rng(22);
+    Tensor w = makeWeights(16, 16, rng);
+    PatternSet all;
+    all.patterns = allNaturalPatterns3x3();
+    for (const PatternSet& set : {designPatternSet({&w}, 8), canonicalPatternSet(6),
+                                  canonicalPatternSet(16), all}) {
+        for (int trial = 0; trial < 600; ++trial) {
+            float kernel[9];
+            for (auto& v : kernel) {
+                if (trial % 3 == 0)
+                    v = rng.normal();
+                else if (trial % 3 == 1)
+                    v = static_cast<float>(rng.uniformInt(-1, 1));
+                else
+                    v = rng.bernoulli(0.5) ? 0.5f : -0.5f;
+            }
+            if (trial == 0)
+                std::fill(kernel, kernel + 9, 0.0f);
+            ASSERT_EQ(set.bestFor(kernel), referenceBestFor(set, kernel))
+                << "set size " << set.size() << " trial " << trial;
+        }
+    }
 }
 
 TEST(PatternSetDeath, EmptySetRejected)

@@ -1,11 +1,35 @@
 /** @file Pattern representation tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "prune/pattern.h"
 #include "util/rng.h"
 
 namespace patdnn {
 namespace {
+
+/** The stable-sort natural pattern: order the non-center positions by
+ * descending magnitude (earlier position first on ties), keep the
+ * center and the first entries-1. */
+Pattern
+referenceNaturalPattern(const float* kernel, int64_t kh, int64_t kw, int entries)
+{
+    int n = static_cast<int>(kh * kw);
+    int center = static_cast<int>((kh / 2) * kw + kw / 2);
+    std::vector<int> order;
+    for (int i = 0; i < n; ++i)
+        if (i != center)
+            order.push_back(i);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return std::fabs(kernel[a]) > std::fabs(kernel[b]);
+    });
+    std::vector<int> kept = {center};
+    for (int i = 0; i < entries - 1 && i < static_cast<int>(order.size()); ++i)
+        kept.push_back(order[static_cast<size_t>(i)]);
+    return Pattern(kh, kw, kept);
+}
 
 TEST(Pattern, MaskAndPositionsRoundTrip)
 {
@@ -14,8 +38,7 @@ TEST(Pattern, MaskAndPositionsRoundTrip)
     EXPECT_TRUE(p.keeps(1, 1));
     EXPECT_TRUE(p.keeps(0, 0));
     EXPECT_FALSE(p.keeps(2, 2));
-    auto pos = p.keptPositions();
-    EXPECT_EQ(pos, (std::vector<int>{0, 1, 3, 4}));
+    EXPECT_EQ(p.keptBits(), 0b11011u);  // Positions 0, 1, 3, 4.
 }
 
 TEST(Pattern, KeepsCenter)
@@ -89,6 +112,47 @@ TEST(Pattern, NaturalPatternIsOneOfTheFiftySix)
                 found = true;
         EXPECT_TRUE(found);
     }
+}
+
+TEST(Pattern, NaturalPatternMatchesStableSortReference)
+{
+    // Entries 1-9 on 3x3 and 1-25 on 5x5, over continuous weights and
+    // over weights drawn from {-2..2} so magnitudes tie at every rank
+    // (including zeros, signed zeros and all-equal kernels).
+    Rng rng(11);
+    for (int64_t k : {3, 5}) {
+        const int n = static_cast<int>(k * k);
+        std::vector<float> kernel(static_cast<size_t>(n));
+        for (int trial = 0; trial < 400; ++trial) {
+            for (auto& v : kernel) {
+                if (trial % 4 == 0)
+                    v = rng.normal();
+                else if (trial % 4 == 3)
+                    v = trial % 8 == 3 ? 1.5f : -0.0f;
+                else
+                    v = static_cast<float>(rng.uniformInt(-2, 2));
+            }
+            for (int entries = 1; entries <= n; ++entries) {
+                Pattern got = naturalPatternOf(kernel.data(), k, k, entries);
+                Pattern want = referenceNaturalPattern(kernel.data(), k, k, entries);
+                ASSERT_EQ(got.mask(), want.mask())
+                    << "k=" << k << " entries=" << entries << " trial=" << trial;
+                EXPECT_EQ(got.popcount(), entries);
+            }
+        }
+    }
+}
+
+TEST(Pattern, KeptBitsAreTheMaskInsideTheWindow)
+{
+    // Stray mask bits past the kh x kw window are not kept positions.
+    Rng rng(12);
+    for (int trial = 0; trial < 200; ++trial) {
+        auto mask = static_cast<uint32_t>(rng.uniformInt(0, 4095));
+        EXPECT_EQ(Pattern(3, 3, mask).keptBits(), mask & 0x1FFu);
+    }
+    EXPECT_EQ(Pattern(1, 1, 3u).keptBits(), 1u);
+    EXPECT_EQ(Pattern(4, 8, ~0u).keptBits(), ~0u);
 }
 
 TEST(PatternDeath, OversizedMaskRejected)

@@ -1,6 +1,11 @@
 /** @file Euclidean projection property tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+
 #include "prune/projections.h"
 
 namespace patdnn {
@@ -12,6 +17,129 @@ randomWeights(int64_t f, int64_t c, Rng& rng)
     Tensor w(Shape{f, c, 3, 3});
     w.fillNormal(rng, 0.0f, 1.0f);
     return w;
+}
+
+/** The stable-sort connectivity projection: order kernel indices by
+ * descending norm (lower index first on ties), keep the first alpha. */
+std::vector<uint8_t>
+referenceConnectivity(Tensor& weight, int64_t alpha)
+{
+    int64_t total = weight.shape().dim(0) * weight.shape().dim(1);
+    int64_t ksz = weight.shape().dim(2) * weight.shape().dim(3);
+    std::vector<double> norms = kernelNorms(weight);
+    std::vector<int64_t> order(static_cast<size_t>(total));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+        return norms[static_cast<size_t>(a)] > norms[static_cast<size_t>(b)];
+    });
+    std::vector<uint8_t> keep(static_cast<size_t>(total), 0);
+    for (int64_t i = 0; i < alpha; ++i)
+        keep[static_cast<size_t>(order[static_cast<size_t>(i)])] = 1;
+    for (int64_t i = 0; i < total; ++i)
+        if (!keep[static_cast<size_t>(i)])
+            std::fill(weight.data() + i * ksz, weight.data() + (i + 1) * ksz, 0.0f);
+    return keep;
+}
+
+/** Weights whose kernels repeat a few templates (so norms tie across
+ * any alpha boundary), with every fifth kernel all zero. */
+Tensor
+tiedWeights(int64_t f, int64_t c, int64_t k, Rng& rng)
+{
+    Tensor templates(Shape{4, k * k});
+    templates.fillNormal(rng);
+    Tensor w(Shape{f, c, k, k});
+    for (int64_t i = 0; i < f * c; ++i) {
+        float* kp = w.data() + i * k * k;
+        if (i % 5 == 4) {
+            std::fill(kp, kp + k * k, 0.0f);
+            continue;
+        }
+        const float* t = templates.data() + rng.uniformInt(0, 3) * k * k;
+        // A sign flip keeps the norm, so tied norms come from different kernels.
+        float sign = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+        for (int64_t j = 0; j < k * k; ++j)
+            kp[j] = sign * t[j];
+    }
+    return w;
+}
+
+bool
+sameBits(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Projections, ConnectivityMatchesStableSortReference)
+{
+    Rng rng(31);
+    std::vector<Tensor> cases;
+    cases.push_back(randomWeights(12, 10, rng));
+    cases.push_back(tiedWeights(12, 10, 3, rng));
+    cases.push_back(tiedWeights(6, 7, 1, rng));
+    Tensor zeros(Shape{5, 6, 3, 3});
+    zeros.fill(0.0f);
+    cases.push_back(zeros);
+    for (const Tensor& w : cases) {
+        int64_t total = w.shape().dim(0) * w.shape().dim(1);
+        for (int64_t alpha = 0; alpha <= total; ++alpha) {
+            Tensor got = w;
+            Tensor want = w;
+            auto got_keep = projectConnectivity(got, alpha);
+            auto want_keep = referenceConnectivity(want, alpha);
+            ASSERT_EQ(got_keep, want_keep) << "alpha " << alpha << " of " << total;
+            ASSERT_TRUE(sameBits(got, want)) << "alpha " << alpha;
+        }
+    }
+}
+
+TEST(Projections, ConnectivityWithNaNWeightsStaysInBounds)
+{
+    // NaN norms have no place in a descending order; the projection must
+    // still keep at most alpha kernels and read nothing past the layer.
+    Rng rng(33);
+    Tensor w = randomWeights(6, 6, rng);
+    for (int64_t nan_every : {1, 5}) {
+        Tensor nan_w = w;
+        for (int64_t k = 0; k < 36; k += nan_every)
+            nan_w[k * 9] = std::nanf("");
+        for (int64_t alpha = 0; alpha <= 36; ++alpha) {
+            Tensor c = nan_w;
+            auto keep = projectConnectivity(c, alpha);
+            EXPECT_LE(std::count(keep.begin(), keep.end(), 1), alpha);
+        }
+    }
+}
+
+TEST(Projections, JointEqualsConnectivityThenPattern)
+{
+    // projectJoint projects only the kept kernels; that must equal
+    // projecting every kernel after connectivity and assigning the
+    // pruned ones -1. The 1x1 case keeps its kept kernels dense.
+    Rng rng(32);
+    PatternSet set = canonicalPatternSet(8);
+    std::vector<Tensor> cases;
+    cases.push_back(randomWeights(16, 12, rng));
+    cases.push_back(tiedWeights(16, 12, 3, rng));
+    cases.push_back(tiedWeights(8, 6, 1, rng));
+    for (const Tensor& w : cases) {
+        int64_t total = w.shape().dim(0) * w.shape().dim(1);
+        for (int64_t alpha : {int64_t{0}, int64_t{1}, total / 3, total / 2 + 1, total}) {
+            Tensor got = w;
+            PatternAssignment asg = projectJoint(got, set, alpha);
+            Tensor want = w;
+            auto keep = referenceConnectivity(want, alpha);
+            PatternAssignment ref = projectPattern(want, set);
+            for (size_t i = 0; i < keep.size(); ++i)
+                if (!keep[i])
+                    ref.pattern_of_kernel[i] = -1;
+            EXPECT_EQ(asg.pattern_of_kernel, ref.pattern_of_kernel) << "alpha " << alpha;
+            EXPECT_EQ(asg.filters, ref.filters);
+            EXPECT_EQ(asg.kernels_per_filter, ref.kernels_per_filter);
+            EXPECT_TRUE(sameBits(got, want)) << "alpha " << alpha;
+        }
+    }
 }
 
 TEST(Projections, PatternProjectionSatisfiesConstraint)
