@@ -25,7 +25,6 @@ timeConfig(const ConvDesc& d, const DeviceSpec& dev, bool reorder, bool lre,
     CompileOptions opts;
     opts.opts.reorder = reorder;
     opts.opts.lre = lre;
-    opts.opts.tuned = tune;
     if (!tune) {
         // Deliberately bland defaults: whole-plane, no spatial
         // blocking, weight-stationary loop order; LRE alone keeps each

@@ -85,26 +85,26 @@ biasFits(const Tensor& bias, int64_t outputs)
 }
 
 /**
- * The one static shape-inference routine, shared by planNodes() (over
- * the executor list) and checkGraph() (over exported layer state): both
- * node types carry the same fields. `node_at(id)` is null for dead
- * slots. Derives every live node's per-sample output shape (leading
- * batch dim 1) in id order, and the per-sample model input shape the
- * input convs read, while enforcing the checkGraph() rules.
+ * The one static shape-inference routine, shared by planNodes() and
+ * derivePlan() (over the executors' records) and checkGraph() (over
+ * exported records). `records[id]` is null for dead slots. Derives
+ * every live node's per-sample output shape (leading batch dim 1) in id
+ * order, and the per-sample model input shape the input convs read,
+ * while enforcing the checkGraph() rules.
  */
-template <class NodeAt>
 Status
-inferShapes(size_t count, int output_node, NodeAt node_at,
+inferShapes(const std::vector<const CompiledLayerState*>& records, int output_node,
             std::vector<PlanNode>* nodes, Shape* model_input)
 {
+    const size_t count = records.size();
     if (output_node < 0 || static_cast<size_t>(output_node) >= count ||
-        node_at(static_cast<size_t>(output_node)) == nullptr)
+        records[static_cast<size_t>(output_node)] == nullptr)
         return Status(ErrorCode::kInvalidArgument, "output node is not a live node");
     nodes->assign(count, PlanNode{});
     std::vector<Shape> shapes(count);
     *model_input = Shape();  // Rank 0 until a conv reading the input fixes it.
     for (size_t id = 0; id < count; ++id) {
-        const auto* n = node_at(id);
+        const CompiledLayerState* n = records[id];
         if (n == nullptr)
             continue;
         auto bad = [&](const std::string& what) {
@@ -119,7 +119,7 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
             if (src == -1 && n->kind != OpKind::kConv)
                 return bad("only a conv may read the model input");
             if (src != -1 && (src < 0 || static_cast<size_t>(src) >= id ||
-                              node_at(static_cast<size_t>(src)) == nullptr))
+                              records[static_cast<size_t>(src)] == nullptr))
                 return bad("input is neither the model input nor a live earlier node");
         }
         const Shape& x = n->inputs[0] == -1
@@ -151,14 +151,15 @@ inferShapes(size_t count, int output_node, NodeAt node_at,
             } else if (*model_input != in) {
                 return bad("disagrees with another conv on the model input shape");
             }
-            const FkwLayer* fkw = n->fkw.get();
-            if (fkw != nullptr &&
-                (c.groups != 1 || c.kh != 3 || c.kw != 3 || fkw->filters != c.cout ||
-                 fkw->in_channels != c.cin || fkw->kh != c.kh || fkw->kw != c.kw))
-                return bad("FKW storage disagrees with the conv descriptor");
-            if (n->weight.shape() != Shape{c.cout, c.cin / c.groups, c.kh, c.kw} &&
-                !(fkw != nullptr && n->weight.shape().rank() == 0))
+            if (const auto& fkw = n->fkw) {
+                if (c.groups != 1 || c.kh != 3 || c.kw != 3 || fkw->filters != c.cout ||
+                    fkw->in_channels != c.cin || fkw->kh != c.kh || fkw->kw != c.kw)
+                    return bad("FKW storage disagrees with the conv descriptor");
+                if (n->weight.shape().rank() != 0)
+                    return bad("carries a dense weight besides its FKW storage");
+            } else if (n->weight.shape() != Shape{c.cout, c.cin / c.groups, c.kh, c.kw}) {
                 return bad("weight shape disagrees with the conv descriptor");
+            }
             if (!biasFits(n->bias, c.cout))
                 return bad("bias shape disagrees with cout");
             out = Shape{1, c.cout, c.outH(), c.outW()};
@@ -289,23 +290,15 @@ Workspace::fresh(size_t id, const Shape& shape)
 // CompiledModel
 // ---------------------------------------------------------------------------
 
-/** Per-node executor: owns pruned weights and the chosen engine. */
-struct CompiledModel::Executor
+/** A live node's record (weights, FKW, tuning; the pruned copy for
+ * sparse kinds) plus its engine. Held behind unique_ptr: the engine
+ * borrows `&weight` / `&*fkw`, so the record must never move. */
+struct CompiledModel::Executor : CompiledLayerState
 {
-    OpKind kind = OpKind::kConv;
-    ConvDesc conv;
-    Tensor weight;  ///< Conv/fc weights (pruned copy for sparse kinds).
-    Tensor bias;
-    int64_t pool_k = 2, pool_stride = 2;
-    int64_t in_features = 0, out_features = 0;
-    std::vector<int> inputs;
-    bool fused_relu = false;
-    std::unique_ptr<FkwLayer> fkw;
-    TuneParams tuning;   ///< Pattern-engine tuned parameters.
-    OptSwitches opts;    ///< Pattern-engine switches.
-    bool quantized = false;            ///< Run the int8 dense path.
-    float act_scale = 0.0f;            ///< Calibrated input scale.
-    std::vector<float> weight_scales;  ///< Per-output-channel scales.
+    Executor() = default;
+    explicit Executor(CompiledLayerState&& st) : CompiledLayerState(std::move(st)) {}
+    Executor(Executor&&) = delete;
+
     std::unique_ptr<ConvEngine> engine;  ///< Conv nodes only.
 
     // Attribution strings for RunProfile rows and trace spans,
@@ -347,7 +340,7 @@ CompiledModel::selectConvEngine(const Executor& ex) const
         lr.tuning = ex.tuning;
         for (size_t p = 0; p < ex.fkw->patterns.size(); ++p)
             lr.pattern_types.push_back(static_cast<int>(p));
-        return std::make_unique<PatternConv>(c, ex.fkw.get(), lr, device_);
+        return std::make_unique<PatternConv>(c, &*ex.fkw, lr, device_);
     }
     if (kind_ == FrameworkKind::kCsrSparse && c.groups == 1)
         return std::make_unique<CsrConv>(c, buildCsr(ex.weight), device_);
@@ -393,13 +386,11 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
     Graph graph = buildGraph(model);
     // Graph-level optimization (Table 1): all frameworks fold BN and
     // fuse ReLU; TFLite-like runs a reduced pass set ("less advanced").
-    if (opts.run_graph_passes) {
-        foldBatchNorm(graph);
-        if (kind_ != FrameworkKind::kTfliteLike)
-            fuseConvRelu(graph);
-        foldConstants(graph);
-        eliminateDeadNodes(graph);
-    }
+    foldBatchNorm(graph);
+    if (kind_ != FrameworkKind::kTfliteLike)
+        fuseConvRelu(graph);
+    foldConstants(graph);
+    eliminateDeadNodes(graph);
     output_node_ = graph.outputNode();
 
     // Shared pattern set mined from all 3x3 conv weights (training-stage
@@ -424,6 +415,7 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
         if (n.dead)
             continue;
         auto ex = std::make_unique<Executor>();
+        ex->live = true;
         ex->kind = n.kind;
         ex->conv = n.conv;
         ex->inputs = n.inputs;
@@ -455,8 +447,8 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
                     fkr_opts.similarity_within_group = opts.opts.reorder;
                     fkr_opts.reorder_kernels = opts.opts.reorder;
                     FkrResult fkr = filterKernelReorder(asg, fkr_opts);
-                    ex->fkw = std::make_unique<FkwLayer>(
-                        buildFkw(ex->weight, set, asg, fkr));
+                    ex->fkw = buildFkw(ex->weight, set, asg, fkr);
+                    ex->weight = Tensor();  // FKW is the layer's only weight storage.
                 }
             }
             ex->engine = selectConvEngine(*ex);
@@ -481,10 +473,12 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
 void
 CompiledModel::derivePlan()
 {
+    std::vector<const CompiledLayerState*> records;
+    for (const auto& ex : executors_)
+        records.push_back(ex.get());
     std::vector<PlanNode> nodes;
     Shape input;
-    auto at = [&](size_t id) { return executors_[id].get(); };
-    if (!inferShapes(executors_.size(), output_node_, at, &nodes, &input).ok())
+    if (!inferShapes(records, output_node_, &nodes, &input).ok())
         return;
     input_shape_ = input;
     plan_ = planActivations(nodes, output_node_);
@@ -551,34 +545,11 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
                  "output node out of range");
     executors_.resize(layers.size());
     for (size_t id = 0; id < layers.size(); ++id) {
-        CompiledLayerState& st = layers[id];
-        if (!st.live)
+        if (!layers[id].live)
             continue;
-        auto ex = std::make_unique<Executor>();
-        ex->kind = st.kind;
-        ex->conv = st.conv;
-        ex->inputs = std::move(st.inputs);
-        ex->fused_relu = st.fused_relu;
-        ex->pool_k = st.pool_k;
-        ex->pool_stride = st.pool_stride;
-        ex->in_features = st.in_features;
-        ex->out_features = st.out_features;
-        ex->weight = std::move(st.weight);
-        ex->bias = std::move(st.bias);
-        ex->fkw = std::move(st.fkw);
-        ex->tuning = st.tuning;
-        ex->opts = st.opts;
-        ex->quantized = st.quantized;
-        ex->act_scale = st.act_scale;
-        ex->weight_scales = std::move(st.weight_scales);
-        if (ex->kind == OpKind::kConv) {
-            // Pattern layers ship without the dense view; rebuild it for
-            // the nonzero/compression accounting. (A rank-0 Tensor is
-            // the "absent" marker — note numel() is 1 for rank 0.)
-            if (ex->fkw && ex->weight.shape().rank() == 0)
-                ex->weight = fkwToDense(*ex->fkw);
+        auto ex = std::make_unique<Executor>(std::move(layers[id]));
+        if (ex->kind == OpKind::kConv)
             ex->engine = selectConvEngine(*ex);
-        }
         labelExecutor(*ex, id);
         executors_[id] = std::move(ex);
     }
@@ -588,61 +559,35 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
 std::vector<PlanNode>
 CompiledModel::planNodes() const
 {
+    std::vector<const CompiledLayerState*> records;
+    for (const auto& ex : executors_)
+        records.push_back(ex.get());
     std::vector<PlanNode> nodes;
     Shape input;
-    Status inferred = inferShapes(
-        executors_.size(), output_node_,
-        [&](size_t id) { return executors_[id].get(); }, &nodes, &input);
-    return inferred.ok() ? nodes : std::vector<PlanNode>{};
+    return inferShapes(records, output_node_, &nodes, &input).ok()
+               ? nodes
+               : std::vector<PlanNode>{};
 }
 
 Status
 CompiledModel::checkGraph(const std::vector<CompiledLayerState>& layers,
                           int output_node)
 {
+    std::vector<const CompiledLayerState*> records;
+    for (const CompiledLayerState& st : layers)
+        records.push_back(st.live ? &st : nullptr);
     std::vector<PlanNode> nodes;
     Shape input;
-    return inferShapes(
-        layers.size(), output_node,
-        [&](size_t id) { return layers[id].live ? &layers[id] : nullptr; }, &nodes,
-        &input);
+    return inferShapes(records, output_node, &nodes, &input);
 }
 
 std::vector<CompiledLayerState>
 CompiledModel::exportState() const
 {
     std::vector<CompiledLayerState> out(executors_.size());
-    for (size_t id = 0; id < executors_.size(); ++id) {
-        const auto& exp = executors_[id];
-        if (!exp)
-            continue;
-        const Executor& ex = *exp;
-        CompiledLayerState& st = out[id];
-        st.live = true;
-        st.kind = ex.kind;
-        st.conv = ex.conv;
-        st.inputs = ex.inputs;
-        st.fused_relu = ex.fused_relu;
-        st.pool_k = ex.pool_k;
-        st.pool_stride = ex.pool_stride;
-        st.in_features = ex.in_features;
-        st.out_features = ex.out_features;
-        st.bias = ex.bias;
-        st.tuning = ex.tuning;
-        st.opts = ex.opts;
-        if (ex.engine && ex.engine->precision() == Precision::kInt8) {
-            // Persist the calibrated scales, not the quantized bytes:
-            // the f32 weights below re-quantize deterministically on
-            // restore.
-            st.quantized = true;
-            st.act_scale = ex.act_scale;
-            st.weight_scales = ex.weight_scales;
-        }
-        if (ex.fkw)
-            st.fkw = std::make_unique<FkwLayer>(*ex.fkw);  // FKW replaces dense.
-        else
-            st.weight = ex.weight;
-    }
+    for (size_t id = 0; id < executors_.size(); ++id)
+        if (executors_[id])
+            out[id] = *executors_[id];
     return out;
 }
 
@@ -795,7 +740,9 @@ CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) cons
                     e.prec = ex.prec_name;
                 }
                 int64_t elems = x.numel() + ws.value(id).numel();
-                if (ex.weight.shape().rank() != 0)
+                if (ex.fkw)
+                    elems += static_cast<int64_t>(ex.fkw->weights.size());
+                else if (ex.weight.shape().rank() != 0)
                     elems += ex.weight.numel();
                 if (ex.kind == OpKind::kAdd)
                     elems += input_of(ex, 1).numel();
@@ -847,9 +794,15 @@ int64_t
 CompiledModel::convNonZeros() const
 {
     int64_t nnz = 0;
-    for (const auto& ex : executors_)
-        if (ex && ex->kind == OpKind::kConv)
+    for (const auto& ex : executors_) {
+        if (!ex || ex->kind != OpKind::kConv)
+            continue;
+        if (ex->fkw)
+            nnz += std::count_if(ex->fkw->weights.begin(), ex->fkw->weights.end(),
+                                 [](float v) { return v != 0.0f; });
+        else
             nnz += ex->weight.countNonZero();
+    }
     return nnz;
 }
 
@@ -859,7 +812,7 @@ CompiledModel::convDense() const
     int64_t n = 0;
     for (const auto& ex : executors_)
         if (ex && ex->kind == OpKind::kConv)
-            n += ex->weight.numel();
+            n += ex->conv.weightCount();
     return n;
 }
 

@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,8 @@ struct CompileOptions
     /// Each conv keeps ceil(kernels / rate) kernels; rates must be >= 1.
     double connectivity_rate = 3.6;
     double first_layer_rate = 1.5;  ///< The rate of the model's first conv.
-    OptSwitches opts;       ///< FKR / LRE / tuning switches.
+    OptSwitches opts;       ///< FKR / LRE switches.
     TuneParams default_tuning;
-    bool run_graph_passes = true;
     uint64_t seed = 5;
     /**
      * Optional per-layer tuned-parameter source consulted for each
@@ -103,15 +103,16 @@ struct CompileOptions
 };
 
 /**
- * Serializable snapshot of one compiled graph node: everything needed
- * to rebuild its executor on a (possibly different) device without
- * re-running pruning, reordering or tuning. Produced by
- * CompiledModel::exportState() and consumed by the state-restoring
- * constructor and the serve/ model-artifact (de)serializer.
+ * One compiled graph node: everything needed to build its executor on
+ * a (possibly different) device without re-running pruning, reordering
+ * or tuning. A CompiledModel holds one per live node (its executor is
+ * this record plus the engine); exportState() copies them out, and the
+ * state-restoring constructor and the serve/ model-artifact
+ * (de)serializer consume them.
  *
- * For kPatDnn 3x3 conv layers only the FKW storage plus tuned
- * parameters are carried (the dense weight view is reconstructed on
- * restore); all other layers carry their dense tensors.
+ * A kPatDnn 3x3 conv layer's only weights are its FKW arrays: its
+ * `weight` is empty (rank 0) after compile and after restore. All other
+ * layers carry their dense tensors.
  */
 struct CompiledLayerState
 {
@@ -122,9 +123,9 @@ struct CompiledLayerState
     bool fused_relu = false;
     int64_t pool_k = 2, pool_stride = 2;
     int64_t in_features = 0, out_features = 0;
-    Tensor weight;                 ///< Dense weights (empty for pattern convs).
+    Tensor weight;                 ///< Dense weights (rank 0 for FKW convs).
     Tensor bias;
-    std::unique_ptr<FkwLayer> fkw; ///< Pattern-engine storage (kPatDnn 3x3 convs).
+    std::optional<FkwLayer> fkw;   ///< Pattern-engine storage (kPatDnn 3x3 convs).
     TuneParams tuning;             ///< Pattern-engine tuned parameters.
     OptSwitches opts;              ///< Pattern-engine switches.
     /// Int8 quantization record (conv layers compiled at kInt8). The
@@ -258,14 +259,15 @@ class CompiledModel
      * accumulates into. */
     double convOnlyTimeMs(const Tensor& input, int warmup = 1, int reps = 3) const;
 
-    /** Total non-zero conv weights after compilation. */
+    /** Total non-zero conv weights after compilation (FKW layers count
+     * their stored weights). */
     int64_t convNonZeros() const;
 
-    /** Dense conv weight count. */
+    /** Dense conv weight count (ConvDesc::weightCount() summed). */
     int64_t convDense() const;
 
     /**
-     * Snapshot every node's compiled state (deep copy). Slot order is
+     * Copy every node's record (FKW storage included). Slot order is
      * node-id order; dead slots have live == false.
      */
     std::vector<CompiledLayerState> exportState() const;
@@ -318,11 +320,11 @@ class CompiledModel
      *    `h`, `w` equal the producer's per-sample shape; FC
      *    `in_features` equals the producer's per-sample element count;
      *    pool windows fit the input; Add operands have equal shapes;
-     *  - a conv's dense weight is {cout, cin/groups, kh, kw} (FKW convs
-     *    may omit it) and its FKW storage is a 3x3 groups==1 layer with
-     *    `filters` == cout and `in_channels` == cin; an FC weight is
-     *    {out, in}; conv / FC bias is {cout} / {out} or absent; a
-     *    BatchNorm's scale and shift match the input channels;
+     *  - a conv's dense weight is {cout, cin/groups, kh, kw}, except that
+     *    a conv with FKW storage carries none; FKW storage is a 3x3
+     *    groups==1 layer with `filters` == cout and `in_channels` == cin;
+     *    an FC weight is {out, in}; conv / FC bias is {cout} / {out} or
+     *    absent; a BatchNorm's scale and shift match the input channels;
      *  - every geometry field and every node's per-sample element count
      *    is at most 2^26, so no shape arithmetic can overflow.
      * kInvalidArgument naming the first offending node otherwise. The
@@ -332,10 +334,11 @@ class CompiledModel
                              int output_node);
 
   private:
+    /** A live node's record plus its engine and attribution labels. */
     struct Executor;
     /** The one conv-engine selection point: build the engine for a
-     * conv executor whose state fields (weight / fkw / tuning / quant
-     * record) are already populated. */
+     * conv executor whose record (weight / fkw / tuning / quant record)
+     * is already populated. */
     std::unique_ptr<ConvEngine> selectConvEngine(const Executor& ex) const;
     /** The kInt8 compile pass: run a synthetic calibration batch
      * through the freshly built f32 engines, then rebuild every

@@ -52,7 +52,6 @@ struct OptSwitches
 {
     bool reorder = true;  ///< FKR applied.
     bool lre = true;      ///< Register-level load redundancy elimination.
-    bool tuned = true;    ///< TuneParams from auto-tuner (vs defaults).
 };
 
 /** The LR: everything needed to generate execution code for a layer. */

@@ -180,8 +180,6 @@ emitPayload(const CompiledModel& model, const Emit& emit)
     putF64(buf, co.first_layer_rate);
     buf.push_back(co.opts.reorder ? 1 : 0);
     buf.push_back(co.opts.lre ? 1 : 0);
-    buf.push_back(co.opts.tuned ? 1 : 0);
-    buf.push_back(co.run_graph_passes ? 1 : 0);
     putU64(buf, co.seed);
     // Quantization provenance: the precision knob and the calibration
     // settings the activation scales came from.
@@ -210,7 +208,6 @@ emitPayload(const CompiledModel& model, const Emit& emit)
             putTuning(buf, st.tuning);
             buf.push_back(st.opts.reorder ? 1 : 0);
             buf.push_back(st.opts.lre ? 1 : 0);
-            buf.push_back(st.opts.tuned ? 1 : 0);
             // Quant record: scales only. The weight tensor below stays
             // f32 and is re-quantized deterministically on load.
             buf.push_back(st.quantized ? 1 : 0);
@@ -329,21 +326,19 @@ readLayer(Reader& r, uint32_t id, CompiledLayerState& st)
         return malformed("artifact: truncated tuning block");
     st.opts.reorder = r.u8() != 0;
     st.opts.lre = r.u8() != 0;
-    st.opts.tuned = r.u8() != 0;
     PATDNN_RETURN_IF_ERROR(readQuantRecord(r, st));
     if (!r.tensor(st.weight) || !r.tensor(st.bias))
         return malformed("artifact: truncated tensor");
     if (r.u8() != 0) {
-        auto fkw = std::make_unique<FkwLayer>();
+        FkwLayer fkw;
         size_t consumed = 0;
-        Status fkw_status = deserializeFkw(r.data + r.pos, r.left(), &consumed,
-                                           fkw.get());
+        Status fkw_status = deserializeFkw(r.data + r.pos, r.left(), &consumed, &fkw);
         if (!fkw_status.ok())
             return malformed("artifact: " + fkw_status.message());
         r.pos += consumed;
         // Re-check the structural invariants so a corrupted-but-
         // well-framed record cannot reach an executor.
-        Status invariants = validateFkw(*fkw);
+        Status invariants = validateFkw(fkw);
         if (!invariants.ok())
             return malformed("artifact: invalid FKW layer: " + invariants.message());
         st.fkw = std::move(fkw);
@@ -430,8 +425,6 @@ deserializePayload(const uint8_t* payload, size_t payload_size,
     co.first_layer_rate = r.f64();
     co.opts.reorder = r.u8() != 0;
     co.opts.lre = r.u8() != 0;
-    co.opts.tuned = r.u8() != 0;
-    co.run_graph_passes = r.u8() != 0;
     co.seed = r.u64();
     uint8_t precision_raw = r.u8();
     uint8_t calib_method_raw = r.u8();

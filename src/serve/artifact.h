@@ -19,14 +19,15 @@
  *    searched on;
  *  - the provenance record: the device fingerprint (pool width,
  *    GPU-like flag, tile budget) and the compile options (pattern
- *    count, connectivity rates, optimization switches, seed, precision
- *    and calibration settings);
+ *    count, connectivity rates, the FKR-reorder and LRE switches, seed,
+ *    precision and calibration settings);
  *  - the output-node id and one record per graph-node slot: op kind,
  *    ConvDesc, producer ids, fused ReLU, pool / FC geometry, tuned
  *    parameters (including the dense GEMM blocking gemm_kc / gemm_nc),
  *    an optional quant record (activation scale + per-output-channel
  *    weight scales), the dense weight and bias tensors, and the FKW
- *    storage of pattern-compiled convs (sparse/fkw.h's serializer).
+ *    storage of pattern-compiled convs (sparse/fkw.h's serializer),
+ *    which carry no dense weight: FKW is their only weight storage.
  *
  * Nothing derivable is stored: the activation MemoryPlan (rt/memplan.h)
  * is a function of the graph, so the restored CompiledModel derives it
@@ -87,7 +88,7 @@ inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 8;
+constexpr uint32_t kModelArtifactVersion = 9;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

@@ -53,7 +53,7 @@ TEST(Api, CompressThenCompileThenExecute)
     auto compiled = compiler.compile(singleConvModel(d, convs[1]->weight()));
     ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
     std::vector<CompiledLayerState> state = compiled.value()->exportState();
-    ASSERT_NE(state[0].fkw, nullptr);
+    ASSERT_TRUE(state[0].fkw);
     Status valid = validateFkw(*state[0].fkw);
     EXPECT_TRUE(valid.ok()) << valid.toString();
 
@@ -83,7 +83,7 @@ TEST(Api, TuneLayerThenCompile)
     auto model = compiler.compile(singleConvModel(d, 3));
     ASSERT_TRUE(model.ok()) << model.status().toString();
     std::vector<CompiledLayerState> state = model.value()->exportState();
-    ASSERT_NE(state[0].fkw, nullptr);
+    ASSERT_TRUE(state[0].fkw);
     EXPECT_TRUE(sameTuning(state[0].tuning, tuned.value()));
     TuneCache::instance().clear();
 }

@@ -276,5 +276,24 @@ TEST(ConvEngineSelection, SparseHasFewerEffectiveMacs)
     EXPECT_LT(sparse.convNonZeros(), dense.convNonZeros() / 3);
 }
 
+TEST(ConvEngineSelection, PatternRowBytesCountFkwWeights)
+{
+    // A pattern row's bytes are what its engine touches: the input, the
+    // output and the FKW weights, never a dense weight view.
+    ConvDesc d{"L", 16, 32, 3, 3, 14, 14, 1, 1, 1, 1};
+    CompiledModel model(singleConvModel(d, 5), FrameworkKind::kPatDnn, makeCpuDevice(2));
+    const size_t out_id = static_cast<size_t>(model.outputNode());
+    std::vector<CompiledLayerState> states = model.exportState();
+    ASSERT_TRUE(states[out_id].fkw);
+    Tensor in(Shape{1, d.cin, d.h, d.w});
+    Workspace ws(model.memoryPlan());
+    RunProfile prof;
+    Tensor out = model.run(in, ws, &prof);
+    const RunProfileEntry& e = prof.entries[out_id];
+    EXPECT_EQ(e.kind, "pattern");
+    const int64_t fkw_weights = static_cast<int64_t>(states[out_id].fkw->weights.size());
+    EXPECT_EQ(e.bytes, 4 * (in.numel() + out.numel() + fkw_weights));
+}
+
 }  // namespace
 }  // namespace patdnn

@@ -113,11 +113,35 @@ TEST(GraphPasses, DeadNodeElimination)
     g.check();
 }
 
+/** The model's graph with no pass applied, as node records the
+ * state-restoring CompiledModel constructor runs as they are. */
+std::vector<CompiledLayerState>
+unoptimizedState(const Graph& g)
+{
+    std::vector<CompiledLayerState> states(g.nodes().size());
+    for (const GraphNode& n : g.nodes()) {
+        CompiledLayerState& st = states[static_cast<size_t>(n.id)];
+        st.live = true;
+        st.kind = n.kind;
+        st.conv = n.conv;
+        st.inputs = n.inputs;
+        st.pool_k = n.pool_k;
+        st.pool_stride = n.pool_stride;
+        st.in_features = n.in_features;
+        st.out_features = n.out_features;
+        const bool bn = n.kind == OpKind::kBatchNorm;
+        st.weight = bn ? n.bn_scale : n.weight;
+        st.bias = bn ? n.bn_shift : n.bias;
+    }
+    return states;
+}
+
 TEST(GraphPasses, OptimizedGraphPreservesModelOutput)
 {
     // Numerical equivalence: the same model with and without graph
     // passes (BN folding, fusion, constant folding) must produce the
-    // same logits through the dense framework.
+    // same logits through the dense framework. Compilation always runs
+    // the passes; the unoptimized graph is restored node for node.
     Model m = buildVGG16(Dataset::kCifar10);
     // Give batchnorms non-trivial parameters so folding is exercised.
     Rng rng(3);
@@ -128,11 +152,11 @@ TEST(GraphPasses, OptimizedGraphPreservesModelOutput)
         }
     }
     DeviceSpec dev = makeCpuDevice(4);
-    CompileOptions with;
-    CompileOptions without;
-    without.run_graph_passes = false;
-    CompiledModel a(m, FrameworkKind::kPatDnnDense, dev, with);
-    CompiledModel b(m, FrameworkKind::kPatDnnDense, dev, without);
+    CompiledModel a(m, FrameworkKind::kPatDnnDense, dev);
+    Graph g = buildGraph(m);
+    std::vector<CompiledLayerState> raw = unoptimizedState(g);
+    ASSERT_TRUE(CompiledModel::checkGraph(raw, g.outputNode()).ok());
+    CompiledModel b(FrameworkKind::kPatDnnDense, dev, std::move(raw), g.outputNode());
     Tensor in(Shape{1, 3, 32, 32});
     in.fillUniform(rng, 0.0f, 1.0f);
     Tensor ya = a.run(in);

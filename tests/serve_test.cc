@@ -129,6 +129,34 @@ TEST(Artifact, RoundTripBitIdenticalOutputs)
     EXPECT_EQ(Tensor::maxAbsDiff(got, expect), 0.0);
 }
 
+TEST(Artifact, VggPatternLayersKeepOnlyFkwWeights)
+{
+    // FKW is a pattern layer's only weight storage: neither the compile
+    // nor an artifact load keeps a dense copy next to it, and the
+    // weight counters read the same either way.
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    auto compiled =
+        Compiler(dev).compile(buildVGG16(Dataset::kCifar10), FrameworkKind::kPatDnn);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+    auto loaded = deserializeModel(serializeModel(*compiled.value()), dev);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    // The values these counters read when pattern layers still held a
+    // dense weight copy and counted its non-zeros.
+    const int64_t nnz = 1816423, dense = 14710464;
+    for (const auto& model : {compiled.value(), loaded.value()}) {
+        int fkw_layers = 0;
+        for (const CompiledLayerState& st : model->exportState()) {
+            if (!st.fkw)
+                continue;
+            ++fkw_layers;
+            EXPECT_EQ(st.weight.shape().rank(), 0) << st.conv.name;
+        }
+        EXPECT_EQ(fkw_layers, 13);
+        EXPECT_EQ(model->convNonZeros(), nnz);
+        EXPECT_EQ(model->convDense(), dense);
+    }
+}
+
 TEST(Artifact, RoundTripAllFrameworkKinds)
 {
     Model m = tinyModel();
@@ -1228,7 +1256,7 @@ TEST(Artifact, RejectsEveryOtherVersion)
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::vector<uint8_t> bytes = serializeModel(compiled);
     std::string path = tempArtifactPath("version");
-    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 0xFFFFFFFFu}) {
+    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
         auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
@@ -1272,7 +1300,6 @@ formatPinModel()
     OptSwitches sw;
     sw.reorder = true;
     sw.lre = true;
-    sw.tuned = false;
 
     std::vector<CompiledLayerState> layers(5);
     // Node 0: pattern conv 2->2, 3x3 on 4x4, from the model input.
@@ -1284,7 +1311,7 @@ formatPinModel()
     pat.bias = ramp(Shape{2});
     pat.tuning = tune;
     pat.opts = sw;
-    pat.fkw = std::make_unique<FkwLayer>();
+    pat.fkw.emplace();
     pat.fkw->filters = 2;
     pat.fkw->in_channels = 2;
     pat.fkw->kh = 3;
@@ -1327,7 +1354,6 @@ formatPinModel()
     co.connectivity_rate = 2.5;
     co.first_layer_rate = 1.25;
     co.opts = sw;
-    co.run_graph_passes = true;
     co.seed = 9;
     co.precision = Precision::kInt8;
     co.calibration.method = CalibrationMethod::kPercentile;
@@ -1343,7 +1369,7 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
 {
     // Any change to the byte layout must bump kModelArtifactVersion and
     // re-pin these values: loaders refuse every other version.
-    ASSERT_EQ(kModelArtifactVersion, 8u);
+    ASSERT_EQ(kModelArtifactVersion, 9u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1351,8 +1377,8 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h ^= b;
         h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(bytes.size(), 1735u);
-    EXPECT_EQ(h, 0x0e18491d87681e38ULL);
+    EXPECT_EQ(bytes.size(), 1729u);
+    EXPECT_EQ(h, 0xb82f80b7c4882e0eULL);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(serializeModel(*loaded.value()), bytes);
@@ -1366,17 +1392,17 @@ TEST(Artifact, InflatedLayerCountIsRefusedWithoutAllocating)
     std::vector<uint8_t> bytes = serializeModel(compiled);
     // The fixed-size payload prefix ends with the output-node id and the
     // layer count; the layer table starts right after it.
-    const size_t count_at = kArtifactHeader + 79;
+    const size_t count_at = kArtifactHeader + 77;
     ASSERT_EQ(std::vector<uint8_t>(bytes.begin() + count_at,
                                    bytes.begin() + count_at + 4),
               le(compiled.nodeCount(), 4));
 
-    // 107 bytes claiming 2^20 layers: header, provenance, output node,
+    // 105 bytes claiming 2^20 layers: header, provenance, output node,
     // count, checksum and no layer records at all.
     std::vector<uint8_t> bad(bytes.begin(), bytes.begin() + static_cast<long>(count_at) + 4);
     poke(bad, count_at, 1u << 20, 4);
     bad.resize(bad.size() + 8);
-    ASSERT_EQ(bad.size(), 107u);
+    ASSERT_EQ(bad.size(), 105u);
     rusage before{};
     getrusage(RUSAGE_SELF, &before);
     expectMalformed(bad, dev);
@@ -1430,6 +1456,41 @@ TEST(Artifact, FkwStorageDisagreeingWithDescIsMalformed)
     size_t fkw = findOnce(bad, concat({le(32), le(16), le(3), le(3)}));
     ASSERT_NE(fkw, std::string::npos);
     poke(bad, fkw + 8, 17);
+    expectMalformed(std::move(bad), dev);
+}
+
+TEST(Artifact, FkwConvCarryingADenseWeightIsMalformed)
+{
+    // One weight representation per layer: a conv with FKW storage
+    // carries no dense weight, and a record with both is refused.
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(tinyModel(), FrameworkKind::kPatDnn, dev);
+    std::vector<CompiledLayerState> state = compiled.exportState();
+    auto c3 = std::find_if(state.begin(), state.end(), [](const CompiledLayerState& st) {
+        return st.live && st.conv.name == "c3";
+    });
+    ASSERT_NE(c3, state.end());
+    ASSERT_TRUE(c3->fkw);
+    ASSERT_EQ(c3->weight.shape().rank(), 0);
+    c3->weight = fkwToDense(*c3->fkw);
+    Status direct = CompiledModel::checkGraph(state, compiled.outputNode());
+    EXPECT_EQ(direct.code(), ErrorCode::kInvalidArgument) << direct.toString();
+
+    // The same record through the loader: c3's absent weight (a bare
+    // zero rank) precedes its bias {32}, the FKW flag and the FKW header.
+    std::vector<uint8_t> bad = serializeModel(compiled);
+    size_t fkw = findOnce(bad, concat({le(32), le(16), le(3), le(3)}));
+    ASSERT_NE(fkw, std::string::npos);
+    const size_t weight_at = fkw - 1 - (4 + 8 + 32 * sizeof(float)) - 4;
+    ASSERT_EQ(std::vector<uint8_t>(bad.begin() + static_cast<long>(weight_at),
+                                   bad.begin() + static_cast<long>(weight_at) + 16),
+              concat({le(0, 4), le(1, 4), le(32)}));
+    std::vector<uint8_t> dense = concat({le(4, 4), le(32), le(16), le(3), le(3)});
+    const auto* w = reinterpret_cast<const uint8_t*>(c3->weight.data());
+    dense.insert(dense.end(), w, w + c3->weight.numel() * sizeof(float));
+    bad.erase(bad.begin() + static_cast<long>(weight_at),
+              bad.begin() + static_cast<long>(weight_at) + 4);
+    bad.insert(bad.begin() + static_cast<long>(weight_at), dense.begin(), dense.end());
     expectMalformed(std::move(bad), dev);
 }
 
