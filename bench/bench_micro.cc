@@ -3,9 +3,12 @@
  * google-benchmark micro-benchmarks for the hot building blocks:
  * pattern micro-kernels (padded LRE vs guarded vs no-LRE), FKW packing,
  * FKR, projections, and a single pattern-engine layer. These are the
- * kernels whose relative costs explain the figure-level results.
+ * kernels whose relative costs explain the figure-level results. The
+ * artifact codec round trip tracks model set-up cost.
  */
 #include <benchmark/benchmark.h>
+
+#include <map>
 
 #include "bench_common.h"
 
@@ -302,10 +305,19 @@ BENCHMARK(BM_GraphOptimize);
 void
 BM_MemoryPlanZoo(benchmark::State& state, const char* short_name)
 {
-    Model m = buildByShortName(short_name, Dataset::kCifar10);
-    CompiledModel compiled(m, FrameworkKind::kTfliteLike, makeCpuDevice(1));
-    std::vector<PlanNode> nodes = compiled.planNodes();
-    int output_node = compiled.outputNode();
+    // google-benchmark runs this body more than once per row; the
+    // compile is set-up, so each model is compiled once (under ASan the
+    // repeated compiles were most of bench_micro_smoke's time).
+    static std::map<std::string, std::pair<std::vector<PlanNode>, int>> graphs;
+    auto it = graphs.find(short_name);
+    if (it == graphs.end()) {
+        CompiledModel compiled(buildByShortName(short_name, Dataset::kCifar10),
+                               FrameworkKind::kTfliteLike, makeCpuDevice(1));
+        it = graphs.emplace(short_name, std::make_pair(compiled.planNodes(),
+                                                       compiled.outputNode()))
+                 .first;
+    }
+    const auto& [nodes, output_node] = it->second;
     MemoryPlan plan;
     for (auto _ : state) {
         plan = planActivations(nodes, output_node);
@@ -321,6 +333,34 @@ BM_MemoryPlanZoo(benchmark::State& state, const char* short_name)
 BENCHMARK_CAPTURE(BM_MemoryPlanZoo, vgg, "VGG");
 BENCHMARK_CAPTURE(BM_MemoryPlanZoo, rnt, "RNT");
 BENCHMARK_CAPTURE(BM_MemoryPlanZoo, mbnt, "MBNT");
+
+/**
+ * The artifact codec (serve/artifact.h) on a one-conv 256->256 3x3
+ * kPatDnnDense model (2.4 MB artifact): serialize + deserialize per
+ * iteration, so the payload checksum, the record streaming and the
+ * load's Winograd filter packing all show.
+ */
+void
+BM_ArtifactRoundTrip(benchmark::State& state)
+{
+    DeviceSpec dev = makeFixedWidthCpuDevice(1);
+    CompiledModel compiled(
+        singleConvModel(ConvDesc{"rt", 256, 256, 3, 3, 16, 16, 1, 1, 1, 1}, 3),
+        FrameworkKind::kPatDnnDense, dev);
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::vector<uint8_t> artifact = serializeModel(compiled);
+        auto loaded = deserializeModel(artifact, dev);
+        if (!loaded.ok()) {
+            state.SkipWithError(loaded.status().toString().c_str());
+            break;
+        }
+        bytes = artifact.size();
+        benchmark::DoNotOptimize(loaded.value().get());
+    }
+    state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_ArtifactRoundTrip);
 
 /**
  * Raw cost of one TraceSpan (obs/trace.h) in each runtime state:

@@ -1,6 +1,7 @@
 #include "rt/conv_winograd.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -73,23 +74,39 @@ WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec devic
       ops_(&resolveSimdOps(device_.simd_isa))
 {
     PATDNN_CHECK(applies(desc_), "Winograd needs a stride-1 3x3 conv");
-    // Each transformed filter lands straight in the stage-2 RHS column
-    // panels of the 16 U[t]^T [cin x cout], which stay zero past cout.
+    // The transformed filters fill the stage-2 RHS column panels of the
+    // 16 U[t]^T [cin x cout], which stay zero past cout. Panel p of U[t]^T
+    // is one contiguous run of cin*nr floats ([ic][lane]), so each
+    // nr-wide panel is transformed into a 16-row scratch, then each row
+    // is copied into place whole. Scattering straight into packed_u_
+    // would put a kernel's 16 stores per_t floats apart, each on a fresh
+    // cache line (and, when per_t*4 B is a large power of two, all in
+    // one L1 set); the scratch pitch is padded by one cache line instead.
     const int nr = ops_->gemm_nr;
-    blocking_ = gemmBlockingFor(*ops_, desc_.cin, desc_.cout,
-                                device_.tile_budget_kb, tuning.gemm_kc,
-                                tuning.gemm_nc);
-    int64_t per_t = packedRhsElems(desc_.cin, desc_.cout, nr);
+    const int64_t cin = desc_.cin, cout = desc_.cout;
+    blocking_ = gemmBlockingFor(*ops_, cin, cout, device_.tile_budget_kb,
+                                tuning.gemm_kc, tuning.gemm_nc);
+    const int64_t per_t = packedRhsElems(cin, cout, nr);
     packed_u_ = Tensor(Shape{16 * per_t});
-    for (int64_t oc = 0; oc < desc_.cout; ++oc) {
-        for (int64_t ic = 0; ic < desc_.cin; ++ic) {
-            float u[16];
-            transformFilter(weight->data() + (oc * desc_.cin + ic) * 9, u);
-            float* dst = packed_u_.data() + ((oc / nr) * desc_.cin + ic) * nr +
-                         oc % nr;
-            for (int t = 0; t < 16; ++t)
-                dst[t * per_t] = u[t];
+    const int64_t run = cin * nr;
+    const int64_t pitch = run + 16;
+    std::vector<float> scratch(static_cast<size_t>(16 * pitch));
+    for (int64_t oc0 = 0; oc0 < cout; oc0 += nr) {
+        const int64_t cols = std::min<int64_t>(nr, cout - oc0);
+        if (cols < nr)  // The last panel's lanes past cout stay zero.
+            std::fill(scratch.begin(), scratch.end(), 0.0f);
+        for (int64_t ic = 0; ic < cin; ++ic) {
+            for (int64_t lane = 0; lane < cols; ++lane) {
+                float u[16];
+                transformFilter(weight->data() + ((oc0 + lane) * cin + ic) * 9, u);
+                float* dst = scratch.data() + ic * nr + lane;
+                for (int t = 0; t < 16; ++t)
+                    dst[t * pitch] = u[t];
+            }
         }
+        for (int t = 0; t < 16; ++t)
+            std::copy_n(scratch.data() + t * pitch, run,
+                        packed_u_.data() + t * per_t + oc0 * cin);
     }
 }
 

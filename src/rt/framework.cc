@@ -26,24 +26,22 @@ frameworkName(FrameworkKind kind)
     return "unknown";
 }
 
+bool
+denseQuantEligible(FrameworkKind kind, const ConvDesc& conv)
+{
+    // The precision knob targets the dense GEMM backend, not the sparse
+    // formats; grouped convs run the naive engine.
+    return conv.groups == 1 &&
+           (kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kMnnLike ||
+            kind == FrameworkKind::kPatDnnDense);
+}
+
 namespace {
 
 bool
 isSparseKind(FrameworkKind kind)
 {
     return kind == FrameworkKind::kCsrSparse || kind == FrameworkKind::kPatDnn;
-}
-
-/** Conv layers the kInt8 knob applies to: ungrouped dense-GEMM layers
- * of the packed-backend kinds. The sparse kinds and grouped convs
- * (naive engine) stay f32 — the precision knob targets the dense GEMM
- * backend, not the sparse formats. */
-bool
-denseQuantEligible(FrameworkKind kind, const ConvDesc& conv)
-{
-    return conv.groups == 1 &&
-           (kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kMnnLike ||
-            kind == FrameworkKind::kPatDnnDense);
 }
 
 /** Joint-prune a conv weight copy per the compile options. */
@@ -589,6 +587,12 @@ CompiledModel::exportState() const
         if (executors_[id])
             out[id] = *executors_[id];
     return out;
+}
+
+const CompiledLayerState*
+CompiledModel::layerState(size_t id) const
+{
+    return executors_[id].get();
 }
 
 bool

@@ -57,6 +57,13 @@ enum class FrameworkKind
 /** Display name used in bench output. */
 std::string frameworkName(FrameworkKind kind);
 
+/** Conv layers the kInt8 knob applies to: ungrouped dense-GEMM layers
+ * of the packed-backend kinds (kTvmLike, kMnnLike, kPatDnnDense). The
+ * sparse kinds, kTfliteLike and grouped convs stay f32: no engine they
+ * select runs int8, so the artifact loader refuses a quant record on
+ * any other conv. */
+bool denseQuantEligible(FrameworkKind kind, const ConvDesc& conv);
+
 /** Activation-scale calibration knobs for Precision::kInt8 compiles.
  * Compilation first builds the f32 engines, runs a synthetic
  * calibration batch through them observing every dense conv layer's
@@ -106,9 +113,9 @@ struct CompileOptions
  * One compiled graph node: everything needed to build its executor on
  * a (possibly different) device without re-running pruning, reordering
  * or tuning. A CompiledModel holds one per live node (its executor is
- * this record plus the engine); exportState() copies them out, and the
- * state-restoring constructor and the serve/ model-artifact
- * (de)serializer consume them.
+ * this record plus the engine); exportState() copies them out and
+ * layerState() reads one in place. The state-restoring constructor and
+ * the serve/ model-artifact (de)serializer consume them.
  *
  * A kPatDnn 3x3 conv layer's only weights are its FKW arrays: its
  * `weight` is empty (rank 0) after compile and after restore. All other
@@ -271,6 +278,11 @@ class CompiledModel
      * node-id order; dead slots have live == false.
      */
     std::vector<CompiledLayerState> exportState() const;
+
+    /** Node `id`'s record, read in place (the artifact serializer walks
+     * the records through this without copying them); null for a dead
+     * slot. Valid for the model's lifetime. */
+    const CompiledLayerState* layerState(size_t id) const;
 
     /** Node-id of the output value. */
     int outputNode() const { return output_node_; }

@@ -1,6 +1,7 @@
 #include "serve/artifact.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -17,40 +18,94 @@ namespace {
 constexpr char kMagic[4] = {'P', 'D', 'N', 'N'};
 constexpr size_t kHeaderSize = 4 + 4 + 8;  ///< magic + version + payload size.
 
-/** Incremental FNV-1a 64-bit (the artifact integrity check). */
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
-uint64_t
-fnv1aUpdate(uint64_t h, const uint8_t* data, size_t size)
+/**
+ * The artifact checksum: FNV-1a-64 over the payload read as
+ * little-endian 8-byte words, the last word zero-padded. One multiply
+ * per word rather than per byte; a changed word always changes the hash
+ * (xor-then-multiply by an odd constant is a bijection of the state),
+ * and the header's payload size catches a changed length. update()
+ * takes chunks that end anywhere: bytes short of a whole word wait in
+ * a carry for the next chunk.
+ */
+class PayloadHasher
 {
-    for (size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
+  public:
+    void
+    update(const uint8_t* p, size_t n)
+    {
+        if (carried_ > 0) {
+            size_t take = std::min(n, sizeof carry_ - carried_);
+            std::memcpy(carry_ + carried_, p, take);
+            carried_ += take;
+            p += take;
+            n -= take;
+            if (carried_ < sizeof carry_)
+                return;
+            h_ = mix(h_, carry_);
+            carried_ = 0;
+        }
+        uint64_t h = h_;  // A local: `p` may alias the member.
+        for (; n >= 8; p += 8, n -= 8)
+            h = mix(h, p);
+        h_ = h;
+        std::memcpy(carry_, p, n);
+        carried_ = n;
     }
-    return h;
-}
+
+    uint64_t
+    digest() const
+    {
+        if (carried_ == 0)
+            return h_;
+        uint8_t last[8] = {};
+        std::memcpy(last, carry_, carried_);
+        return mix(h_, last);
+    }
+
+  private:
+    /** The little-endian u64 at `p` (any alignment). */
+    static uint64_t
+    loadLe64(const uint8_t* p)
+    {
+        uint64_t v = 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&v, p, sizeof v);
+        } else {
+            for (int i = 0; i < 8; ++i)
+                v |= static_cast<uint64_t>(p[i]) << (8 * i);
+        }
+        return v;
+    }
+
+    static uint64_t
+    mix(uint64_t h, const uint8_t* word)
+    {
+        return (h ^ loadLe64(word)) * kFnvPrime;
+    }
+
+    uint64_t h_ = kFnvOffset;
+    uint8_t carry_[8] = {};
+    size_t carried_ = 0;
+};
 
 using bytes::putF64;
 using bytes::putI64;
 using bytes::putU32;
 using bytes::putU64;
 
+/** A tensor record's rank and dims; its float bytes follow (none for
+ * rank 0, the "no tensor" marker: a default Tensor reports numel() == 1
+ * but owns no storage). */
 void
-putTensor(std::vector<uint8_t>& out, const Tensor& t)
+putTensorDims(std::vector<uint8_t>& out, const Tensor& t)
 {
-    // Rank-0 = "no tensor" (a default Tensor reports numel() == 1 but
-    // owns no storage); serialized as a bare zero rank.
     const auto& dims = t.shape().dims();
     putU32(out, static_cast<uint32_t>(dims.size()));
-    if (dims.empty())
-        return;
     for (int64_t d : dims)
         putI64(out, d);
-    size_t old = out.size();
-    out.resize(old + static_cast<size_t>(t.numel()) * sizeof(float));
-    if (t.numel() > 0)
-        std::memcpy(out.data() + old, t.data(),
-                    static_cast<size_t>(t.numel()) * sizeof(float));
 }
 
 void
@@ -146,24 +201,32 @@ readConvDesc(Reader& r, ConvDesc& d)
 /** Byte consumer for the streaming payload serializer. */
 using Emit = std::function<void(const uint8_t*, size_t)>;
 
-void
-emitBuf(const Emit& emit, std::vector<uint8_t>& buf)
-{
-    if (!buf.empty())
-        emit(buf.data(), buf.size());
-    buf.clear();
-}
-
 /**
- * Serialize the payload one record at a time through `emit` (bounded
- * scratch: header fields, then one layer record per call). Both the
- * in-memory serializer and the streaming file writer share this.
+ * Serialize the payload through `emit`, reading each node's record in
+ * place. Framing fields collect in a small buffer (at most one record's
+ * worth, FKW index arrays included); tensor and FKW float data go to
+ * `emit` straight from the records. Both the in-memory serializer and
+ * the streaming file writer share this.
  */
 void
 emitPayload(const CompiledModel& model, const Emit& emit)
 {
-    std::vector<CompiledLayerState> layers = model.exportState();
     std::vector<uint8_t> buf;
+    auto flush = [&] {
+        if (!buf.empty())
+            emit(buf.data(), buf.size());
+        buf.clear();
+    };
+    auto floats = [&](const float* p, size_t n) {
+        flush();
+        if (n > 0)
+            emit(reinterpret_cast<const uint8_t*>(p), n * sizeof(float));
+    };
+    auto tensor = [&](const Tensor& t) {
+        putTensorDims(buf, t);
+        if (t.shape().rank() > 0)
+            floats(t.data(), static_cast<size_t>(t.numel()));
+    };
 
     putU32(buf, static_cast<uint32_t>(model.kind()));
     putU32(buf, static_cast<uint32_t>(model.tunedIsa()));
@@ -189,48 +252,45 @@ emitPayload(const CompiledModel& model, const Emit& emit)
     putU32(buf, static_cast<uint32_t>(co.calibration.samples));
     putU64(buf, co.calibration.seed);
     putU32(buf, static_cast<uint32_t>(model.outputNode()));
-    putU32(buf, static_cast<uint32_t>(layers.size()));
-    emitBuf(emit, buf);
+    putU32(buf, static_cast<uint32_t>(model.nodeCount()));
 
-    for (CompiledLayerState& st : layers) {
-        buf.push_back(st.live ? 1 : 0);
-        if (st.live) {
-            putU32(buf, static_cast<uint32_t>(st.kind));
-            putConvDesc(buf, st.conv);
-            putU32(buf, static_cast<uint32_t>(st.inputs.size()));
-            for (int in : st.inputs)
-                putU32(buf, static_cast<uint32_t>(in));
-            buf.push_back(st.fused_relu ? 1 : 0);
-            putI64(buf, st.pool_k);
-            putI64(buf, st.pool_stride);
-            putI64(buf, st.in_features);
-            putI64(buf, st.out_features);
-            putTuning(buf, st.tuning);
-            buf.push_back(st.opts.reorder ? 1 : 0);
-            buf.push_back(st.opts.lre ? 1 : 0);
-            // Quant record: scales only. The weight tensor below stays
-            // f32 and is re-quantized deterministically on load.
-            buf.push_back(st.quantized ? 1 : 0);
-            if (st.quantized) {
-                putF64(buf, st.act_scale);
-                putU32(buf, static_cast<uint32_t>(st.weight_scales.size()));
-                for (float s : st.weight_scales)
-                    putF64(buf, s);
-            }
-            putTensor(buf, st.weight);
-            putTensor(buf, st.bias);
-            buf.push_back(st.fkw ? 1 : 0);
-            if (st.fkw)
-                serializeFkw(*st.fkw, buf);
-            // Release this layer's copy as soon as it is emitted so the
-            // streaming save never holds state + bytes for the whole
-            // model at once.
-            st.fkw.reset();
-            st.weight = Tensor();
-            st.bias = Tensor();
+    for (size_t id = 0; id < model.nodeCount(); ++id) {
+        const CompiledLayerState* rec = model.layerState(id);
+        buf.push_back(rec != nullptr ? 1 : 0);
+        if (rec == nullptr)
+            continue;
+        const CompiledLayerState& st = *rec;
+        putU32(buf, static_cast<uint32_t>(st.kind));
+        putConvDesc(buf, st.conv);
+        putU32(buf, static_cast<uint32_t>(st.inputs.size()));
+        for (int in : st.inputs)
+            putU32(buf, static_cast<uint32_t>(in));
+        buf.push_back(st.fused_relu ? 1 : 0);
+        putI64(buf, st.pool_k);
+        putI64(buf, st.pool_stride);
+        putI64(buf, st.in_features);
+        putI64(buf, st.out_features);
+        putTuning(buf, st.tuning);
+        buf.push_back(st.opts.reorder ? 1 : 0);
+        buf.push_back(st.opts.lre ? 1 : 0);
+        // Quant record: scales only. The weight tensor below stays f32
+        // and is re-quantized deterministically on load.
+        buf.push_back(st.quantized ? 1 : 0);
+        if (st.quantized) {
+            putF64(buf, st.act_scale);
+            putU32(buf, static_cast<uint32_t>(st.weight_scales.size()));
+            for (float s : st.weight_scales)
+                putF64(buf, s);
         }
-        emitBuf(emit, buf);
+        tensor(st.weight);
+        tensor(st.bias);
+        buf.push_back(st.fkw ? 1 : 0);
+        if (st.fkw) {
+            serializeFkwPrefix(*st.fkw, buf);
+            floats(st.fkw->weights.data(), st.fkw->weights.size());
+        }
     }
+    flush();
 }
 
 void
@@ -256,12 +316,13 @@ badQuantRecord(std::string msg)
 
 /**
  * The quant record drives the load-time re-quantization, so a
- * corrupted-but-well-framed one is refused: only a groups==1 dense conv
- * can carry one, the scale count must match the layer's output
- * channels, and every scale must be finite and positive.
+ * corrupted-but-well-framed one is refused: only a conv of `kind` that
+ * denseQuantEligible() admits can carry one (the engines of every other
+ * conv would silently ignore it), the scale count must match the
+ * layer's output channels, and every scale must be finite and positive.
  */
 Status
-readQuantRecord(Reader& r, CompiledLayerState& st)
+readQuantRecord(Reader& r, FrameworkKind kind, CompiledLayerState& st)
 {
     st.quantized = r.u8() != 0;
     if (!st.quantized)
@@ -283,8 +344,8 @@ readQuantRecord(Reader& r, CompiledLayerState& st)
     bool weights_ok = true;
     for (float& s : st.weight_scales)
         weights_ok = scale(&s) && weights_ok;
-    if (st.kind != OpKind::kConv || st.conv.groups != 1)
-        return badQuantRecord("artifact: quant record on an unquantizable layer");
+    if (st.kind != OpKind::kConv || !denseQuantEligible(kind, st.conv))
+        return badQuantRecord("artifact: quant record on a layer no int8 engine runs");
     if (static_cast<int64_t>(n_scales) != st.conv.cout)
         return badQuantRecord(
             "artifact: quant record scale count disagrees with layer output "
@@ -298,9 +359,10 @@ readQuantRecord(Reader& r, CompiledLayerState& st)
     return Status::OK();
 }
 
-/** Parse one live layer record (after its live byte). */
+/** Parse one live layer record (after its live byte) of a `kind`
+ * payload. */
 Status
-readLayer(Reader& r, uint32_t id, CompiledLayerState& st)
+readLayer(Reader& r, uint32_t id, FrameworkKind kind, CompiledLayerState& st)
 {
     uint32_t kind_raw = r.u32();
     if (!r.ok || kind_raw > static_cast<uint32_t>(OpKind::kFlatten))
@@ -326,7 +388,7 @@ readLayer(Reader& r, uint32_t id, CompiledLayerState& st)
         return malformed("artifact: truncated tuning block");
     st.opts.reorder = r.u8() != 0;
     st.opts.lre = r.u8() != 0;
-    PATDNN_RETURN_IF_ERROR(readQuantRecord(r, st));
+    PATDNN_RETURN_IF_ERROR(readQuantRecord(r, kind, st));
     if (!r.tensor(st.weight) || !r.tensor(st.bias))
         return malformed("artifact: truncated tensor");
     if (r.u8() != 0) {
@@ -467,7 +529,7 @@ deserializePayload(const uint8_t* payload, size_t payload_size,
         if (!r.ok)
             return malformed("artifact: truncated layer table");
         if (st.live)
-            PATDNN_RETURN_IF_ERROR(readLayer(r, id, st));
+            PATDNN_RETURN_IF_ERROR(readLayer(r, id, info->kind, st));
     }
     if (r.pos != r.size)
         return malformed("artifact: trailing bytes in payload");
@@ -490,12 +552,12 @@ truncatedStream(const std::string& what)
 }
 
 void
-putHeaderPrefix(std::vector<uint8_t>& out)
+putHeader(std::vector<uint8_t>& out, uint64_t payload_size)
 {
     for (char c : kMagic)
         out.push_back(static_cast<uint8_t>(c));
     putU32(out, kModelArtifactVersion);
-    putU64(out, 0);  // Payload size placeholder, backpatched.
+    putU64(out, payload_size);
 }
 
 }  // namespace
@@ -503,19 +565,22 @@ putHeaderPrefix(std::vector<uint8_t>& out)
 std::vector<uint8_t>
 serializeModel(const CompiledModel& model)
 {
+    // A counting pass sizes the buffer exactly (it builds the framing
+    // bytes but only counts the float data), so the one allocation is
+    // never regrown.
+    uint64_t payload_size = 0;
+    emitPayload(model, [&](const uint8_t*, size_t n) { payload_size += n; });
     std::vector<uint8_t> out;
-    putHeaderPrefix(out);
-    size_t payload_begin = out.size();
-    uint64_t h = kFnvOffset;
+    out.reserve(kHeaderSize + static_cast<size_t>(payload_size) + 8);
+    putHeader(out, payload_size);
+    PayloadHasher hasher;
     emitPayload(model, [&](const uint8_t* p, size_t n) {
-        h = fnv1aUpdate(h, p, n);
+        hasher.update(p, n);
         out.insert(out.end(), p, p + n);
     });
-    uint64_t payload_size = out.size() - payload_begin;
-    for (int i = 0; i < 8; ++i)
-        out[payload_begin - 8 + static_cast<size_t>(i)] =
-            static_cast<uint8_t>(payload_size >> (8 * i));
-    putU64(out, h);
+    putU64(out, hasher.digest());
+    PATDNN_CHECK_EQ(out.size(), kHeaderSize + payload_size + 8,
+                    "artifact payload size changed between passes");
     return out;
 }
 
@@ -547,7 +612,9 @@ deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
                                std::to_string(held));
     const uint8_t* payload = bytes.data() + kHeaderSize;
     Reader tail{{payload + held, 8}};
-    if (fnv1aUpdate(kFnvOffset, payload, static_cast<size_t>(held)) != tail.u64())
+    PayloadHasher hasher;
+    hasher.update(payload, static_cast<size_t>(held));
+    if (hasher.digest() != tail.u64())
         return Status(ErrorCode::kDataLoss, "artifact: checksum mismatch",
                       artifact_detail::kChecksumMismatch);
     return deserializePayload(payload, static_cast<size_t>(held), device, opts,
@@ -562,22 +629,22 @@ saveModel(const CompiledModel& model, const std::string& path)
         return Status(ErrorCode::kUnavailable,
                       "cannot open " + path + " for writing");
     std::vector<uint8_t> header;
-    putHeaderPrefix(header);
+    putHeader(header, 0);  // Payload size backpatched below.
     bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
-    // Stream the payload record-by-record: the checksum and size are
+    // Stream the payload record by record: the checksum and size are
     // accumulated as bytes pass through, never materializing the whole
-    // serialized model in memory.
-    uint64_t h = kFnvOffset;
+    // serialized model (or a copy of its records) in memory.
+    PayloadHasher hasher;
     uint64_t payload_size = 0;
     emitPayload(model, [&](const uint8_t* p, size_t n) {
         if (!ok)
             return;
-        h = fnv1aUpdate(h, p, n);
+        hasher.update(p, n);
         payload_size += n;
         ok = std::fwrite(p, 1, n, f) == n;
     });
     std::vector<uint8_t> trailer;
-    putU64(trailer, h);
+    putU64(trailer, hasher.digest());
     ok = ok && std::fwrite(trailer.data(), 1, trailer.size(), f) == trailer.size();
     // Backpatch the payload size in the fixed header.
     ok = ok && std::fseek(f, 4 + 4, SEEK_SET) == 0;

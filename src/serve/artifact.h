@@ -12,7 +12,14 @@
  * (little-endian):
  *
  *   [magic "PDNN"] [u32 version] [u64 payload_size] [payload bytes]
- *   [u64 FNV-1a checksum of payload]
+ *   [u64 checksum of payload]
+ *
+ * The checksum (since v10) is FNV-1a-64 (offset basis
+ * 0xcbf29ce484222325, prime 0x100000001b3) taken over the payload as
+ * little-endian 8-byte words rather than bytes: for each word w,
+ * h = (h ^ w) * prime, the last word zero-padded when the payload size
+ * is not a multiple of 8. A changed word always changes the hash, and
+ * the header's payload size catches a changed length.
  *
  * The payload holds, in order:
  *  - the framework kind and the kernel ISA the embedded TuneParams were
@@ -51,11 +58,15 @@
  * scheduling mismatch is always an error; pool-width and tile-budget
  * differences warn unless ArtifactLoadOptions asks for strictness.
  *
- * saveModel() streams the payload one layer record at a time straight
+ * Both writers read the compiled records in place
+ * (CompiledModel::layerState) and pass tensor and FKW float data
+ * through without staging it. saveModel() streams the payload straight
  * into the file (checksum computed incrementally, the payload size
- * backpatched), so saving never holds a second whole-model byte buffer
- * next to the model. loadModel() reads the file and runs the same
- * validation as deserializeModel().
+ * backpatched), holding one record's framing bytes at a time and never
+ * a copy of the model's records or a whole-model byte buffer;
+ * serializeModel() sizes its buffer exactly before writing it.
+ * loadModel() reads the file and runs the same validation as
+ * deserializeModel().
  */
 #pragma once
 
@@ -88,7 +99,7 @@ inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 9;
+constexpr uint32_t kModelArtifactVersion = 10;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

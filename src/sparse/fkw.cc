@@ -335,7 +335,7 @@ validateFkw(const FkwLayer& fkw)
 }
 
 void
-serializeFkw(const FkwLayer& fkw, std::vector<uint8_t>& out)
+serializeFkwPrefix(const FkwLayer& fkw, std::vector<uint8_t>& out)
 {
     bytes::putU64(out, static_cast<uint64_t>(fkw.filters));
     bytes::putU64(out, static_cast<uint64_t>(fkw.in_channels));
@@ -362,6 +362,12 @@ serializeFkw(const FkwLayer& fkw, std::vector<uint8_t>& out)
     }
 
     bytes::putU64(out, fkw.weights.size());
+}
+
+void
+serializeFkw(const FkwLayer& fkw, std::vector<uint8_t>& out)
+{
+    serializeFkwPrefix(fkw, out);
     size_t old = out.size();
     out.resize(old + fkw.weights.size() * sizeof(float));
     if (!fkw.weights.empty())

@@ -108,6 +108,14 @@ Status validateFkw(const FkwLayer& fkw);
 void serializeFkw(const FkwLayer& fkw, std::vector<uint8_t>& out);
 
 /**
+ * serializeFkw() up to and including the weight count: everything but
+ * the f32 weight array, whose bytes (fkw.weights as stored) close the
+ * record. Lets a streaming writer pass the weights through without
+ * copying them.
+ */
+void serializeFkwPrefix(const FkwLayer& fkw, std::vector<uint8_t>& out);
+
+/**
  * Parse one serialized layer from [data, data + size). On success
  * advances *consumed past the record; a truncated or malformed record
  * returns kDataLoss. The caller should still run validateFkw() on the

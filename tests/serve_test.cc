@@ -74,6 +74,23 @@ tempArtifactPath(const char* tag)
 
 constexpr size_t kArtifactHeader = 4 + 4 + 8;  ///< magic + version + size.
 
+/** The artifact checksum of bytes [begin, end) as artifact.h defines
+ * it: FNV-1a-64 over little-endian 8-byte words, the last word
+ * zero-padded. */
+uint64_t
+artifactChecksum(const std::vector<uint8_t>& bytes, size_t begin, size_t end)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t i = begin; i < end; i += 8) {
+        uint64_t word = 0;
+        for (size_t j = 0; j < 8 && i + j < end; ++j)
+            word |= static_cast<uint64_t>(bytes[i + j]) << (8 * j);
+        h ^= word;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /** Recompute the payload size and checksum after a deliberate payload
  * mutation, so negatives exercise the payload validation rather than
  * tripping the earlier framing and checksum gates. Layout constants
@@ -81,11 +98,7 @@ constexpr size_t kArtifactHeader = 4 + 4 + 8;  ///< magic + version + size.
 std::vector<uint8_t>
 resealArtifact(std::vector<uint8_t> bytes)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t i = kArtifactHeader; i + 8 < bytes.size(); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ULL;
-    }
+    uint64_t h = artifactChecksum(bytes, kArtifactHeader, bytes.size() - 8);
     uint64_t payload_size = bytes.size() - kArtifactHeader - 8;
     for (int i = 0; i < 8; ++i)
         bytes[8 + static_cast<size_t>(i)] =
@@ -177,16 +190,33 @@ TEST(Artifact, RoundTripAllFrameworkKinds)
 
 TEST(Artifact, SaveLoadFileRoundTrip)
 {
+    // The streamed file equals serializeModel()'s bytes. Record and
+    // tensor boundaries fall mid-word, so the streaming checksum's carry
+    // between chunks is exercised.
     Model m = tinyModel();
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::string path = tempArtifactPath("roundtrip");
-    Status saved = saveModel(compiled, path);
-    ASSERT_TRUE(saved.ok()) << saved.toString();
-    Result<std::shared_ptr<CompiledModel>> loaded = loadModel(path, dev);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     Tensor in = makeInput(11);
-    EXPECT_EQ(Tensor::maxAbsDiff(loaded.value()->run(in), compiled.run(in)), 0.0);
+    for (auto kind : {FrameworkKind::kPatDnn, FrameworkKind::kPatDnnDense}) {
+        CompiledModel compiled(m, kind, dev);
+        Status saved = saveModel(compiled, path);
+        ASSERT_TRUE(saved.ok()) << saved.toString();
+        std::vector<uint8_t> file;
+        {
+            std::FILE* f = std::fopen(path.c_str(), "rb");
+            ASSERT_NE(f, nullptr);
+            uint8_t chunk[4096];
+            size_t got = 0;
+            while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
+                file.insert(file.end(), chunk, chunk + got);
+            std::fclose(f);
+        }
+        EXPECT_EQ(file, serializeModel(compiled)) << frameworkName(kind);
+        Result<std::shared_ptr<CompiledModel>> loaded = loadModel(path, dev);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+        EXPECT_EQ(Tensor::maxAbsDiff(loaded.value()->run(in), compiled.run(in)), 0.0)
+            << frameworkName(kind);
+    }
     std::remove(path.c_str());
 }
 
@@ -1183,6 +1213,32 @@ TEST(Artifact, CorruptQuantRecordIsDataLossWithQuantSlug)
     }
 }
 
+TEST(Artifact, QuantRecordOnAKindThatRunsNoInt8IsRefused)
+{
+    // A kTvmLike int8 one-conv artifact relabelled as a kind whose
+    // engines never run int8: loading it would silently drop the quant
+    // record, so the loader refuses it instead.
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompileOptions opts;
+    opts.precision = Precision::kInt8;
+    CompiledModel compiled(singleConvModel(ConvDesc{"q", 8, 8, 3, 3, 8, 8, 1, 1, 1, 1}, 7),
+                           FrameworkKind::kTvmLike, dev, opts);
+    ASSERT_TRUE(compiled.layerState(compiled.outputNode())->quantized);
+    const std::vector<uint8_t> bytes = serializeModel(compiled);
+    ASSERT_TRUE(deserializeModel(bytes, dev).ok());
+    for (auto kind : {FrameworkKind::kTfliteLike, FrameworkKind::kCsrSparse,
+                      FrameworkKind::kPatDnn}) {
+        std::vector<uint8_t> bad = bytes;
+        // The framework kind is the payload's first u32.
+        bad[kArtifactHeader] = static_cast<uint8_t>(kind);
+        auto r = deserializeModel(resealArtifact(std::move(bad)), dev);
+        ASSERT_FALSE(r.ok()) << frameworkName(kind);
+        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << frameworkName(kind);
+        EXPECT_STREQ(r.status().detail(), artifact_detail::kBadQuantRecord)
+            << frameworkName(kind);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // One artifact format; artifact bytes as untrusted input
 // ---------------------------------------------------------------------------
@@ -1256,7 +1312,7 @@ TEST(Artifact, RejectsEveryOtherVersion)
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     std::vector<uint8_t> bytes = serializeModel(compiled);
     std::string path = tempArtifactPath("version");
-    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u, 0xFFFFFFFFu}) {
+    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
         auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
@@ -1368,8 +1424,10 @@ formatPinModel()
 TEST(Artifact, FormatPinnedForTheCurrentVersion)
 {
     // Any change to the byte layout must bump kModelArtifactVersion and
-    // re-pin these values: loaders refuse every other version.
-    ASSERT_EQ(kModelArtifactVersion, 9u);
+    // re-pin these values: loaders refuse every other version. `h` is a
+    // byte-wise FNV-1a fingerprint of the whole artifact; the trailer
+    // holds the word-wise payload checksum.
+    ASSERT_EQ(kModelArtifactVersion, 10u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1378,10 +1436,29 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h *= 0x100000001b3ULL;
     }
     EXPECT_EQ(bytes.size(), 1729u);
-    EXPECT_EQ(h, 0xb82f80b7c4882e0eULL);
+    EXPECT_EQ(h, 0x76120f6341cea91eULL);
+    EXPECT_EQ(resealArtifact(bytes), bytes);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(serializeModel(*loaded.value()), bytes);
+}
+
+TEST(Artifact, EveryPayloadAndTrailerBitFlipFailsTheChecksum)
+{
+    // Not resealed: each single-bit flip of a payload or trailer byte
+    // must be caught by the checksum before the payload is parsed.
+    const std::vector<uint8_t> bytes = serializeModel(*formatPinModel());
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    for (size_t at = kArtifactHeader; at < bytes.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<uint8_t> bad = bytes;
+            bad[at] ^= static_cast<uint8_t>(1u << bit);
+            auto r = deserializeModel(bad, dev);
+            ASSERT_FALSE(r.ok()) << "byte " << at << " bit " << bit;
+            ASSERT_STREQ(r.status().detail(), artifact_detail::kChecksumMismatch)
+                << "byte " << at << " bit " << bit;
+        }
+    }
 }
 
 TEST(Artifact, InflatedLayerCountIsRefusedWithoutAllocating)
