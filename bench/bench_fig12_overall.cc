@@ -17,7 +17,7 @@ runDevice(const char* label, const DeviceSpec& dev)
 {
     const FrameworkKind kinds[] = {
         FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
-        FrameworkKind::kMnnLike, FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn};
+        FrameworkKind::kPatDnnDense, FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn};
     for (Dataset ds : {Dataset::kImageNet, Dataset::kCifar10}) {
         std::printf("--- %s / %s (CONV-stack ms, lower is better) ---\n", label,
                     datasetName(ds).c_str());

@@ -19,7 +19,7 @@ main()
     auto descs = bench::scaledConvDescs(vgg, bench::spatialScale());
     const FrameworkKind kinds[] = {
         FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
-        FrameworkKind::kMnnLike, FrameworkKind::kPatDnn};
+        FrameworkKind::kPatDnnDense, FrameworkKind::kPatDnn};
     struct Preset { const char* label; DeviceSpec dev; };
     Preset presets[] = {
         {"Snapdragon-855-sim", makeSnapdragon855()},

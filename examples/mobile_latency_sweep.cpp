@@ -71,7 +71,7 @@ main()
              "Speedup vs naive"});
     for (auto& p : platforms) {
         double naive = stackMs(descs, FrameworkKind::kTfliteLike, p.dev);
-        double tuned = stackMs(descs, FrameworkKind::kMnnLike, p.dev);
+        double tuned = stackMs(descs, FrameworkKind::kPatDnnDense, p.dev);
         double pat = stackMs(descs, FrameworkKind::kPatDnn, p.dev);
         t.addRow({p.label, Table::num(naive, 1), Table::num(tuned, 1),
                   Table::num(pat, 1), Table::num(naive / pat, 1) + "x"});

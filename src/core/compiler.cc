@@ -33,9 +33,7 @@ facadeTunerConfig()
 double
 tuneKeyRate(FrameworkKind kind, const CompileOptions& opts)
 {
-    bool sparse_kind =
-        kind == FrameworkKind::kPatDnn || kind == FrameworkKind::kCsrSparse;
-    return sparse_kind ? opts.connectivity_rate : 0.0;
+    return isSparseKind(kind) ? opts.connectivity_rate : 0.0;
 }
 
 }  // namespace

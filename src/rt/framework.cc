@@ -18,7 +18,6 @@ frameworkName(FrameworkKind kind)
     switch (kind) {
       case FrameworkKind::kTfliteLike: return "TFLite-like";
       case FrameworkKind::kTvmLike: return "TVM-like";
-      case FrameworkKind::kMnnLike: return "MNN-like";
       case FrameworkKind::kPatDnnDense: return "PatDNN-dense";
       case FrameworkKind::kCsrSparse: return "CSR-sparse";
       case FrameworkKind::kPatDnn: return "PatDNN";
@@ -27,22 +26,21 @@ frameworkName(FrameworkKind kind)
 }
 
 bool
+isSparseKind(FrameworkKind kind)
+{
+    return kind == FrameworkKind::kCsrSparse || kind == FrameworkKind::kPatDnn;
+}
+
+bool
 denseQuantEligible(FrameworkKind kind, const ConvDesc& conv)
 {
     // The precision knob targets the dense GEMM backend, not the sparse
     // formats; grouped convs run the naive engine.
     return conv.groups == 1 &&
-           (kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kMnnLike ||
-            kind == FrameworkKind::kPatDnnDense);
+           (kind == FrameworkKind::kTvmLike || kind == FrameworkKind::kPatDnnDense);
 }
 
 namespace {
-
-bool
-isSparseKind(FrameworkKind kind)
-{
-    return kind == FrameworkKind::kCsrSparse || kind == FrameworkKind::kPatDnn;
-}
 
 /** Joint-prune a conv weight copy per the compile options. */
 PatternAssignment
@@ -83,9 +81,9 @@ biasFits(const Tensor& bias, int64_t outputs)
 }
 
 /**
- * The one static shape-inference routine, shared by planNodes() and
- * derivePlan() (over the executors' records) and checkGraph() (over
- * exported records). `records[id]` is null for dead slots. Derives
+ * The one static shape-inference routine, shared by inferOwnShapes()
+ * (over the executors' records) and checkGraph() (over exported
+ * records). `records[id]` is null for dead slots. Derives
  * every live node's per-sample output shape (leading batch dim 1) in id
  * order, and the per-sample model input shape the input convs read,
  * while enforcing the checkGraph() rules.
@@ -323,8 +321,7 @@ CompiledModel::~CompiledModel() = default;
  *   otherwise                                   im2col
  *
  * Int8 layers always run quantized im2col: Winograd's transform-domain
- * arithmetic does not survive int8. kTvmLike stands for scheduled
- * im2col+GEMM, so it never takes the hand-written Winograd path.
+ * arithmetic does not survive int8.
  */
 std::unique_ptr<ConvEngine>
 CompiledModel::selectConvEngine(const Executor& ex) const
@@ -468,15 +465,21 @@ CompiledModel::CompiledModel(const Model& model, FrameworkKind kind, DeviceSpec 
         quantizeDenseConvLayers();
 }
 
-void
-CompiledModel::derivePlan()
+Status
+CompiledModel::inferOwnShapes(std::vector<PlanNode>* nodes, Shape* model_input) const
 {
     std::vector<const CompiledLayerState*> records;
     for (const auto& ex : executors_)
         records.push_back(ex.get());
+    return inferShapes(records, output_node_, nodes, model_input);
+}
+
+void
+CompiledModel::derivePlan()
+{
     std::vector<PlanNode> nodes;
     Shape input;
-    if (!inferShapes(records, output_node_, &nodes, &input).ok())
+    if (!inferOwnShapes(&nodes, &input).ok())
         return;
     input_shape_ = input;
     plan_ = planActivations(nodes, output_node_);
@@ -557,14 +560,9 @@ CompiledModel::CompiledModel(FrameworkKind kind, DeviceSpec device,
 std::vector<PlanNode>
 CompiledModel::planNodes() const
 {
-    std::vector<const CompiledLayerState*> records;
-    for (const auto& ex : executors_)
-        records.push_back(ex.get());
     std::vector<PlanNode> nodes;
     Shape input;
-    return inferShapes(records, output_node_, &nodes, &input).ok()
-               ? nodes
-               : std::vector<PlanNode>{};
+    return inferOwnShapes(&nodes, &input).ok() ? nodes : std::vector<PlanNode>{};
 }
 
 Status
@@ -663,7 +661,7 @@ CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) cons
           }
           case OpKind::kReLU: {
             Tensor& y = ws.raw(id, x.shape());
-            for (int64_t i = 0; i < y.numel(); ++i)
+            for (int64_t i = 0, n = y.numel(); i < n; ++i)
                 y[i] = std::max(0.0f, x[i]);
             break;
           }
@@ -697,11 +695,8 @@ CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) cons
             PATDNN_CHECK(r.shape() == x.shape(),
                          "residual add operand shapes must match");
             Tensor& y = ws.raw(id, x.shape());
-            for (int64_t i = 0; i < y.numel(); ++i)
-                y[i] = x[i] + r[i];
-            if (ex.fused_relu)
-                for (int64_t i = 0; i < y.numel(); ++i)
-                    y[i] = std::max(0.0f, y[i]);
+            for (int64_t i = 0, n = y.numel(); i < n; ++i)
+                y[i] = ex.fused_relu ? std::max(0.0f, x[i] + r[i]) : x[i] + r[i];
             break;
           }
           case OpKind::kFlatten: {

@@ -4,15 +4,18 @@
  *
  * The paper compares PatDNN against TFLite, TVM and MNN. Those binaries
  * are closed/mobile-only, so this repo re-implements baseline engines
- * with each framework's documented optimization inventory (Table 1):
+ * with each framework's documented optimization inventory (Table 1).
+ * Each kind's conv engines, as selectConvEngine() picks them:
  *
- *  - kTfliteLike: dense direct conv, threaded, no auto-tuning;
- *  - kTvmLike:    dense im2col + blocked GEMM + Winograd for 3x3
- *                 (tensor-optimized, auto-tuned dense);
- *  - kMnnLike:    dense Winograd + hand-tuned tiling;
- *  - kPatDnnDense: our optimized dense baseline (Fig. 17a);
- *  - kCsrSparse:  pruned weights in CSR, conventional sparse execution;
- *  - kPatDnn:     the full pattern engine (FKR + FKW + LRE + tuning).
+ *  - kTfliteLike:  naive direct conv; reduced graph passes;
+ *  - kTvmLike:     packed im2col + GEMM, never Winograd;
+ *  - kPatDnnDense: the dense comparator (Fig. 12/18's "MNN-like"):
+ *                  Winograd where WinogradConv::applies(), else im2col;
+ *  - kCsrSparse:   pruned weights in CSR;
+ *  - kPatDnn:      the pattern engine (FKR + FKW + LRE + tuning) on 3x3
+ *                  convs, pruned dense weights on im2col elsewhere.
+ *
+ * Grouped convs run the naive engine under every kind.
  *
  * Relative orderings between these engines — not absolute ms — are the
  * reproduction target (see docs/ARCHITECTURE.md, "Substitutions").
@@ -48,7 +51,6 @@ enum class FrameworkKind
 {
     kTfliteLike,
     kTvmLike,
-    kMnnLike,
     kPatDnnDense,
     kCsrSparse,
     kPatDnn,
@@ -57,8 +59,11 @@ enum class FrameworkKind
 /** Display name used in bench output. */
 std::string frameworkName(FrameworkKind kind);
 
+/** The kinds that prune (pattern + connectivity): kCsrSparse, kPatDnn. */
+bool isSparseKind(FrameworkKind kind);
+
 /** Conv layers the kInt8 knob applies to: ungrouped dense-GEMM layers
- * of the packed-backend kinds (kTvmLike, kMnnLike, kPatDnnDense). The
+ * of the packed-backend kinds (kTvmLike, kPatDnnDense). The
  * sparse kinds, kTfliteLike and grouped convs stay f32: no engine they
  * select runs int8, so the artifact loader refuses a quant record on
  * any other conv. */
@@ -97,13 +102,11 @@ struct CompileOptions
      */
     std::function<bool(const ConvDesc&, TuneParams*)> tune_lookup;
     /**
-     * Dense-executor precision knob. kInt8 quantizes every groups==1
-     * conv of the dense GEMM kinds (im2col and Winograd-eligible layers
-     * both run the quantized im2col path — Winograd's transform-domain
-     * arithmetic does not survive int8): weights per-output-channel
-     * symmetric, activations per-layer via `calibration`. The sparse
-     * engines (pattern / CSR) and grouped convs stay f32; layer
-     * interchange stays f32 throughout. Recorded in model artifacts.
+     * Dense-executor precision knob. kInt8 runs every
+     * denseQuantEligible() conv on quantized im2col: weights
+     * per-output-channel symmetric, activations per-layer via
+     * `calibration`. Other convs and the layer interchange stay f32.
+     * Recorded in model artifacts.
      */
     Precision precision = Precision::kF32;
     CalibrationOptions calibration;
@@ -359,8 +362,10 @@ class CompiledModel
     /** Fill the executor's display label / engine-kind / ISA strings
      * (profile + trace attribution), after its engine is selected. */
     void labelExecutor(Executor& ex, size_t id) const;
+    /** Shape inference over the executors' records (planNodes, derivePlan). */
+    Status inferOwnShapes(std::vector<PlanNode>* nodes, Shape* model_input) const;
     /** The one plan site of both constructors: plan_ and input_shape_
-     * from planNodes(), plus the memplan.* gauges. */
+     * from inferOwnShapes(), plus the memplan.* gauges. */
     void derivePlan();
 
     FrameworkKind kind_;

@@ -121,6 +121,27 @@ futureErrorCode(std::future<Tensor>& f)
     return ErrorCode::kOk;
 }
 
+/** Both loaders, deserializeModel() and loadModel() over a file of the
+ * same bytes, refuse `bytes` with `code` and `slug`. */
+void
+expectBothLoadersRefuse(const std::vector<uint8_t>& bytes, const DeviceSpec& dev,
+                        ErrorCode code, const char* slug, const std::string& what)
+{
+    std::string path = tempArtifactPath("refused");
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    for (bool from_file : {false, true}) {
+        auto r = from_file ? loadModel(path, dev) : deserializeModel(bytes, dev);
+        const std::string via = (from_file ? "loadModel " : "deserializeModel ") + what;
+        ASSERT_FALSE(r.ok()) << via;
+        EXPECT_EQ(r.status().code(), code) << via;
+        EXPECT_STREQ(r.status().detail(), slug) << via;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Artifact, RoundTripBitIdenticalOutputs)
 {
     Model m = tinyModel();
@@ -176,8 +197,8 @@ TEST(Artifact, RoundTripAllFrameworkKinds)
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
     Tensor in = makeInput(10);
     for (auto kind : {FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
-                      FrameworkKind::kMnnLike, FrameworkKind::kPatDnnDense,
-                      FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn}) {
+                      FrameworkKind::kPatDnnDense, FrameworkKind::kCsrSparse,
+                      FrameworkKind::kPatDnn}) {
         CompiledModel compiled(m, kind, dev);
         Tensor expect = compiled.run(in);
         auto loaded = deserializeModel(serializeModel(compiled), dev);
@@ -236,45 +257,33 @@ TEST(Artifact, RejectsCorruptedAndTruncatedBytes)
     Model m = tinyModel();
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    std::vector<uint8_t> bytes = serializeModel(compiled);
+    const std::vector<uint8_t> bytes = serializeModel(compiled);
 
     // Every rejection carries a typed code + stable detail slug — the
     // assertions here never match message prose.
-    // Bad magic.
-    {
-        std::vector<uint8_t> bad = bytes;
-        bad[0] ^= 0xFF;
-        auto r = deserializeModel(bad, dev);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kBadMagic);
-    }
-    // Unsupported version.
-    {
-        std::vector<uint8_t> bad = bytes;
-        bad[4] = 0xEE;
-        auto r = deserializeModel(bad, dev);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kUnsupportedVersion);
-    }
-    // Truncation at several depths.
-    for (size_t keep : {size_t(3), size_t(15), bytes.size() / 2, bytes.size() - 1}) {
-        std::vector<uint8_t> bad(bytes.begin(),
-                                 bytes.begin() + static_cast<long>(keep));
-        auto r = deserializeModel(bad, dev);
-        ASSERT_FALSE(r.ok()) << keep;
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << keep;
-    }
-    // Payload bit flips must fail the checksum.
-    for (size_t at : {size_t(20), bytes.size() / 2, bytes.size() - 9}) {
-        std::vector<uint8_t> bad = bytes;
+    std::vector<uint8_t> bad = bytes;
+    bad[0] ^= 0xFF;
+    expectBothLoadersRefuse(bad, dev, ErrorCode::kDataLoss, artifact_detail::kBadMagic,
+                            "bad magic");
+    bad = bytes;
+    bad[4] = 0xEE;
+    expectBothLoadersRefuse(bad, dev, ErrorCode::kInvalidArgument,
+                            artifact_detail::kUnsupportedVersion, "bad version");
+    // Truncation at several depths is distinguishable from a checksum
+    // failure without reading the message.
+    for (size_t keep : {size_t(3), size_t(15), size_t(20), bytes.size() / 2,
+                        bytes.size() - 1})
+        expectBothLoadersRefuse({bytes.begin(), bytes.begin() + static_cast<long>(keep)},
+                                dev, ErrorCode::kDataLoss,
+                                artifact_detail::kTruncatedStream,
+                                "keep " + std::to_string(keep));
+    // Payload and trailer bit flips must fail the checksum.
+    for (size_t at : {size_t(20), bytes.size() / 2, bytes.size() - 9, bytes.size() - 1}) {
+        bad = bytes;
         bad[at] ^= 0x01;
-        auto r = deserializeModel(bad, dev);
-        ASSERT_FALSE(r.ok()) << at;
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << at;
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kChecksumMismatch)
-            << at;
+        expectBothLoadersRefuse(bad, dev, ErrorCode::kDataLoss,
+                                artifact_detail::kChecksumMismatch,
+                                "flip " + std::to_string(at));
     }
     // Missing file.
     auto missing = loadModel(tempArtifactPath("does_not_exist"), dev);
@@ -972,66 +981,6 @@ TEST(Artifact, DeviceFingerprintMismatchDiagnostics)
                  artifact_detail::kFingerprintMismatch);
 }
 
-TEST(Artifact, TruncatedStreamAndFlippedChecksumOnDisk)
-{
-    Model m = tinyModel();
-    DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    std::string path = tempArtifactPath("negative");
-    Status saved = saveModel(compiled, path);
-    ASSERT_TRUE(saved.ok()) << saved.toString();
-
-    // Pull the on-disk bytes so corrupted variants can be written back.
-    std::vector<uint8_t> bytes;
-    {
-        std::FILE* f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        bytes.resize(static_cast<size_t>(std::ftell(f)));
-        std::fseek(f, 0, SEEK_SET);
-        ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-        std::fclose(f);
-    }
-    auto write_variant = [&](const std::vector<uint8_t>& v) {
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(v.data(), 1, v.size(), f), v.size());
-        std::fclose(f);
-    };
-
-    // The file loader round-trips the pristine file.
-    {
-        auto pristine = loadModel(path, dev);
-        ASSERT_TRUE(pristine.ok()) << pristine.status().toString();
-    }
-
-    // Truncated stream at several depths: the typed truncation slug on
-    // a kDataLoss status — distinguishable from a checksum failure
-    // without reading the message.
-    for (size_t keep : {size_t(3), size_t(20), bytes.size() / 2, bytes.size() - 1}) {
-        write_variant({bytes.begin(), bytes.begin() + static_cast<long>(keep)});
-        auto r = loadModel(path, dev);
-        ASSERT_FALSE(r.ok()) << keep;
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << keep;
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kTruncatedStream)
-            << keep;
-    }
-
-    // One flipped checksum byte (and one flipped payload byte) fail the
-    // checksum with the checksum slug.
-    for (size_t at : {bytes.size() - 1, bytes.size() / 2}) {
-        std::vector<uint8_t> bad = bytes;
-        bad[at] ^= 0x01;
-        write_variant(bad);
-        auto r = loadModel(path, dev);
-        ASSERT_FALSE(r.ok()) << at;
-        EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss) << at;
-        EXPECT_STREQ(r.status().detail(), artifact_detail::kChecksumMismatch)
-            << at;
-    }
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Artifact memory plan
 // ---------------------------------------------------------------------------
@@ -1310,27 +1259,32 @@ TEST(Artifact, RejectsEveryOtherVersion)
     Model m = tinyModel();
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
-    std::vector<uint8_t> bytes = serializeModel(compiled);
-    std::string path = tempArtifactPath("version");
-    for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 0xFFFFFFFFu}) {
+    const std::vector<uint8_t> bytes = serializeModel(compiled);
+    for (uint32_t version :
+         {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 12u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
-        auto expect_refused = [&](const Result<std::shared_ptr<CompiledModel>>& r,
-                                  const char* via) {
-            ASSERT_FALSE(r.ok()) << via << " v" << version;
-            EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument)
-                << via << " v" << version;
-            EXPECT_STREQ(r.status().detail(), artifact_detail::kUnsupportedVersion)
-                << via << " v" << version;
-        };
-        expect_refused(deserializeModel(bad, dev), "deserializeModel");
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
-        std::fclose(f);
-        expect_refused(loadModel(path, dev), "loadModel");
+        expectBothLoadersRefuse(bad, dev, ErrorCode::kInvalidArgument,
+                                artifact_detail::kUnsupportedVersion,
+                                "version " + std::to_string(version));
     }
-    std::remove(path.c_str());
+}
+
+TEST(Artifact, UnknownFrameworkKindIsMalformed)
+{
+    // The kind is the payload's first u32. 5 is one past the last
+    // FrameworkKind (it was kPatDnn before v11 dropped a kind).
+    Model m = tinyModel();
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
+    const std::vector<uint8_t> bytes = serializeModel(compiled);
+    for (uint32_t kind : {5u, 0xFFFFFFFFu}) {
+        std::vector<uint8_t> bad = bytes;
+        poke(bad, kArtifactHeader, kind, 4);
+        expectBothLoadersRefuse(resealArtifact(std::move(bad)), dev, ErrorCode::kDataLoss,
+                                artifact_detail::kMalformedPayload,
+                                "kind " + std::to_string(kind));
+    }
 }
 
 /** A small model built by hand through the restore constructor: fixed
@@ -1427,7 +1381,7 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
     // re-pin these values: loaders refuse every other version. `h` is a
     // byte-wise FNV-1a fingerprint of the whole artifact; the trailer
     // holds the word-wise payload checksum.
-    ASSERT_EQ(kModelArtifactVersion, 10u);
+    ASSERT_EQ(kModelArtifactVersion, 11u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1436,7 +1390,7 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h *= 0x100000001b3ULL;
     }
     EXPECT_EQ(bytes.size(), 1729u);
-    EXPECT_EQ(h, 0x76120f6341cea91eULL);
+    EXPECT_EQ(h, 0x825ad702a04c0cbcULL);
     EXPECT_EQ(resealArtifact(bytes), bytes);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
