@@ -13,7 +13,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/patdnn.h"
 #include "util/table.h"
@@ -94,6 +96,16 @@ struct ConvLayerModel
     /** Median conv-engine time (ms) over reps() after one warmup. */
     double timeMs() const { return model.convOnlyTimeMs(input, 1, reps()); }
 
+    /** One conv time (ms) in the layer's own workspace: an untimed run
+     * warms the caches with this layer, then a profiled run is timed. */
+    double sampleMs()
+    {
+        model.run(input, workspace);
+        RunProfile profile;
+        model.run(input, workspace, &profile);
+        return static_cast<double>(profile.totalNs()) / 1e6;
+    }
+
     /** Effective (non-zero) MACs per run. */
     int64_t effectiveMacs() const
     {
@@ -110,6 +122,7 @@ struct ConvLayerModel
     ConvDesc desc;
     CompiledModel model;
     Tensor input;
+    Workspace workspace{model.memoryPlan()};
 
   private:
     static CompileOptions innerLayer(CompileOptions opts)
@@ -119,15 +132,32 @@ struct ConvLayerModel
     }
 };
 
-/** Sum of per-layer conv times (ms) for a framework on a device. */
-inline double
-convStackTimeMs(const std::vector<ConvDesc>& descs, FrameworkKind kind,
-                const DeviceSpec& dev, const CompileOptions& opts = {})
+/**
+ * Conv-stack time (ms) of each of `kinds` on a device: the sum over
+ * layers of that kind's median layer time. Every kind's model of a
+ * layer is built first, then reps() samples (each a warm run of the
+ * same layer, as timeMs() takes back to back) are taken round-robin
+ * across the kinds, so a burst of host load lands on every column
+ * instead of flipping one ordering.
+ */
+inline std::vector<double>
+convStackTimesMs(const std::vector<ConvDesc>& descs,
+                 const std::vector<FrameworkKind>& kinds, const DeviceSpec& dev,
+                 const CompileOptions& opts = {})
 {
-    double total = 0.0;
-    for (const auto& d : descs)
-        total += ConvLayerModel(d, kind, dev, opts).timeMs();
-    return total;
+    std::vector<double> totals(kinds.size(), 0.0);
+    for (const auto& d : descs) {
+        std::vector<std::unique_ptr<ConvLayerModel>> layers;
+        for (FrameworkKind kind : kinds)
+            layers.push_back(std::make_unique<ConvLayerModel>(d, kind, dev, opts));
+        std::vector<std::vector<double>> samples(kinds.size());
+        for (int r = 0; r < reps(); ++r)
+            for (size_t k = 0; k < layers.size(); ++k)
+                samples[k].push_back(layers[k]->sampleMs());
+        for (size_t k = 0; k < kinds.size(); ++k)
+            totals[k] += summarize(samples[k]).median;
+    }
+    return totals;
 }
 
 }  // namespace patdnn::bench

@@ -15,7 +15,7 @@ namespace {
 void
 runDevice(const char* label, const DeviceSpec& dev)
 {
-    const FrameworkKind kinds[] = {
+    const std::vector<FrameworkKind> kinds = {
         FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
         FrameworkKind::kPatDnnDense, FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn};
     for (Dataset ds : {Dataset::kImageNet, Dataset::kCifar10}) {
@@ -29,8 +29,10 @@ runDevice(const char* label, const DeviceSpec& dev)
             auto descs = bench::scaledConvDescs(m, divisor);
             std::vector<std::string> row = {name};
             double best_dense = 1e30, patdnn = 0.0;
-            for (FrameworkKind kind : kinds) {
-                double ms = bench::convStackTimeMs(descs, kind, dev);
+            const std::vector<double> times = bench::convStackTimesMs(descs, kinds, dev);
+            for (size_t k = 0; k < kinds.size(); ++k) {
+                const FrameworkKind kind = kinds[k];
+                const double ms = times[k];
                 row.push_back(Table::num(ms, 1));
                 if (kind == FrameworkKind::kPatDnn)
                     patdnn = ms;

@@ -17,7 +17,7 @@ main()
     bench::banner("Fig. 18", "portability across platform presets (VGG conv, ms)");
     Model vgg = buildVGG16(Dataset::kImageNet);
     auto descs = bench::scaledConvDescs(vgg, bench::spatialScale());
-    const FrameworkKind kinds[] = {
+    const std::vector<FrameworkKind> kinds = {
         FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
         FrameworkKind::kPatDnnDense, FrameworkKind::kPatDnn};
     struct Preset { const char* label; DeviceSpec dev; };
@@ -31,13 +31,10 @@ main()
     double patdnn_855 = 0.0;
     for (auto& p : presets) {
         std::vector<std::string> row = {p.label};
-        double pat = 0.0;
-        for (FrameworkKind kind : kinds) {
-            double ms = bench::convStackTimeMs(descs, kind, p.dev);
+        const std::vector<double> times = bench::convStackTimesMs(descs, kinds, p.dev);
+        for (double ms : times)
             row.push_back(Table::num(ms, 1));
-            if (kind == FrameworkKind::kPatDnn)
-                pat = ms;
-        }
+        const double pat = times.back();  // kPatDnn is the last column.
         if (patdnn_855 == 0.0)
             patdnn_855 = pat;
         row.push_back(Table::num(pat / patdnn_855, 2) + "x");

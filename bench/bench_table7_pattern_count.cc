@@ -49,10 +49,10 @@ main()
 
         CompileOptions copts;
         copts.pattern_count = patterns;
-        double cpu = bench::convStackTimeMs(descs, FrameworkKind::kPatDnn,
-                                            makeCpuDevice(8), copts);
-        double gpu = bench::convStackTimeMs(descs, FrameworkKind::kPatDnn,
-                                            makeGpuDevice(), copts);
+        double cpu = bench::convStackTimesMs(descs, {FrameworkKind::kPatDnn},
+                                             makeCpuDevice(8), copts)[0];
+        double gpu = bench::convStackTimesMs(descs, {FrameworkKind::kPatDnn},
+                                             makeGpuDevice(), copts)[0];
         t.addRow({std::to_string(patterns), Table::num(100 * r.pruned_accuracy, 1),
                   Table::num(100 * (dense_acc - r.pruned_accuracy), 1),
                   Table::num(cpu, 1), Table::num(gpu, 1)});

@@ -3,13 +3,13 @@
  * The deployment path end-to-end: compile a zoo model with the full
  * pattern engine, freeze it into a binary artifact (it records the
  * compile options + device fingerprint), reload it the way a
- * serving host would, and serve it from a multi-model ModelRegistry —
- * two named models sharing one compute pool, a linger window
- * coalescing the sparse tail of the request stream, and a deadline on
- * every request so backlogged work is shed, not computed.
+ * serving host would, and serve it behind one ShardRouter — two named
+ * models sharing one compute pool, a linger window coalescing the
+ * sparse tail of the request stream, and a deadline on every request
+ * so backlogged work is shed, not computed.
  *
- * The final act is the horizontal-scale tier: a ShardRouter spreads
- * one model's traffic across two replica servers with consistent-hash
+ * The final act scales one model out behind the same router: it is
+ * removed and re-added as two replica servers with consistent-hash
  * affinity, a replica outage turns into ejection + transparent
  * failover (no client-visible error), and a shared AdmissionController
  * with a deliberately tiny budget shows overload shedding with a
@@ -36,6 +36,9 @@ main()
     // CompiledModel), as a model-build farm would.
     Model model = buildVGG16(Dataset::kCifar10);
     DeviceSpec device = makeCpuDevice(8);
+    // Materialize the compute pool first: every model compiled or loaded
+    // for a copy of `device` then runs on this one pool.
+    device.pool();
     std::printf("compiling %s for %s (pattern engine)...\n",
                 model.name().c_str(), device.name.c_str());
     Compiler compiler(device);
@@ -79,26 +82,26 @@ main()
                 info.compile_opts.connectivity_rate);
 
     // One serving process, several named models, one shared compute
-    // pool: the registry routes by name. A dense compilation of the
-    // same net stands in for "a second model".
-    RegistryOptions ropts;
-    ropts.device = device;
-    ropts.server.workers = 2;
-    ropts.server.max_batch = 8;
-    ropts.server.max_linger_ms = 2.0;  // Coalesce the sparse tail.
-    auto registry = std::make_unique<ModelRegistry>(ropts);
-    Compiler registry_compiler(registry->device());
+    // pool: the router routes by name. A dense compilation of the same
+    // net stands in for "a second model".
     Result<std::shared_ptr<CompiledModel>> dense =
-        registry_compiler.compile(model, FrameworkKind::kPatDnnDense);
+        compiler.compile(model, FrameworkKind::kPatDnnDense);
     if (!dense.ok()) {
         std::printf("compile failed: %s\n", dense.status().toString().c_str());
         return 1;
     }
-    Status added = registry->add("vgg16-pattern", loaded);
+    RouterOptions router_opts;
+    router_opts.eject_after_failures = 2;
+    ShardRouter router(router_opts);
+    ServerOptions serving;
+    serving.workers = 2;
+    serving.max_batch = 8;
+    serving.max_linger_ms = 2.0;  // Coalesce the sparse tail.
+    Status added = router.addLocalReplicas("vgg16-pattern", loaded, 1, serving);
     if (added.ok())
-        added = registry->add("vgg16-dense", dense.value());
+        added = router.addLocalReplicas("vgg16-dense", dense.value(), 1, serving);
     if (!added.ok()) {
-        std::printf("registry add failed: %s\n", added.toString().c_str());
+        std::printf("router add failed: %s\n", added.toString().c_str());
         return 1;
     }
 
@@ -111,11 +114,11 @@ main()
     futures.reserve(2 * kBurst);
     for (int i = 0; i < kBurst; ++i) {
         SubmitOptions sopts;
-        sopts.deadline = registry->deadlineIn(10000.0);
+        sopts.deadline = systemServeClock()->after(10000.0);
         for (const char* name : {"vgg16-pattern", "vgg16-dense"}) {
             Tensor in(Shape{1, 3, 32, 32});
             in.fillUniform(rng, -1.0f, 1.0f);
-            futures.push_back(registry->submit(name, std::move(in), sopts));
+            futures.push_back(router.submit(name, /*key=*/i, std::move(in), sopts));
         }
     }
     int completed = 0, shed = 0;
@@ -131,12 +134,12 @@ main()
             ++shed;
         }
     }
-    registry->drainAll();
+    router.drainAll();
 
     Table table({"model", "completed", "batches", "avg batch", "p50 ms",
                  "p99 ms", "shed"});
-    for (const std::string& name : registry->names()) {
-        ServerStats stats = registry->stats(name);
+    for (const std::string& name : router.models()) {
+        ServerStats stats = router.stats(name).replicas[0].server;
         table.addRow({name, Table::num(stats.completed, 0),
                       Table::num(stats.batches, 0), Table::num(stats.avg_batch),
                       Table::num(stats.latency.p50), Table::num(stats.latency.p99),
@@ -144,22 +147,20 @@ main()
     }
     table.print();
     std::printf("client view: %d completed, %d deadline-shed\n", completed, shed);
-    registry->shutdownAll();
 
-    // --- Horizontal scale: ShardRouter over two replicas. -----------
-    // Each replica is its own InferenceServer (queue + workers +
-    // sessions) over the same compiled artifact; the router gives
-    // clients one front door with key affinity, health ejection and
-    // transparent failover. Both replicas charge one deliberately
-    // tiny admission budget so the overload path is visible too.
-    std::printf("\nrouting across 2 replicas (consistent hash, shared "
-                "admission budget)...\n");
+    // --- Horizontal scale: the dense model over two replicas. -------
+    // Remove its single replica and re-add it as two InferenceServers
+    // (queue + workers + sessions each) over the same compiled model;
+    // the router keeps one front door with key affinity, health
+    // ejection and transparent failover. Both replicas charge one
+    // deliberately tiny admission budget so the overload path is
+    // visible too.
+    std::printf("\nrouting vgg16-dense across 2 replicas (consistent hash, "
+                "shared admission budget)...\n");
+    router.removeModel("vgg16-dense");
     auto admission = std::make_shared<AdmissionController>(
         AdmissionOptions{/*max_queued_samples=*/8, /*max_queued_bytes=*/0,
                          /*fair_share_pressure=*/0.5});
-    RouterOptions router_opts;
-    router_opts.eject_after_failures = 2;
-    ShardRouter router(router_opts);
     std::vector<std::shared_ptr<InferenceServer>> replicas;
     for (int i = 0; i < 2; ++i) {
         ServerOptions sopts;

@@ -75,7 +75,7 @@ class Compiler
      * Per-layer tuned parameters come from the TuneCache entries
      * tuneLayer wrote for the same kind. The result carries its memory
      * plan, is immutable and is ready for saveModel /
-     * InferenceSession / ModelRegistry.
+     * InferenceSession / ShardRouter.
      */
     Result<std::shared_ptr<CompiledModel>> compile(
         const Model& model, FrameworkKind kind = FrameworkKind::kPatDnn) const;

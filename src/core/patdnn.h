@@ -22,14 +22,13 @@
  * rt/memplan.h).
  * InferenceServer (serve/server.h) is the async batched server —
  * per-request deadlines, cancellation, and a linger window that
- * coalesces sparse request streams — and ModelRegistry
- * (serve/registry.h) serves several named artifacts from one process
- * over one shared compute pool. Above the registry sits the
- * horizontal-scale tier: AdmissionController (serve/admission.h) holds
+ * coalesces sparse request streams. ShardRouter (serve/router.h) is
+ * the one named-model front door: it serves several named models from
+ * one process, each over N server replicas, with consistent-hash or
+ * least-loaded routing, per-replica health ejection, transparent
+ * failover and removal. AdmissionController (serve/admission.h) holds
  * the process-wide queued-work budget with weighted fair-share
- * shedding, and ShardRouter (serve/router.h) spreads a model's traffic
- * across N server replicas with consistent-hash or least-loaded
- * routing, per-replica health ejection, and transparent failover.
+ * shedding that the servers behind the router charge.
  *
  * The error contract (src/util/status.h): every call that can fail for
  * a caller-visible reason returns Status or Result<T> with a typed
@@ -54,7 +53,6 @@
 #include "rt/tuner.h"
 #include "serve/admission.h"
 #include "serve/artifact.h"
-#include "serve/registry.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/session.h"

@@ -39,8 +39,9 @@ class ConvEngine
     ConvEngine& operator=(ConvEngine&&) = delete;
     virtual ~ConvEngine() = default;
 
-    /** Convolve NCHW `in` into `out` (zero-filled, [n, cout, oh, ow]),
-     * applying the bias / fused-ReLU epilogue. */
+    /** Convolve NCHW `in` into `out` ([n, cout, oh, ow], contents
+     * unspecified on entry), applying the bias / fused-ReLU epilogue;
+     * writes every element of `out`. */
     virtual void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const = 0;
 
     /** Engine name: the RunProfile kind column ("pattern", "im2col", ...). */

@@ -223,21 +223,23 @@ void
 Workspace::beginRun(int64_t batch)
 {
     PATDNN_CHECK_GT(batch, 0, "a run needs a positive batch");
-    if (batch == batch_)
-        return;
-    batch_ = batch;
-    int64_t needed = plan_->arenaElemsPerSample() * batch;
-    if (arena_.shape().rank() == 0 || arena_.numel() < needed) {
-        arena_ = Tensor(Shape{needed});
-        // Reference cached: the registry lookup (mutex + map) must not
-        // recur on the run path; registered metrics never move.
-        static Gauge& arena_hwm =
-            MetricsRegistry::global().gauge("rt.arena_hwm_bytes");
-        arena_hwm.setMax(static_cast<double>(needed) * sizeof(float));
+    if (batch != batch_) {
+        batch_ = batch;
+        int64_t needed = plan_->arenaElemsPerSample() * batch;
+        if (arena_.shape().rank() == 0 || arena_.numel() < needed) {
+            arena_ = Tensor(Shape{needed});
+            // Reference cached: the registry lookup (mutex + map) must not
+            // recur on the run path; registered metrics never move.
+            static Gauge& arena_hwm =
+                MetricsRegistry::global().gauge("rt.arena_hwm_bytes");
+            arena_hwm.setMax(static_cast<double>(needed) * sizeof(float));
+        }
+        // Every offset scales with the batch, so stale views must go.
+        for (Tensor& v : values_)
+            v = Tensor();
     }
-    // Every offset scales with the batch, so stale views must go.
-    for (Tensor& v : values_)
-        v = Tensor();
+    if (poison_freed_)
+        arena_.fill(std::numeric_limits<float>::quiet_NaN());
 }
 
 void
@@ -271,14 +273,6 @@ Workspace::raw(size_t id, const Shape& shape)
     Tensor& t = values_[id];
     if (!t.isView() || t.shape() != shape)
         t = Tensor::view(arena_.data() + s.offset_elems * batch_, shape);
-    return t;
-}
-
-Tensor&
-Workspace::fresh(size_t id, const Shape& shape)
-{
-    Tensor& t = raw(id, shape);
-    t.fill(0.0f);  // Conv executors accumulate into their output.
     return t;
 }
 
@@ -634,7 +628,7 @@ CompiledModel::run(const Tensor& input, Workspace& ws, RunProfile* profile) cons
         const int64_t node_start_ns = timing ? Tracer::nowNs() : 0;
         switch (ex.kind) {
           case OpKind::kConv: {
-            Tensor& y = ws.fresh(
+            Tensor& y = ws.raw(
                 id, Shape{x.shape().dim(0), ex.conv.cout, ex.conv.outH(),
                           ex.conv.outW()});
             Epilogue ep;

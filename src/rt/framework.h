@@ -171,10 +171,12 @@ class Workspace
     /**
      * Debug canary for plan correctness (used by the memplan execution
      * tests, including under ASan/UBSan — intra-arena stale reads are
-     * invisible to ASan): when enabled, every arena range whose
-     * lifetime ends at node `id` is NaN-poisoned right after node `id`
-     * executes, so an executor that reads a freed range corrupts its
-     * output instead of silently consuming stale bytes.
+     * invisible to ASan): when enabled, the whole arena is NaN-filled
+     * at the start of every run and every arena range whose lifetime
+     * ends at node `id` is NaN-poisoned right after node `id` executes,
+     * so an op that reads a freed range, or an output element it never
+     * wrote, corrupts its output instead of silently consuming stale
+     * bytes.
      */
     void setPoisonFreed(bool on) { poison_freed_ = on; }
     bool poisonFreed() const { return poison_freed_; }
@@ -183,12 +185,9 @@ class Workspace
     /** Bytes of the arena allocation (0 before the first run). */
     size_t activationBytes() const;
 
-    /** Slot for node id shaped to `shape` and zero-filled (executors
-     * accumulate into their outputs). */
-    Tensor& fresh(size_t id, const Shape& shape);
-
-    /** Slot for node id shaped to `shape`, contents unspecified; for
-     * ops that overwrite every element. */
+    /** Slot for node id shaped to `shape`, contents unspecified: every
+     * op (conv engines included) writes each element of its output
+     * before reading it. */
     Tensor& raw(size_t id, const Shape& shape);
 
     /** Read access to a produced value. */
@@ -265,8 +264,7 @@ class CompiledModel
 
     /** Median over reps (after warmup) of the summed conv rows of a
      * per-run RunProfile: conv-layer time only, the paper's reported
-     * metric. A conv row includes zero-filling the output it
-     * accumulates into. */
+     * metric. */
     double convOnlyTimeMs(const Tensor& input, int warmup = 1, int reps = 3) const;
 
     /** Total non-zero conv weights after compilation (FKW layers count

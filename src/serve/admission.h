@@ -2,8 +2,8 @@
  * @file
  * Process-wide admission control for the serving tier.
  *
- * The registry's bounded per-server queues protect one model's workers
- * from one model's producers, but nothing protects the *pool*: a
+ * Each server's bounded queue protects one model's workers from one
+ * model's producers, but nothing protects the *pool*: a
  * single hot model can fill its queue, its sessions and the shared
  * compute pool while every other model's requests still get admitted
  * into queues that will never drain at their SLO. The
@@ -106,10 +106,11 @@ struct AdmissionStats
  * The process-wide queued-work budget. Thread-safe; every method takes
  * the internal mutex and returns without calling user code, so callers
  * may hold their own locks across calls (see the lock-order note
- * above). Typically owned by a ModelRegistry
- * (RegistryOptions::admission) and shared with every server it fronts,
- * but any set of InferenceServers may share one directly
- * (ServerOptions::admission).
+ * above). The caller makes one and passes it in ServerOptions::admission
+ * to every server that should share the budget — to
+ * ShardRouter::addLocalReplicas, which charges it under the model name
+ * and deregisters that name on ShardRouter::removeModel, or to
+ * InferenceServers it builds itself.
  */
 class AdmissionController
 {

@@ -584,19 +584,23 @@ serializeModel(const CompiledModel& model)
     return out;
 }
 
+namespace {
+
+/** deserializeModel() over `size` artifact bytes at `bytes`: the one
+ * core both the in-memory and the file loader run. */
 Result<std::shared_ptr<CompiledModel>>
-deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
+deserializeBytes(const uint8_t* bytes, size_t size, const DeviceSpec& device,
                  const ArtifactLoadOptions& opts, ArtifactInfo* info)
 {
     // Size before magic: a truncated-but-valid prefix must diagnose as
     // truncation, not as a bad magic.
-    if (bytes.size() < kHeaderSize + 8)
-        return truncatedStream(std::to_string(bytes.size()) +
+    if (size < kHeaderSize + 8)
+        return truncatedStream(std::to_string(size) +
                                " bytes is smaller than the fixed header");
-    if (std::memcmp(bytes.data(), kMagic, 4) != 0)
+    if (std::memcmp(bytes, kMagic, 4) != 0)
         return Status(ErrorCode::kDataLoss, "artifact: bad magic",
                       artifact_detail::kBadMagic);
-    Reader hdr{{bytes.data() + 4, kHeaderSize - 4}};
+    Reader hdr{{bytes + 4, kHeaderSize - 4}};
     uint32_t version = hdr.u32();
     if (version != kModelArtifactVersion)
         return Status(ErrorCode::kInvalidArgument,
@@ -605,12 +609,12 @@ deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
                           std::to_string(kModelArtifactVersion) + " only)",
                       artifact_detail::kUnsupportedVersion);
     uint64_t payload_size = hdr.u64();
-    uint64_t held = bytes.size() - kHeaderSize - 8;
+    uint64_t held = size - kHeaderSize - 8;
     if (payload_size != held)
         return truncatedStream("header claims " + std::to_string(payload_size) +
                                " payload bytes, artifact holds " +
                                std::to_string(held));
-    const uint8_t* payload = bytes.data() + kHeaderSize;
+    const uint8_t* payload = bytes + kHeaderSize;
     Reader tail{{payload + held, 8}};
     PayloadHasher hasher;
     hasher.update(payload, static_cast<size_t>(held));
@@ -619,6 +623,15 @@ deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
                       artifact_detail::kChecksumMismatch);
     return deserializePayload(payload, static_cast<size_t>(held), device, opts,
                               info);
+}
+
+}  // namespace
+
+Result<std::shared_ptr<CompiledModel>>
+deserializeModel(const std::vector<uint8_t>& bytes, const DeviceSpec& device,
+                 const ArtifactLoadOptions& opts, ArtifactInfo* info)
+{
+    return deserializeBytes(bytes.data(), bytes.size(), device, opts, info);
 }
 
 Status
@@ -669,16 +682,18 @@ loadModel(const std::string& path, const DeviceSpec& device,
     // reports a bogus size), so the buffer is never sized off garbage.
     std::error_code ec;
     uintmax_t len = std::filesystem::file_size(path, ec);
-    std::vector<uint8_t> bytes;
+    // Uninitialized on purpose: fread overwrites every byte.
+    std::unique_ptr<uint8_t[]> bytes;
     bool ok = !ec;
     if (ok) {
-        bytes.resize(static_cast<size_t>(len));
-        ok = std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
+        bytes.reset(new uint8_t[static_cast<size_t>(len)]);
+        ok = std::fread(bytes.get(), 1, static_cast<size_t>(len), f) == len;
     }
     std::fclose(f);
     if (!ok)
         return Status(ErrorCode::kUnavailable, "cannot read " + path);
-    return deserializeModel(bytes, device, opts, info);
+    return deserializeBytes(bytes.get(), static_cast<size_t>(len), device, opts,
+                            info);
 }
 
 }  // namespace patdnn

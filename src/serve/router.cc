@@ -130,7 +130,17 @@ ShardRouter::addReplica(const std::string& model,
 {
     PATDNN_CHECK(endpoint != nullptr, "router replica endpoint is null");
     std::lock_guard<std::mutex> lk(mutex_);
-    Group& group = groups_[model];
+    return addReplicaLocked(model, std::move(endpoint));
+}
+
+int
+ShardRouter::addReplicaLocked(const std::string& model,
+                              std::shared_ptr<ReplicaEndpoint> endpoint)
+{
+    std::shared_ptr<Group>& slot = groups_[model];
+    if (!slot)
+        slot = std::make_shared<Group>();
+    Group& group = *slot;
     const int idx = static_cast<int>(group.replicas.size());
     Replica replica;
     replica.endpoint = std::move(endpoint);
@@ -163,11 +173,45 @@ ShardRouter::addLocalReplicas(const std::string& model,
                       "router: replica count must be >= 1");
     if (server_opts.admission && server_opts.admission_name.empty())
         server_opts.admission_name = model;
+    // Servers start outside the lock; the replicas and their admission
+    // identity join the group in one step, so removeModel sees both.
+    std::vector<std::shared_ptr<ReplicaEndpoint>> endpoints;
     for (int i = 0; i < n; ++i)
-        addReplica(model, std::make_shared<LocalReplica>(
-                              std::make_shared<InferenceServer>(compiled,
-                                                                server_opts)));
+        endpoints.push_back(std::make_shared<LocalReplica>(
+            std::make_shared<InferenceServer>(compiled, server_opts)));
+    std::lock_guard<std::mutex> lk(mutex_);
+    for (auto& endpoint : endpoints)
+        addReplicaLocked(model, std::move(endpoint));
+    if (server_opts.admission) {
+        auto& wired = groups_[model]->admission;
+        std::pair<std::shared_ptr<AdmissionController>, std::string> id(
+            server_opts.admission, server_opts.admission_name);
+        if (std::find(wired.begin(), wired.end(), id) == wired.end())
+            wired.push_back(std::move(id));
+    }
     return Status::OK();
+}
+
+bool
+ShardRouter::removeModel(const std::string& model)
+{
+    std::shared_ptr<Group> victim;
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        auto it = groups_.find(model);
+        if (it == groups_.end())
+            return false;
+        victim = std::move(it->second);
+        groups_.erase(it);
+    }
+    // Outside the lock: shutdown drains and joins, which must not block
+    // other models' routing. The replica list is read unlocked because
+    // the group is out of the map, so no addReplica can reach it.
+    for (const Replica& r : victim->replicas)
+        r.endpoint->shutdown();
+    for (const auto& [controller, name] : victim->admission)
+        controller->deregisterModel(name);
+    return true;
 }
 
 size_t
@@ -175,7 +219,7 @@ ShardRouter::replicaCount(const std::string& model) const
 {
     std::lock_guard<std::mutex> lk(mutex_);
     auto it = groups_.find(model);
-    return it == groups_.end() ? 0 : it->second.replicas.size();
+    return it == groups_.end() ? 0 : it->second->replicas.size();
 }
 
 std::vector<int>
@@ -259,15 +303,17 @@ ShardRouter::trySubmit(const std::string& model, uint64_t key, Tensor input,
         *replica = -1;
     std::vector<int> order;
     std::vector<std::shared_ptr<ReplicaEndpoint>> endpoints;
+    std::shared_ptr<Group> group;
     {
         std::lock_guard<std::mutex> lk(mutex_);
         auto it = groups_.find(model);
-        if (it == groups_.end() || it->second.replicas.empty())
+        if (it == groups_.end() || it->second->replicas.empty())
             return Status(ErrorCode::kNotFound,
                           "router: no replicas for model '" + model + "'");
-        order = candidatesLocked(it->second, key);
+        group = it->second;
+        order = candidatesLocked(*group, key);
         if (order.empty()) {
-            ++it->second.shed;
+            ++group->shed;
             metrics().shed.inc();
             return Status(ErrorCode::kUnavailable,
                           "router: every replica of '" + model +
@@ -276,7 +322,7 @@ ShardRouter::trySubmit(const std::string& model, uint64_t key, Tensor input,
         endpoints.reserve(order.size());
         for (int idx : order)
             endpoints.push_back(
-                it->second.replicas[static_cast<size_t>(idx)].endpoint);
+                group->replicas[static_cast<size_t>(idx)].endpoint);
     }
     if (opts_.policy == RoutePolicy::kLeastLoaded && order.size() > 1) {
         // Queue depths come from the endpoints (outside the router
@@ -308,29 +354,31 @@ ShardRouter::trySubmit(const std::string& model, uint64_t key, Tensor input,
         const bool final_attempt = attempt + 1 == order.size();
         if (attempt > 0) {
             std::lock_guard<std::mutex> lk(mutex_);
-            ++groups_[model].failovers;
+            ++group->failovers;
             metrics().failovers.inc();
         }
         // Retries need the tensor back after a refusal, so every
         // non-final attempt submits a copy and only the last moves.
         Result<RequestId> r = endpoints[attempt]->trySubmit(
             final_attempt ? std::move(input) : Tensor(input), result, sopts);
+        // Bookkeeping goes to the held group, even if the model was
+        // removed (or removed and re-added) meanwhile: `idx` indexes its
+        // replicas, which only ever grow.
         std::lock_guard<std::mutex> lk(mutex_);
-        Group& group = groups_[model];
         if (r.ok()) {
-            recordSuccessLocked(group, idx);
+            recordSuccessLocked(*group, idx);
             if (replica != nullptr)
                 *replica = idx;
             return r;
         }
         if (!failoverWorthy(r.code()))
             return r;  // The request's own fault; no health penalty.
-        recordFailureLocked(group, idx);
+        recordFailureLocked(*group, idx);
         last = r.status();
     }
     {
         std::lock_guard<std::mutex> lk(mutex_);
-        ++groups_[model].shed;
+        ++group->shed;
         metrics().shed.inc();
     }
     return last;
@@ -361,7 +409,7 @@ ShardRouter::stats(const std::string& model) const
         auto it = groups_.find(model);
         if (it == groups_.end())
             return s;
-        const Group& group = it->second;
+        const Group& group = *it->second;
         s.routed = group.routed;
         s.failovers = group.failovers;
         s.shed = group.shed;
@@ -380,9 +428,9 @@ ShardRouter::stats(const std::string& model) const
             endpoints.push_back(r.endpoint);
         }
     }
-    // Queue depths outside the lock (each is a replica-local snapshot).
+    // Server snapshots outside the lock (each is replica-local).
     for (size_t i = 0; i < endpoints.size(); ++i)
-        s.replicas[i].queue_depth = endpoints[i]->stats().queue_depth;
+        s.replicas[i].server = endpoints[i]->stats();
     return s;
 }
 
@@ -404,7 +452,7 @@ ShardRouter::drainAll()
     {
         std::lock_guard<std::mutex> lk(mutex_);
         for (const auto& [name, group] : groups_)
-            for (const Replica& r : group.replicas)
+            for (const Replica& r : group->replicas)
                 endpoints.push_back(r.endpoint);
     }
     for (const auto& e : endpoints)
@@ -418,7 +466,7 @@ ShardRouter::shutdownAll()
     {
         std::lock_guard<std::mutex> lk(mutex_);
         for (const auto& [name, group] : groups_)
-            for (const Replica& r : group.replicas)
+            for (const Replica& r : group->replicas)
                 endpoints.push_back(r.endpoint);
     }
     for (const auto& e : endpoints)

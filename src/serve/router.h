@@ -1,11 +1,11 @@
 /**
  * @file
- * Shard router: the horizontal-scale frontend of the serving tier.
+ * Shard router: the serving tier's one named-model front door.
  *
  * One InferenceServer is one replica — a queue, a set of serving
  * workers, and private sessions over one shared compiled model. The
- * ShardRouter spreads the traffic for a named model across N such
- * replicas and gives callers a single front door:
+ * ShardRouter maps a model name to N such replicas (N may be 1) and
+ * gives callers a single front door:
  *
  *   - Routing policies (RouterOptions::policy):
  *       kConsistentHash — a hash ring with `vnodes` virtual nodes per
@@ -28,12 +28,19 @@
  *     the request is reported shed — the client sees one submit and
  *     the admission controller's backpressure becomes load *movement*
  *     before it becomes load *shedding*.
+ *   - Model lifecycle: removeModel() takes a name out of routing, shuts
+ *     its replicas down and drops it from the admission weights.
+ *
+ * Several models in one process share one compute pool when they are
+ * compiled or loaded for copies of one DeviceSpec whose pool() was
+ * materialized first (DeviceSpec copies share the lazily created
+ * util::ThreadPool). A queue never blocks a submitter: a full replica
+ * refuses with kResourceExhausted and the router fails over.
  *
  * Replicas are ReplicaEndpoint instances. LocalReplica wraps an
- * in-process InferenceServer (this PR's deployment shape); the
- * interface is the seam where a cross-process transport (RPC stub
- * with the same trySubmit/stats contract) plugs in later without
- * touching routing, health, or failover.
+ * in-process InferenceServer; the interface is the seam where a
+ * cross-process transport (RPC stub with the same trySubmit/stats
+ * contract) plugs in without touching routing, health, or failover.
  *
  * Exported obs counters: serve.router.routed / .failovers / .shed /
  * .ejections / .reinstatements.
@@ -136,7 +143,7 @@ struct RouterReplicaStats
     int64_t refusals = 0;      ///< Typed refusals (health-relevant).
     int64_t ejections = 0;
     int64_t reinstatements = 0;
-    size_t queue_depth = 0;    ///< From the endpoint's last stats().
+    ServerStats server;        ///< The endpoint's stats() snapshot.
 };
 
 /** Snapshot of one model's routing state. */
@@ -173,12 +180,23 @@ class ShardRouter
      * Convenience: stand up `n` LocalReplica InferenceServers over one
      * shared compiled model (each gets its own queue/workers/sessions;
      * `server_opts.admission`, when set, makes every replica charge
-     * the shared budget under `model`). kInvalidArgument on a null
-     * model or n < 1.
+     * the shared budget under `model` unless admission_name names
+     * another identity). kInvalidArgument on a null model or n < 1.
      */
     Status addLocalReplicas(const std::string& model,
                             std::shared_ptr<const CompiledModel> compiled,
                             int n, ServerOptions server_opts = {});
+
+    /**
+     * Take `model` out of routing: later submissions get kNotFound.
+     * Its endpoints are shut down outside the router lock (outstanding
+     * futures resolve or fail per the server's shutdown contract), and
+     * every admission identity addLocalReplicas wired for it stops
+     * counting in its controller's fair-share weights. In-flight
+     * submissions keep their own reference to the removed replicas.
+     * False if the model is unknown.
+     */
+    bool removeModel(const std::string& model);
 
     size_t replicaCount(const std::string& model) const;
 
@@ -240,7 +258,15 @@ class ShardRouter
         int64_t shed = 0;
         int64_t ejections = 0;
         int64_t reinstatements = 0;
+        /// (controller, name) pairs addLocalReplicas registered; removal
+        /// deregisters them.
+        std::vector<std::pair<std::shared_ptr<AdmissionController>, std::string>>
+            admission;
     };
+
+    /** mutex_ held. addReplica's body; creates the group on first use. */
+    int addReplicaLocked(const std::string& model,
+                         std::shared_ptr<ReplicaEndpoint> endpoint);
 
     /** mutex_ held. Candidate replica indices for one submission, in
      * policy order, healthy (or probation-reinstated) only. Probation
@@ -254,7 +280,10 @@ class ShardRouter
     RouterOptions opts_;
     std::shared_ptr<ServeClock> clock_;
     mutable std::mutex mutex_;
-    std::map<std::string, Group> groups_;
+    /// Behind shared_ptr so a submission holds its group across the
+    /// unlocked endpoint call: a concurrent removeModel (or a remove and
+    /// re-add) leaves the held group and its replica indices intact.
+    std::map<std::string, std::shared_ptr<Group>> groups_;
 };
 
 }  // namespace patdnn

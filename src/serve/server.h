@@ -69,7 +69,7 @@ namespace patdnn {
  * same ErrorCode vocabulary as Status, so async (future) and sync
  * (Status/Result) failures dispatch on one enum. Codes thrown by the
  * serving layer: kDeadlineExceeded (shed before dispatch), kCancelled
- * (removed by cancel()), kNotFound (registry routing to an unknown
+ * (removed by cancel()), kNotFound (router routing to an unknown
  * model name), kInvalidArgument (malformed request input) and
  * kUnavailable (submit raced a shutdown).
  */
@@ -117,7 +117,8 @@ struct ServerOptions
     /// submit via the request's future (ServeError carries the slug).
     std::shared_ptr<AdmissionController> admission;
     /// Name this server charges the budget under (its fair-share
-    /// identity; the registry sets it to the model's registered name).
+    /// identity; ShardRouter::addLocalReplicas defaults it to the model
+    /// name).
     /// Empty with `admission` set charges under "default".
     std::string admission_name;
     /// Fair-share weight registered for admission_name at construction.

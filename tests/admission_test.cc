@@ -1,8 +1,8 @@
 /** @file Admission-control tests: the weighted fair-share policy in
  * isolation, the InferenceServer budget wiring (charge at admission,
  * release on completion/deadline/cancel/shutdown), conservation under
- * concurrent multi-model submitters, and the registry-owned
- * controller end to end. */
+ * concurrent multi-model submitters, and one controller shared by
+ * the models behind a ShardRouter end to end. */
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -422,39 +422,47 @@ TEST(AdmissionServer, ConcurrentMultiModelConservation)
     cold->shutdown();
 }
 
-TEST(AdmissionRegistry, OwnsControllerRoutesWeightsAndEvicts)
+TEST(AdmissionRouter, SharedControllerRoutesWeightsAndRemoves)
 {
-    RegistryOptions ropts;
-    ropts.device = makeFixedWidthCpuDevice(2);
-    ropts.server.workers = 1;
-    ropts.server.max_queue = 64;
-    ropts.admission.max_queued_samples = 8;
-    auto registry = std::make_unique<ModelRegistry>(ropts);
-    ASSERT_NE(registry->admission(), nullptr);
+    AdmissionOptions aopts;
+    aopts.max_queued_samples = 8;
+    auto admission = std::make_shared<AdmissionController>(aopts);
 
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
     Model m = tinyModel();
     Result<std::shared_ptr<CompiledModel>> compiled =
-        Compiler(registry->device()).compile(m, FrameworkKind::kPatDnnDense);
+        Compiler(dev).compile(m, FrameworkKind::kPatDnnDense);
     ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
 
-    ServerOptions heavy = ropts.server;
+    ServerOptions sopts;
+    sopts.workers = 1;
+    sopts.max_queue = 64;
+    sopts.admission = admission;
+    ServerOptions heavy = sopts;
     heavy.admission_weight = 3.0;
-    Status added = registry->add("heavy", compiled.value(), heavy);
+    // A zero ejection window: a replica the burst below ejects is back
+    // on probation at the next submission, so every refusal is the
+    // server's own admission shed rather than an ejected-replica one.
+    RouterOptions ropts;
+    ropts.reinstate_after_ms = 0.0;
+    ShardRouter router(ropts);
+    Status added = router.addLocalReplicas("heavy", compiled.value(), 1, heavy);
     ASSERT_TRUE(added.ok()) << added.toString();
-    added = registry->add("light", compiled.value());
+    added = router.addLocalReplicas("light", compiled.value(), 1, sopts);
     ASSERT_TRUE(added.ok()) << added.toString();
 
-    AdmissionStats before = registry->admission()->stats();
+    // Each model charges under its routed name at its own weight.
+    AdmissionStats before = admission->stats();
     EXPECT_EQ(before.models.at("heavy").weight, 3.0);
     EXPECT_EQ(before.models.at("light").weight, 1.0);
 
-    // Route a burst through the registry's typed admission path.
+    // Route a burst through the router's typed admission path.
     int64_t accepted = 0, shed = 0;
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 64; ++i) {
         std::future<Tensor> f;
-        Result<RequestId> r = registry->trySubmit(
-            i % 2 == 0 ? "heavy" : "light",
+        Result<RequestId> r = router.trySubmit(
+            i % 2 == 0 ? "heavy" : "light", static_cast<uint64_t>(i),
             makeInput(300 + static_cast<uint64_t>(i)), &f);
         if (r.ok()) {
             ++accepted;
@@ -466,22 +474,26 @@ TEST(AdmissionRegistry, OwnsControllerRoutesWeightsAndEvicts)
     }
     for (auto& f : futures)
         f.wait();
-    registry->drainAll();
+    router.drainAll();
     EXPECT_EQ(accepted + shed, 64);
     EXPECT_GT(accepted, 0);
-    AdmissionStats after = registry->admission()->stats();
+    AdmissionStats after = admission->stats();
     EXPECT_EQ(after.admitted, accepted);
+    EXPECT_EQ(after.shed_over_fair_share + after.shed_global_budget, shed);
     EXPECT_EQ(after.queued_samples, 0);
 
     // Unknown names are routing errors, not admission errors.
     std::future<Tensor> f;
-    EXPECT_EQ(registry->trySubmit("missing", makeInput(1), &f).code(),
+    EXPECT_EQ(router.trySubmit("missing", 1, makeInput(1), &f).code(),
               ErrorCode::kNotFound);
 
-    // Evicting a model deregisters its admission identity.
-    EXPECT_TRUE(registry->evict("heavy"));
-    EXPECT_EQ(registry->admission()->stats().models.count("heavy"), 0u);
-    registry->shutdownAll();
+    // Removing a model deregisters its admission identity; the other
+    // model keeps its weight.
+    EXPECT_TRUE(router.removeModel("heavy"));
+    AdmissionStats removed = admission->stats();
+    EXPECT_EQ(removed.models.count("heavy"), 0u);
+    EXPECT_EQ(removed.models.at("light").weight, 1.0);
+    router.shutdownAll();
 }
 
 }  // namespace

@@ -137,20 +137,43 @@ TEST(MemPlanExec, ScalarKernelsBitExact)
 
 TEST(MemPlanExec, PoisonCanaryFindsNoStaleReads)
 {
-    // NaN-fill every freed arena range between layers: an executor that
-    // reads a value past its last_use consumes NaN, which propagates to
-    // the output and breaks the memcmp. Bit-exact here means no
-    // executor touches recycled memory. (Runs under the ASan/UBSan CI
-    // job too, where the poison writes also exercise range bounds.)
-    auto model = compileZoo("RNT", FrameworkKind::kPatDnn, makeCpuDevice(2));
-    ASSERT_TRUE(model->hasMemoryPlan());
-    InferenceSession canary(model);
-    canary.setDebugPoisonFreed(true);
-    for (int64_t batch : {int64_t{1}, int64_t{2}}) {
-        Tensor in = cifarInput(31 + static_cast<uint64_t>(batch), batch);
-        expectBitExact(canary.run(in), keepAllRun(*model, in),
-                       "RNT poison canary batch " + std::to_string(batch));
-    }
+    // The canary NaN-fills the whole arena at the start of every run and
+    // every freed range between layers: an op that reads a value past
+    // its last_use, or an output element it never wrote, consumes NaN,
+    // which propagates to the output and breaks the memcmp. No op
+    // zero-fills its output first, so this also checks that every conv
+    // engine writes every output element. MobileNet-V2 under all five
+    // kinds runs every engine: its grouped convs run NaiveConv under
+    // every kind, its stride-1 3x3 stem Winograd or the padded pattern
+    // kernel, its 1x1s im2col or CSR; int8 runs quantized im2col and
+    // ResNet-50's strided 3x3s the pattern engine's guarded loops.
+    // (Runs under the ASan/UBSan CI job too, where the poison writes
+    // also exercise range bounds.)
+    const DeviceSpec dev = makeCpuDevice(2);
+    auto check = [](const std::shared_ptr<const CompiledModel>& model,
+                    const std::string& what) {
+        ASSERT_TRUE(model->hasMemoryPlan()) << what;
+        InferenceSession canary(model);
+        canary.setDebugPoisonFreed(true);
+        // Batch 2 twice: the second run reuses the poisoned arena.
+        for (int64_t batch : {int64_t{1}, int64_t{2}, int64_t{2}}) {
+            Tensor in = cifarInput(31 + static_cast<uint64_t>(batch), batch);
+            expectBitExact(canary.run(in), keepAllRun(*model, in),
+                           what + " poison canary batch " + std::to_string(batch));
+        }
+    };
+    for (FrameworkKind kind :
+         {FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
+          FrameworkKind::kPatDnnDense, FrameworkKind::kCsrSparse,
+          FrameworkKind::kPatDnn})
+        check(compileZoo("MBNT", kind, dev), std::string("MBNT/") + frameworkName(kind));
+    check(compileZoo("RNT", FrameworkKind::kPatDnn, dev), "RNT/kPatDnn");
+    CompileOptions int8;
+    int8.precision = Precision::kInt8;
+    auto quantized = Compiler(dev, int8).compile(
+        buildByShortName("MBNT", Dataset::kCifar10), FrameworkKind::kPatDnnDense);
+    ASSERT_TRUE(quantized.ok()) << quantized.status().toString();
+    check(quantized.value(), "MBNT/kPatDnnDense/int8");
 }
 
 TEST(MemPlanExec, ArenaIsAtMost60PercentOfPerLayerOnResNet)

@@ -1,8 +1,9 @@
 /** @file ShardRouter tests: consistent-hash stickiness and minimal
  * remap on scale-out, least-loaded routing, transparent failover with
  * slug preservation, FakeClock health ejection + timed probation
- * reinstatement, and bit-exact failover reconciliation against a
- * direct InferenceSession over real local replicas. */
+ * reinstatement, bit-exact failover reconciliation against a direct
+ * InferenceSession over real local replicas, and several named models
+ * on one shared compute pool with per-replica stats and removal. */
 #include <gtest/gtest.h>
 
 #include <future>
@@ -63,6 +64,19 @@ makeInput(uint64_t seed, int64_t n = 1)
     Rng rng(seed);
     in.fillUniform(rng, -1.0f, 1.0f);
     return in;
+}
+
+/** The ServeError code a failed future carries (kOk if it holds a
+ * value). */
+ErrorCode
+futureErrorCode(std::future<Tensor> f)
+{
+    try {
+        f.get();
+        return ErrorCode::kOk;
+    } catch (const ServeError& e) {
+        return e.code();
+    }
 }
 
 /**
@@ -221,8 +235,8 @@ TEST(Router, LeastLoadedRoutesToShallowestQueue)
 
     RouterStats s = router.stats("m");
     EXPECT_EQ(s.routed, 3);
-    EXPECT_EQ(s.replicas[0].queue_depth, 1u);
-    EXPECT_EQ(s.replicas[2].queue_depth, 9u);
+    EXPECT_EQ(s.replicas[0].server.queue_depth, 1u);
+    EXPECT_EQ(s.replicas[2].server.queue_depth, 9u);
 }
 
 TEST(Router, FailoverMovesLoadAndShedKeepsAdmissionSlug)
@@ -413,6 +427,65 @@ TEST(Router, UnknownModelIsNotFound)
         EXPECT_EQ(e.code(), ErrorCode::kNotFound);
     }
     EXPECT_TRUE(router.models().empty());
+}
+
+TEST(Router, RoutesByNameSharesPoolAndRemoves)
+{
+    // Models compiled for copies of one device whose compute pool was
+    // materialized first all execute on that ONE pool.
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    dev.pool();
+    Model m = tinyModel();
+    auto sparse =
+        std::make_shared<const CompiledModel>(m, FrameworkKind::kPatDnn, dev);
+    auto dense =
+        std::make_shared<const CompiledModel>(m, FrameworkKind::kPatDnnDense, dev);
+    EXPECT_EQ(&sparse->device().pool(), &dev.pool());
+    EXPECT_EQ(&dense->device().pool(), &dev.pool());
+
+    ServerOptions sopts;
+    sopts.workers = 1;
+    ShardRouter router;
+    Status added = router.addLocalReplicas("sparse", sparse, 1, sopts);
+    ASSERT_TRUE(added.ok()) << added.toString();
+    added = router.addLocalReplicas("dense", dense, 1, sopts);
+    ASSERT_TRUE(added.ok()) << added.toString();
+    EXPECT_EQ(router.models(), (std::vector<std::string>{"dense", "sparse"}));
+
+    // Each name routes to its own model.
+    Tensor in = makeInput(55);
+    InferenceSession ref_sparse(sparse), ref_dense(dense);
+    EXPECT_EQ(Tensor::maxAbsDiff(router.submit("sparse", 1, in).get(),
+                                 ref_sparse.run(in)),
+              0.0);
+    EXPECT_EQ(Tensor::maxAbsDiff(router.submit("dense", 1, in).get(),
+                                 ref_dense.run(in)),
+              0.0);
+    EXPECT_EQ(futureErrorCode(router.submit("missing", 1, in)),
+              ErrorCode::kNotFound);
+    router.drainAll();
+
+    // Each replica's full server snapshot comes through the router.
+    for (const char* name : {"sparse", "dense"}) {
+        RouterStats s = router.stats(name);
+        ASSERT_EQ(s.replicas.size(), 1u) << name;
+        const ServerStats& server = s.replicas[0].server;
+        EXPECT_EQ(server.accepted, 1) << name;
+        EXPECT_EQ(server.completed, 1) << name;
+        EXPECT_EQ(server.batches, 1) << name;
+        EXPECT_EQ(server.latency_hist.count, 1) << name;
+        EXPECT_EQ(server.queue_depth, 0u) << name;
+    }
+
+    // A removed name is unknown again; the other keeps serving.
+    EXPECT_TRUE(router.removeModel("sparse"));
+    EXPECT_FALSE(router.removeModel("sparse"));
+    EXPECT_EQ(futureErrorCode(router.submit("sparse", 1, in)),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(router.replicaCount("sparse"), 0u);
+    EXPECT_EQ(router.models(), (std::vector<std::string>{"dense"}));
+    EXPECT_EQ(futureErrorCode(router.submit("dense", 1, in)), ErrorCode::kOk);
+    router.shutdownAll();
 }
 
 TEST(Router, LocalReplicaFailoverReconciliationBitExact)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Serving concurrency stress suite: N producer threads x M models
- * against one ModelRegistry, with randomized deadlines and
- * cancellations. The assertions are the serving subsystem's core
- * contracts under contention:
+ * behind one ShardRouter, with randomized deadlines and cancellations,
+ * and model removal racing submissions. The assertions are the serving
+ * subsystem's core contracts under contention:
  *
  *  - no lost responses: after drainAll() every accepted request's
  *    future is ready (value or a typed serving error);
@@ -12,10 +12,11 @@
  *    input on the same model;
  *  - stats are monotonic while serving and reconcile exactly
  *    afterwards: accepted == completed + deadline_exceeded + cancelled
- *    per model, with an empty queue.
+ *    per model, with an empty queue, and every typed refusal is one
+ *    the server counted as rejected.
  *
- * Runs under the CI ASan/UBSan job like every ctest suite, which is
- * where the locking and promise-handoff bugs this hunts would surface.
+ * Runs under the CI ASan/UBSan and TSan jobs, which is where the
+ * locking and promise-handoff bugs this hunts would surface.
  */
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ namespace patdnn {
 namespace {
 
 /** A tiny conv->relu->fc model; `width` varies the hidden channels so
- * each registry entry has distinct weights AND output values. */
+ * each routed model has distinct weights AND output values. */
 Model
 stressModel(int64_t width, uint64_t seed)
 {
@@ -78,21 +79,29 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
     const std::string names[kModels] = {"m12", "m16", "m20"};
     const int64_t widths[kModels] = {12, 16, 20};
 
-    RegistryOptions ropts;
-    ropts.device = makeFixedWidthCpuDevice(2);
-    ropts.server.workers = 2;
-    ropts.server.max_batch = 4;
-    ropts.server.max_queue = 32;
-    ropts.server.max_linger_ms = 0.2;  // Exercise the linger path too.
-    ModelRegistry reg(ropts);
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    ServerOptions sopts;
+    sopts.workers = 2;
+    sopts.max_batch = 4;
+    sopts.max_queue = 32;
+    sopts.max_linger_ms = 0.2;  // Exercise the linger path too.
+    // A zero ejection window: a replica that refuses on a full queue is
+    // back on probation at the next submission, so every refusal below
+    // reaches (and is counted by) its server.
+    RouterOptions ropts;
+    ropts.reinstate_after_ms = 0.0;
+    ShardRouter router(ropts);
 
+    // One caller-made replica per model: the test keeps each server to
+    // cancel by the RequestId the router hands back.
     std::vector<std::shared_ptr<const CompiledModel>> models;
+    std::vector<std::shared_ptr<InferenceServer>> servers;
     for (int i = 0; i < kModels; ++i) {
         models.push_back(std::make_shared<const CompiledModel>(
             stressModel(widths[i], 1000 + static_cast<uint64_t>(i)),
-            FrameworkKind::kPatDnn, reg.device()));
-        Status added = reg.add(names[i], models.back());
-        ASSERT_TRUE(added.ok()) << added.toString();
+            FrameworkKind::kPatDnn, dev));
+        servers.push_back(std::make_shared<InferenceServer>(models.back(), sopts));
+        router.addReplica(names[i], std::make_shared<LocalReplica>(servers.back()));
     }
 
     // Single-threaded references for every (model, input) pair the
@@ -109,24 +118,29 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
         int model = 0;
         int input = 0;
         std::future<Tensor> future;
+        bool refused = false;     ///< trySubmit returned a typed refusal.
         bool cancel_won = false;  ///< cancel() returned true for this id.
     };
     std::vector<std::vector<Pending>> per_thread(kProducers);
 
     // Stats monitor: serving counters must be monotonic while the
-    // producers hammer the registry.
+    // producers hammer the router.
     std::atomic<bool> done{false};
     std::thread monitor([&] {
         int64_t prev_completed[kModels] = {};
         int64_t prev_accepted[kModels] = {};
+        int64_t prev_rejected[kModels] = {};
         int64_t prev_deadline[kModels] = {};
         int64_t prev_cancelled[kModels] = {};
         int64_t prev_batches[kModels] = {};
         while (!done.load(std::memory_order_relaxed)) {
             for (int mi = 0; mi < kModels; ++mi) {
-                ServerStats s = reg.stats(names[mi]);
+                RouterStats rs = router.stats(names[mi]);
+                ASSERT_EQ(rs.replicas.size(), 1u);
+                const ServerStats& s = rs.replicas[0].server;
                 EXPECT_GE(s.completed, prev_completed[mi]);
                 EXPECT_GE(s.accepted, prev_accepted[mi]);
+                EXPECT_GE(s.rejected, prev_rejected[mi]);
                 EXPECT_GE(s.deadline_exceeded, prev_deadline[mi]);
                 EXPECT_GE(s.cancelled, prev_cancelled[mi]);
                 EXPECT_GE(s.batches, prev_batches[mi]);
@@ -134,6 +148,7 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
                           s.completed + s.deadline_exceeded + s.cancelled);
                 prev_completed[mi] = s.completed;
                 prev_accepted[mi] = s.accepted;
+                prev_rejected[mi] = s.rejected;
                 prev_deadline[mi] = s.deadline_exceeded;
                 prev_cancelled[mi] = s.cancelled;
                 prev_batches[mi] = s.batches;
@@ -154,35 +169,51 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
                 Pending p;
                 p.model = static_cast<int>(roll(kModels));
                 p.input = static_cast<int>(roll(kDistinctInputs));
+                const auto& server = servers[static_cast<size_t>(p.model)];
                 SubmitOptions sopts;
                 uint64_t fate = roll(10);
                 if (fate == 0)
-                    sopts.deadline = reg.deadlineIn(0.0);  // Due on arrival.
+                    sopts.deadline = server->deadlineIn(0.0);  // Due on arrival.
                 else if (fate == 1)
-                    sopts.deadline = reg.deadlineIn(0.05);  // Tight race.
-                RequestId id = 0;
-                p.future =
-                    reg.submit(names[p.model],
-                               stressInput(static_cast<uint64_t>(p.input)),
-                               sopts, &id);
-                if (roll(8) == 0 && id != 0)
-                    p.cancel_won = reg.cancel(names[p.model], id);
+                    sopts.deadline = server->deadlineIn(0.05);  // Tight race.
+                int replica = -1;
+                Result<RequestId> id = router.trySubmit(
+                    names[p.model],
+                    static_cast<uint64_t>(t * kRequestsPerProducer + r),
+                    stressInput(static_cast<uint64_t>(p.input)), &p.future,
+                    sopts, &replica);
+                if (id.ok()) {
+                    EXPECT_EQ(replica, 0);
+                    if (roll(8) == 0)
+                        p.cancel_won = server->cancel(id.value());
+                } else {
+                    // The server's queue is full: a typed, retryable
+                    // refusal instead of a blocked producer.
+                    EXPECT_EQ(id.code(), ErrorCode::kResourceExhausted)
+                        << id.status().toString();
+                    p.refused = true;
+                }
                 per_thread[static_cast<size_t>(t)].push_back(std::move(p));
             }
         });
     for (auto& t : producers)
         t.join();
-    reg.drainAll();
+    router.drainAll();
     done.store(true, std::memory_order_relaxed);
     monitor.join();
 
-    // Tally every future exactly once; no response may be lost,
+    // Tally every request exactly once; no response may be lost,
     // mis-typed, or numerically different from the reference.
     int64_t completed[kModels] = {};
     int64_t deadline[kModels] = {};
     int64_t cancelled[kModels] = {};
+    int64_t refused[kModels] = {};
     for (auto& thread_requests : per_thread)
         for (Pending& p : thread_requests) {
+            if (p.refused) {
+                ++refused[p.model];
+                continue;
+            }
             ASSERT_EQ(p.future.wait_for(std::chrono::seconds(0)),
                       std::future_status::ready)
                 << "lost response for model " << names[p.model];
@@ -209,42 +240,46 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
             // Any other exception type escapes and fails the test.
         }
 
-    // Exact reconciliation against the servers' own counters.
+    // Exact reconciliation against the servers' and router's counters.
     int64_t total = 0;
     for (int mi = 0; mi < kModels; ++mi) {
-        ServerStats s = reg.stats(names[mi]);
+        RouterStats rs = router.stats(names[mi]);
+        const ServerStats& s = rs.replicas[0].server;
         EXPECT_EQ(s.completed, completed[mi]) << names[mi];
         EXPECT_EQ(s.deadline_exceeded, deadline[mi]) << names[mi];
         EXPECT_EQ(s.cancelled, cancelled[mi]) << names[mi];
         EXPECT_EQ(s.accepted, s.completed + s.deadline_exceeded + s.cancelled)
             << names[mi];
         EXPECT_EQ(s.queue_depth, 0u) << names[mi];
-        EXPECT_EQ(s.rejected, 0) << names[mi];  // submit() blocks, never drops.
-        total += s.accepted;
+        EXPECT_EQ(s.rejected, refused[mi]) << names[mi];
+        EXPECT_EQ(rs.routed, s.accepted) << names[mi];
+        EXPECT_EQ(rs.shed, refused[mi]) << names[mi];
+        total += s.accepted + s.rejected;
     }
     EXPECT_EQ(total, int64_t{kProducers} * kRequestsPerProducer);
-    reg.shutdownAll();
+    router.shutdownAll();
 }
 
-TEST(ServeStress, EvictionRacesSubmissions)
+TEST(ServeStress, RemovalRacesSubmissions)
 {
-    // Producers keep routing to a model while another thread evicts and
+    // Producers keep routing to a model while another thread removes and
     // re-adds it: every future must resolve (value or a typed error),
-    // never hang or crash.
-    RegistryOptions ropts;
-    ropts.device = makeFixedWidthCpuDevice(2);
-    ropts.server.workers = 1;
-    ModelRegistry reg(ropts);
+    // never hang or crash, and a submission whose model went away
+    // mid-attempt must not touch the router's bookkeeping out of bounds.
+    DeviceSpec dev = makeFixedWidthCpuDevice(2);
+    ServerOptions sopts;
+    sopts.workers = 1;
+    ShardRouter router;
     auto model = std::make_shared<const CompiledModel>(
-        stressModel(12, 5), FrameworkKind::kPatDnnDense, reg.device());
-    Status added = reg.add("hot", model);
+        stressModel(12, 5), FrameworkKind::kPatDnnDense, dev);
+    Status added = router.addLocalReplicas("hot", model, 1, sopts);
     ASSERT_TRUE(added.ok()) << added.toString();
 
     std::atomic<bool> stop{false};
     std::thread flipper([&] {
-        for (int i = 0; i < 6; ++i) {
-            reg.evict("hot");
-            (void)reg.add("hot", model);
+        for (int i = 0; i < 100; ++i) {
+            router.removeModel("hot");
+            (void)router.addLocalReplicas("hot", model, 1, sopts);
         }
         stop.store(true, std::memory_order_relaxed);
     });
@@ -256,11 +291,12 @@ TEST(ServeStress, EvictionRacesSubmissions)
     // do-while: at least one submit even if the flipper (whose final
     // action is a re-add) finishes before this thread gets scheduled.
     do {
-        std::future<Tensor> f = reg.submit("hot", in);
+        std::future<Tensor> f =
+            router.submit("hot", static_cast<uint64_t>(resolved), in);
         try {
             EXPECT_EQ(Tensor::maxAbsDiff(f.get(), expect), 0.0);
         } catch (const ServeError& e) {
-            // kNotFound: raced the evict window. kUnavailable:
+            // kNotFound: raced the removal window. kUnavailable:
             // submitted to a server already shutting down.
             EXPECT_TRUE(e.code() == ErrorCode::kNotFound ||
                         e.code() == ErrorCode::kUnavailable)
@@ -270,7 +306,9 @@ TEST(ServeStress, EvictionRacesSubmissions)
     } while (!stop.load(std::memory_order_relaxed));
     flipper.join();
     EXPECT_GT(resolved, 0);
-    reg.shutdownAll();
+    EXPECT_EQ(router.models(), (std::vector<std::string>{"hot"}));
+    EXPECT_EQ(router.replicaCount("hot"), 1u);
+    router.shutdownAll();
 }
 
 }  // namespace

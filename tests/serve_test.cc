@@ -1739,81 +1739,5 @@ TEST(Artifact, SingleByteMutationSweep)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-model registry
-// ---------------------------------------------------------------------------
-
-TEST(Registry, RoutesByNameSharesPoolAndEvicts)
-{
-    Model m = tinyModel();
-    RegistryOptions ropts;
-    ropts.device = makeFixedWidthCpuDevice(2);
-    ropts.server.workers = 1;
-    ModelRegistry reg(ropts);
-
-    auto sparse = std::make_shared<const CompiledModel>(
-        m, FrameworkKind::kPatDnn, reg.device());
-    auto dense = std::make_shared<const CompiledModel>(
-        m, FrameworkKind::kPatDnnDense, reg.device());
-    Status added = reg.add("sparse", sparse);
-    ASSERT_TRUE(added.ok()) << added.toString();
-    added = reg.add("dense", dense);
-    ASSERT_TRUE(added.ok()) << added.toString();
-    Status taken = reg.add("dense", sparse);  // Name taken.
-    ASSERT_FALSE(taken.ok());
-    EXPECT_EQ(taken.code(), ErrorCode::kInvalidArgument);
-    EXPECT_EQ(reg.names(), (std::vector<std::string>{"dense", "sparse"}));
-
-    // Every model in the registry executes on ONE shared compute pool.
-    EXPECT_EQ(&reg.model("sparse")->device().pool(), &reg.device().pool());
-    EXPECT_EQ(&reg.model("dense")->device().pool(), &reg.device().pool());
-
-    Tensor in = makeInput(55);
-    InferenceSession ref_sparse(sparse), ref_dense(dense);
-    EXPECT_EQ(Tensor::maxAbsDiff(reg.submit("sparse", in).get(),
-                                 ref_sparse.run(in)),
-              0.0);
-    EXPECT_EQ(Tensor::maxAbsDiff(reg.submit("dense", in).get(),
-                                 ref_dense.run(in)),
-              0.0);
-    std::future<Tensor> unknown = reg.submit("missing", in);
-    EXPECT_EQ(futureErrorCode(unknown), ErrorCode::kNotFound);
-    reg.drainAll();
-    EXPECT_EQ(reg.stats("sparse").completed, 1);
-    EXPECT_EQ(reg.stats("dense").completed, 1);
-
-    EXPECT_TRUE(reg.evict("sparse"));
-    EXPECT_FALSE(reg.evict("sparse"));
-    std::future<Tensor> evicted = reg.submit("sparse", in);
-    EXPECT_EQ(futureErrorCode(evicted), ErrorCode::kNotFound);
-    EXPECT_EQ(reg.size(), 1u);
-    reg.shutdownAll();
-}
-
-TEST(Registry, LoadsArtifactsFromDisk)
-{
-    Model m = tinyModel();
-    RegistryOptions ropts;
-    ropts.device = makeFixedWidthCpuDevice(2);
-    ModelRegistry reg(ropts);
-
-    CompiledModel compiled(m, FrameworkKind::kPatDnn, reg.device());
-    std::string path = tempArtifactPath("registry");
-    Status saved = saveModel(compiled, path);
-    ASSERT_TRUE(saved.ok()) << saved.toString();
-    Status loaded = reg.load("vgg", path);
-    ASSERT_TRUE(loaded.ok()) << loaded.toString();
-    std::remove(path.c_str());
-
-    Tensor in = makeInput(77);
-    EXPECT_EQ(Tensor::maxAbsDiff(reg.submit("vgg", in).get(), compiled.run(in)),
-              0.0);
-    Status missing = reg.load("other", path);  // File already gone.
-    ASSERT_FALSE(missing.ok());
-    // The loader's typed code propagates through the registry.
-    EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
-    reg.shutdownAll();
-}
-
 }  // namespace
 }  // namespace patdnn

@@ -49,7 +49,7 @@ cmake_args=()
 test_timeout=300
 build_targets=()
 ctest_args=()
-tsan_suites="pattern_engine_test simd_kernels_test serve_test serve_stress_test router_test obs_test memplan_exec_test framework_test util_test"
+tsan_suites="pattern_engine_test simd_kernels_test serve_test serve_stress_test router_test admission_test obs_test memplan_exec_test framework_test util_test"
 for arg in "$@"; do
     case "${arg}" in
         --format-only) run_build=0 ;;
