@@ -19,8 +19,8 @@ runDevice(const char* label, const DeviceSpec& dev)
         FrameworkKind::kTfliteLike, FrameworkKind::kTvmLike,
         FrameworkKind::kPatDnnDense, FrameworkKind::kCsrSparse, FrameworkKind::kPatDnn};
     for (Dataset ds : {Dataset::kImageNet, Dataset::kCifar10}) {
-        std::printf("--- %s / %s (CONV-stack ms, lower is better) ---\n", label,
-                    datasetName(ds).c_str());
+        std::printf("--- %s, %d threads / %s (CONV-stack ms, lower is better) ---\n",
+                    label, dev.threads, datasetName(ds).c_str());
         Table t({"Model", "TFLite-like", "TVM-like", "MNN-like", "CSR-sparse",
                  "PatDNN", "best dense / PatDNN"});
         for (const char* name : {"VGG", "RNT", "MBNT"}) {

@@ -10,7 +10,12 @@
  *   +Reorder+LRE    — adds register-level load redundancy elimination:
  *                     the padded flat-row kernel with per-filter
  *                     register accumulators;
- *   +Reorder+LRE+Tune — adds GA-tuned row tile/task size/permutation.
+ *   +Reorder+LRE+Tune — adds the GA-tuned row tile / blocking /
+ *                     permutation.
+ *
+ * Every level splits the filters across threads the same way: the
+ * engine cuts them at equal kernel counts (PatternConv::plan()), which
+ * nothing tunes.
  */
 #include "bench_common.h"
 
@@ -32,7 +37,6 @@ timeConfig(const ConvDesc& d, const DeviceSpec& dev, bool reorder, bool lre,
         opts.default_tuning.blocked = false;
         opts.default_tuning.permute = lre ? LoopPermutation::kCoHWCi
                                           : LoopPermutation::kCoCiHW;
-        opts.default_tuning.filters_per_task = 64;
     }
     bench::ConvLayerModel layer(d, FrameworkKind::kPatDnn, dev, opts);
     if (!tune)

@@ -5,7 +5,11 @@
  * (a) Filter-length distribution of VGG L4 before and after Filter
  *     Kernel Reorder: before, lengths are scattered across filter
  *     positions (thread load imbalance); after, filters fall into a
- *     few equal-length groups.
+ *     few equal-length groups. Then the measured balance: per unique
+ *     VGG layer, the busiest thread's kernel count over the mean under
+ *     the cuts the engine builds (PatternConv::plan()) at 4 and 8 CPU
+ *     threads and on the GPU-like device, whose cuts fall only on FKR
+ *     group ends.
  * (b) Register load counts per unique VGG layer before and after
  *     load redundancy elimination (analytic model over the executed
  *     plan; see src/rt/load_analysis.*).
@@ -27,6 +31,17 @@ main()
     bench::banner("Fig. 14", "FKR load balance + LRE register-load profile");
     PatternSet set = canonicalPatternSet(8);
     auto layers = vggUniqueLayers(bench::spatialScale());
+    // Every unique layer pruned at ~3.6x connectivity and FKW-packed
+    // (with FKR), shared by the balance table and (b).
+    std::vector<FkwLayer> packed;
+    {
+        Rng rng(5);
+        for (const auto& d : layers) {
+            Tensor w(Shape{d.cout, d.cin, d.kh, d.kw});
+            w.fillNormal(rng);
+            packed.push_back(pruneAndPack(w, set, static_cast<int64_t>(d.cout * d.cin / 3.6)));
+        }
+    }
 
     // --- (a) filter length distribution for L4 ---
     {
@@ -63,33 +78,47 @@ main()
             std::printf("%d ", la[static_cast<size_t>(i)]);
         std::printf("\nadjacent-length spread: before %.2f -> after %.2f\n",
                     spread(lb), spread(la));
-        std::printf("equal-length groups after reorder: %zu (each maps to one "
-                    "thread block / balanced CPU task)\n\n",
-                    after.groups.size());
+        std::printf("equal-length groups after reorder: %zu\n\n", after.groups.size());
+    }
+    {
+        // Fixed widths: the cuts must describe the target's threads,
+        // not this host's core count.
+        const DeviceSpec cpu4 = makeFixedWidthCpuDevice(4);
+        const DeviceSpec cpu8 = makeFixedWidthCpuDevice(8);
+        const DeviceSpec gpu = makeGpuDevice();
+        std::printf("--- (a) per-thread kernels, busiest / mean, under the engine's "
+                    "cuts ---\n");
+        Table t({"Layer", "FKR groups", "CPU 4 threads", "CPU 8 threads",
+                 "GPU-like (" + std::to_string(gpu.threads) + " blocks)"});
+        for (size_t i = 0; i < layers.size(); ++i) {
+            const ConvDesc& d = layers[i];
+            const FkwLayer& fkw = packed[i];
+            auto balance = [&](const DeviceSpec& dev) {
+                PatternConv engine(d, &fkw, TuneParams{}, OptSwitches{}, dev);
+                return Table::num(kernelImbalance(fkw, engine.plan()), 2);
+            };
+            t.addRow({d.name, std::to_string(fkw.groups.size()), balance(cpu4),
+                      balance(cpu8), balance(gpu)});
+        }
+        t.print();
+        std::printf("\n");
     }
 
     // --- (b) register load counts per layer ---
     {
         std::printf("--- (b) register load counts (millions) ---\n");
         Table t({"Layer", "No-Eliminate", "Eliminate", "Reduction"});
-        Rng rng(5);
         // Fixed width: the analytic load model must describe the
         // paper's 8-thread target, not whatever core count this CI
         // cell has (makeCpuDevice clamps to hardware_concurrency,
         // which skews the committed baseline on small runners).
         DeviceSpec dev = makeFixedWidthCpuDevice(8);
-        for (const auto& d : layers) {
-            Tensor w(Shape{d.cout, d.cin, d.kh, d.kw});
-            w.fillNormal(rng);
-            int64_t alpha = static_cast<int64_t>(d.cout * d.cin / 3.6);
-            Tensor pruned = w;
-            FkwLayer fkw = pruneAndPack(pruned, set, alpha);
-            LayerwiseRep lr;
-            lr.conv = d;
-            lr.opts.lre = false;
-            LoadCounts off = analyzeLoads(d, fkw, lr, dev);
-            lr.opts.lre = true;
-            LoadCounts on = analyzeLoads(d, fkw, lr, dev);
+        OptSwitches no_lre;
+        no_lre.lre = false;
+        for (size_t i = 0; i < layers.size(); ++i) {
+            const ConvDesc& d = layers[i];
+            LoadCounts off = analyzeLoads(d, packed[i], TuneParams{}, no_lre, dev);
+            LoadCounts on = analyzeLoads(d, packed[i], TuneParams{}, OptSwitches{}, dev);
             t.addRow({d.name, Table::num(off.total() / 1e6, 1),
                       Table::num(on.total() / 1e6, 1),
                       Table::num(static_cast<double>(off.total()) /

@@ -54,9 +54,9 @@ main()
     std::printf("pattern set mined from the weights:\n");
     for (size_t i = 0; i < fkw.patterns.size(); ++i)
         std::printf("-- pattern %zu --\n%s\n", i, fkw.patterns[i].str().c_str());
-    std::printf("tuned parameters: permute %s, %lld-row tile, %d filters per task\n",
+    std::printf("tuned parameters: permute %s, %lld-row tile\n",
                 permutationName(t.permute, t.blocked).c_str(),
-                static_cast<long long>(t.tile_oh), t.filters_per_task);
+                static_cast<long long>(t.tile_oh));
     std::printf("FKW storage: %lld non-empty kernels, %.1f KB weights, %.1f KB "
                 "index structures\n",
                 static_cast<long long>(fkw.kernelCount()),

@@ -13,16 +13,6 @@ Graph::addNode(GraphNode node)
 }
 
 std::vector<int>
-Graph::liveNodes() const
-{
-    std::vector<int> out;
-    for (const auto& n : nodes_)
-        if (!n.dead)
-            out.push_back(n.id);
-    return out;
-}
-
-std::vector<int>
 Graph::consumerCounts() const
 {
     std::vector<int> counts(nodes_.size(), 0);

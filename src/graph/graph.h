@@ -45,9 +45,6 @@ class Graph
     int outputNode() const { return output_; }
     void setOutputNode(int id) { output_ = id; }
 
-    /** Ids of live (non-dead) nodes in topological (insertion) order. */
-    std::vector<int> liveNodes() const;
-
     /** Number of consumers of each node among live nodes. */
     std::vector<int> consumerCounts() const;
 

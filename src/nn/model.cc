@@ -58,26 +58,6 @@ Model::sizeMB() const
     return static_cast<double>(paramCount()) * 4.0 / (1024.0 * 1024.0);
 }
 
-int64_t
-Model::convMacs() const
-{
-    int64_t n = 0;
-    for (const auto& l : layers_)
-        if (l.kind == OpKind::kConv)
-            n += l.conv.macs();
-    return n;
-}
-
-std::vector<int>
-Model::convLayerIndices() const
-{
-    std::vector<int> idx;
-    for (size_t i = 0; i < layers_.size(); ++i)
-        if (layers_[i].kind == OpKind::kConv)
-            idx.push_back(static_cast<int>(i));
-    return idx;
-}
-
 void
 Model::randomizeWeights(uint64_t seed)
 {

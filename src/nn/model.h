@@ -90,12 +90,6 @@ class Model
     /** Model size in MB at 32-bit floats (paper's Table 5 reports MB). */
     double sizeMB() const;
 
-    /** Dense MACs over all conv layers for one input. */
-    int64_t convMacs() const;
-
-    /** Indices of all conv layers. */
-    std::vector<int> convLayerIndices() const;
-
     /** Randomize all conv/fc weights with He init (deterministic seed). */
     void randomizeWeights(uint64_t seed);
 

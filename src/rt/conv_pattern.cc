@@ -8,8 +8,7 @@
 namespace patdnn {
 
 PatternPlan
-preparePatternPlan(const FkwLayer& fkw, const LayerwiseRep& lr,
-                   const DeviceSpec& device)
+preparePatternPlan(const FkwLayer& fkw, const DeviceSpec& device)
 {
     PatternPlan plan;
     plan.entries = fkw.entries;
@@ -17,34 +16,50 @@ preparePatternPlan(const FkwLayer& fkw, const LayerwiseRep& lr,
     for (const auto& p : fkw.patterns)
         plan.lowered.push_back(lowerPattern(p));
 
-    // Scheduling granularity: split FKR groups into work items. GPU-like
-    // devices map one group to one "thread block"; CPUs split groups to
-    // filters_per_task for finer balancing (at least one filter per item,
-    // whatever the tuning record says).
-    int64_t per_task = std::max(1, lr.tuning.filters_per_task);
-    if (device.gpu_like)
-        per_task = 1 << 30;  // Whole group per item.
-    for (const auto& grp : fkw.groups) {
-        for (int32_t f = grp.begin; f < grp.end;) {
-            int32_t fe = static_cast<int32_t>(
-                std::min<int64_t>(grp.end, f + per_task));
-            plan.items.push_back(WorkItem{f, fe});
-            f = fe;
-        }
+    // Candidate cuts: every filter boundary, or only the group ends.
+    // The targets rise with w, so the nearest candidates do too.
+    std::vector<int32_t> bounds = {0};
+    for (const FilterGroup& g : fkw.groups)
+        for (int32_t f = device.gpu_like ? g.end : g.begin + 1; f <= g.end; ++f)
+            bounds.push_back(f);
+    auto prefix = [&](int32_t f) { return fkw.offset[static_cast<size_t>(f)]; };
+    const int threads = std::max(1, device.threads);
+    plan.cuts.assign(static_cast<size_t>(threads) + 1, 0);
+    for (int w = 1; w < threads; ++w) {
+        const int64_t target = fkw.kernelCount() * w / threads;
+        auto it = std::partition_point(bounds.begin(), bounds.end(),
+                                       [&](int32_t f) { return prefix(f) < target; });
+        if (it == bounds.end() ||
+            (it != bounds.begin() && target - prefix(*(it - 1)) < prefix(*it) - target))
+            --it;
+        plan.cuts[static_cast<size_t>(w)] = *it;
     }
+    plan.cuts.back() = static_cast<int32_t>(fkw.filters);
     return plan;
 }
 
-PatternConv::PatternConv(ConvDesc desc, const FkwLayer* fkw, LayerwiseRep lr,
-                         DeviceSpec device)
-    : desc_(std::move(desc)), fkw_(fkw), lr_(std::move(lr)),
+double
+kernelImbalance(const FkwLayer& fkw, const PatternPlan& plan)
+{
+    int64_t busiest = 0;
+    for (size_t w = 0; w + 1 < plan.cuts.size(); ++w)
+        busiest = std::max<int64_t>(busiest, fkw.offset[static_cast<size_t>(plan.cuts[w + 1])] -
+                                                 fkw.offset[static_cast<size_t>(plan.cuts[w])]);
+    const double mean = static_cast<double>(fkw.kernelCount()) /
+                        static_cast<double>(plan.cuts.size() - 1);
+    return mean > 0.0 ? static_cast<double>(busiest) / mean : 1.0;
+}
+
+PatternConv::PatternConv(ConvDesc desc, const FkwLayer* fkw, const TuneParams& tuning,
+                         const OptSwitches& opts, DeviceSpec device)
+    : desc_(std::move(desc)), fkw_(fkw), tuning_(tuning), opts_(opts),
       device_(std::move(device)), ops_(&resolveSimdOps(device_.simd_isa))
 {
     PATDNN_CHECK_EQ(desc_.groups, 1, "PatternConv supports groups == 1");
     PATDNN_CHECK_EQ(fkw_->in_channels, desc_.cin, "fkw channels");
     PATDNN_CHECK_EQ(fkw_->filters, desc_.cout, "fkw filters");
-    plan_ = preparePatternPlan(*fkw_, lr_, device_);
-    if (desc_.stride == 1 && lr_.opts.lre) {
+    plan_ = preparePatternPlan(*fkw_, device_);
+    if (desc_.stride == 1 && opts_.lre) {
         // The generated code's statically determined data access: each
         // pattern's taps as constant offsets into the padded plane.
         int64_t wp = desc_.w + 2 * desc_.pad;
@@ -59,15 +74,29 @@ PatternConv::PatternConv(ConvDesc desc, const FkwLayer* fkw, LayerwiseRep lr,
 }
 
 void
-PatternConv::runPaddedItem(const WorkItem& item, const float* padded, float* out,
-                           const Epilogue& ep, float* acc,
-                           std::vector<PatternSegment>& segs) const
+PatternConv::forEachRange(const std::function<void(int32_t, int32_t)>& body) const
+{
+    device_.pool().parallelChunks(
+        static_cast<int64_t>(plan_.cuts.size()) - 1, [&](int64_t begin, int64_t end) {
+            for (int64_t w = begin; w < end; ++w) {
+                const int32_t fb = plan_.cuts[static_cast<size_t>(w)];
+                const int32_t fe = plan_.cuts[static_cast<size_t>(w) + 1];
+                if (fb < fe)
+                    body(fb, fe);
+            }
+        });
+}
+
+void
+PatternConv::runPaddedFilters(int32_t f_begin, int32_t f_end, const float* padded,
+                              float* out, const Epilogue& ep, float* acc,
+                              std::vector<PatternSegment>& segs) const
 {
     const ConvDesc& d = desc_;
     const int64_t oh = d.outH(), ow = d.outW();
     const int64_t wp = d.w + 2 * d.pad;
     const int64_t plane = (d.h + 2 * d.pad) * wp;
-    const TuneParams& t = lr_.tuning;
+    const TuneParams& t = tuning_;
     const int64_t tile = t.blocked ? std::max<int64_t>(1, t.tile_oh) : oh;
     // Fig. 15's loop orders: the pixel block outside the kernel loop
     // (accumulators stay in registers across the filter's kernels) or
@@ -75,7 +104,7 @@ PatternConv::runPaddedItem(const WorkItem& item, const float* padded, float* out
     const bool block_outside = t.permute == LoopPermutation::kCoHWCi;
     const int entries = plan_.entries;
 
-    for (int32_t f = item.filter_begin; f < item.filter_end; ++f) {
+    for (int32_t f = f_begin; f < f_end; ++f) {
         segs.clear();
         forEachSegment(*fkw_, f, [&](int pid, int32_t k0, int32_t count) {
             segs.push_back({taps_.data() + static_cast<size_t>(pid) * 9, entries,
@@ -129,7 +158,7 @@ PatternConv::runPadded(const Tensor& in, Tensor& out, const Epilogue& ep) const
     const int64_t wp = d.w + 2 * d.pad;
     const int64_t plane = (d.h + 2 * d.pad) * wp;
     const int64_t tile =
-        lr_.tuning.blocked ? std::min(oh, std::max<int64_t>(1, lr_.tuning.tile_oh)) : oh;
+        tuning_.blocked ? std::min(oh, std::max<int64_t>(1, tuning_.tile_oh)) : oh;
     // Per-call scratch (run() is const and may race across sessions):
     // the zero-padded planes — borders stay zero, interiors are rewritten
     // per sample — plus `width` floats of slack for the last vector's
@@ -144,24 +173,21 @@ PatternConv::runPadded(const Tensor& in, Tensor& out, const Epilogue& ep) const
                             ibase + (c * d.h + y) * d.w,
                             static_cast<size_t>(d.w) * sizeof(float));
         });
-        device_.pool().parallelChunks(
-            static_cast<int64_t>(plan_.items.size()),
-            [&](int64_t begin, int64_t end) {
-                std::vector<float> acc(static_cast<size_t>(tile * wp));
-                std::vector<PatternSegment> segs;
-                for (int64_t i = begin; i < end; ++i)
-                    runPaddedItem(plan_.items[static_cast<size_t>(i)],
-                                  padded.data(), obase, ep, acc.data(), segs);
-            });
+        forEachRange([&](int32_t fb, int32_t fe) {
+            std::vector<float> acc(static_cast<size_t>(tile * wp));
+            std::vector<PatternSegment> segs;
+            runPaddedFilters(fb, fe, padded.data(), obase, ep, acc.data(), segs);
+        });
     }
 }
 
 void
-PatternConv::runGuardedItem(const WorkItem& item, const float* in, float* out) const
+PatternConv::runGuardedFilters(int32_t f_begin, int32_t f_end, const float* in,
+                               float* out) const
 {
     const ConvDesc& d = desc_;
     int64_t oh = d.outH(), ow = d.outW();
-    const TuneParams& t = lr_.tuning;
+    const TuneParams& t = tuning_;
     const int entries = plan_.entries;
 
     PlaneGeom g;
@@ -189,7 +215,7 @@ PatternConv::runGuardedItem(const WorkItem& item, const float* in, float* out) c
         return out + static_cast<int64_t>(fkw_->reorder[static_cast<size_t>(f)]) * oh * ow;
     };
 
-    if (!lr_.opts.reorder && !lr_.opts.lre) {
+    if (!opts_.reorder && !opts_.lre) {
         // No-opt execution (Fig. 7 left): pixel loops outside, a
         // per-kernel pattern dispatch inside — one non-inlined call
         // with full bounds checks per (pixel, kernel), plus the input-
@@ -197,7 +223,7 @@ PatternConv::runGuardedItem(const WorkItem& item, const float* in, float* out) c
         // and LRE speedups in Fig. 13 are measured against.
         g.y0 = 0;
         g.y1 = oh;
-        for (int32_t f = item.filter_begin; f < item.filter_end; ++f) {
+        for (int32_t f = f_begin; f < f_end; ++f) {
             float* optr = out_plane(f);
             for (int64_t y = 0; y < oh; ++y) {
                 for (int64_t x = 0; x < ow; ++x) {
@@ -219,16 +245,16 @@ PatternConv::runGuardedItem(const WorkItem& item, const float* in, float* out) c
                           const float* in_plane, float* optr, int64_t y0) {
         g.y0 = y0;
         g.y1 = std::min(oh, y0 + tile);
-        if (lr_.opts.lre)
+        if (opts_.lre)
             kernelAccumulateLre(pk, w, in_plane, optr, g);
         else
             kernelAccumulateNoLre(pk, w, in_plane, optr, g);
     };
     if (t.permute == LoopPermutation::kCoHWCi) {
         // Spatial tile outer, kernels inner: inputs for the tile stay
-        // cache-resident while every kernel of the item visits them.
+        // cache-resident while every kernel of the range visits them.
         for (int64_t y0 = 0; y0 < oh; y0 += tile)
-            for (int32_t f = item.filter_begin; f < item.filter_end; ++f)
+            for (int32_t f = f_begin; f < f_end; ++f)
                 for_each_kernel(f, [&](const PatternKernel& pk, const float* w,
                                        const float* in_plane) {
                     accumulate(pk, w, in_plane, out_plane(f), y0);
@@ -236,7 +262,7 @@ PatternConv::runGuardedItem(const WorkItem& item, const float* in, float* out) c
     } else {
         // Kernel outer, full plane inner (weight-stationary). Blocked
         // variant still tiles rows inside each kernel for cache reuse.
-        for (int32_t f = item.filter_begin; f < item.filter_end; ++f)
+        for (int32_t f = f_begin; f < f_end; ++f)
             for_each_kernel(f, [&](const PatternKernel& pk, const float* w,
                                    const float* in_plane) {
                 for (int64_t y0 = 0; y0 < oh; y0 += tile)
@@ -264,13 +290,7 @@ PatternConv::run(const Tensor& in, Tensor& out, const Epilogue& ep) const
             float* optr = obase + oc * oh * ow;
             std::fill(optr, optr + oh * ow, bias);
         });
-        // Accumulate all work items.
-        device_.pool().parallelChunks(
-            static_cast<int64_t>(plan_.items.size()),
-            [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i)
-                    runGuardedItem(plan_.items[static_cast<size_t>(i)], ibase, obase);
-            });
+        forEachRange([&](int32_t fb, int32_t fe) { runGuardedFilters(fb, fe, ibase, obase); });
         if (ep.relu) {
             device_.pool().parallelFor(d.cout, [&](int64_t oc) {
                 ops_->relu(obase + oc * oh * ow, oh * ow);

@@ -2,9 +2,13 @@
  * @file
  * The PatDNN pattern-based sparse convolution engine (Section 5).
  *
- * Consumes FKW-stored weights plus an LR and executes the branch-free
+ * Consumes FKW-stored weights plus a layer's TuneParams and OptSwitches
+ * (with its ConvDesc, the LR of rt/lr.h) and executes the branch-free
  * code structure of Fig. 7: filters are visited in FKR order and each
- * filter's kernels are walked one pattern segment at a time. A stride-1
+ * filter's kernels are walked one pattern segment at a time. Each pool
+ * worker walks one contiguous range of reordered filters
+ * (preparePatternPlan); a filter runs on one thread in a fixed
+ * per-output order, so the split never changes an output bit. A stride-1
  * layer with LRE runs the paper's generated-code shape: the input is
  * copied once per sample into a zero-padded plane per channel, each
  * output plane is one flat row of OH·(W+2p) positions (the pad columns
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/conv_desc.h"
@@ -30,24 +35,28 @@
 
 namespace patdnn {
 
-/** A schedulable unit: contiguous filters of one FKR group. */
-struct WorkItem
-{
-    int32_t filter_begin = 0;
-    int32_t filter_end = 0;
-};
-
 /** Prepared execution plan (also consumed by the load analyzer). */
 struct PatternPlan
 {
     std::vector<PatternKernel> lowered;  ///< Per pattern id.
-    std::vector<WorkItem> items;
+    /// device.threads + 1 monotone filter indices from 0 to fkw.filters:
+    /// worker w walks reordered filters [cuts[w], cuts[w + 1]).
+    std::vector<int32_t> cuts;
     int entries = 4;
 };
 
-/** FKW + LR -> executable plan. */
-PatternPlan preparePatternPlan(const FkwLayer& fkw, const LayerwiseRep& lr,
-                               const DeviceSpec& device);
+/**
+ * FKW -> executable plan. The thread split is derived, not tuned
+ * (Fig. 14a: FKR exists to balance threads): cut w is the filter
+ * boundary whose kernel prefix sum (fkw.offset) is nearest to w/T of
+ * the layer's kernels, T = device.threads. A GPU-like device cuts only
+ * at FKR group ends, keeping each group in one thread block.
+ */
+PatternPlan preparePatternPlan(const FkwLayer& fkw, const DeviceSpec& device);
+
+/** The busiest worker's kernel count over the mean under plan.cuts
+ * (1 = perfectly balanced; Fig. 14a). */
+double kernelImbalance(const FkwLayer& fkw, const PatternPlan& plan);
 
 /**
  * Call fn(pattern_id, first_kernel, count) for each pattern segment of
@@ -86,34 +95,35 @@ class PatternConv : public ConvEngine
 {
   public:
     /**
-     * Build from packed weights and an LR. The FkwLayer must outlive
-     * the executor (it borrows the weight/index arrays).
+     * Build from packed weights, tuned parameters and switches. The
+     * FkwLayer must outlive the executor (it borrows the weight/index
+     * arrays).
      */
-    PatternConv(ConvDesc desc, const FkwLayer* fkw, LayerwiseRep lr,
-                DeviceSpec device);
+    PatternConv(ConvDesc desc, const FkwLayer* fkw, const TuneParams& tuning,
+                const OptSwitches& opts, DeviceSpec device);
 
     void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
     const char* name() const override { return "pattern"; }
 
     const PatternPlan& plan() const { return plan_; }
-    const LayerwiseRep& lr() const { return lr_; }
-
-    /** Kernel table this executor dispatches to (device ISA, resolved). */
-    const SimdOps& simdOps() const { return *ops_; }
 
     /** True when run() takes the padded flat-row path (stride 1 + LRE). */
     bool padded() const { return !taps_.empty(); }
 
   private:
+    /** body(f_begin, f_end) once per worker over its filter range. */
+    void forEachRange(const std::function<void(int32_t, int32_t)>& body) const;
     void runPadded(const Tensor& in, Tensor& out, const Epilogue& ep) const;
-    void runPaddedItem(const WorkItem& item, const float* padded, float* out,
-                       const Epilogue& ep, float* acc,
-                       std::vector<PatternSegment>& segs) const;
-    void runGuardedItem(const WorkItem& item, const float* in, float* out) const;
+    void runPaddedFilters(int32_t f_begin, int32_t f_end, const float* padded,
+                          float* out, const Epilogue& ep, float* acc,
+                          std::vector<PatternSegment>& segs) const;
+    void runGuardedFilters(int32_t f_begin, int32_t f_end, const float* in,
+                           float* out) const;
 
     ConvDesc desc_;
     const FkwLayer* fkw_;
-    LayerwiseRep lr_;
+    TuneParams tuning_;
+    OptSwitches opts_;
     DeviceSpec device_;
     PatternPlan plan_;
     const SimdOps* ops_;  ///< Resolved once from device_.simd_isa.

@@ -5,8 +5,8 @@
  * The paper runs on Snapdragon 855/845 and Kirin 980 CPUs and their
  * GPUs. This repo substitutes host-CPU execution behind a DeviceSpec
  * that carries the scheduling-relevant properties of each target:
- * worker count, a GPU-like flag (filter groups scheduled as indivisible
- * "thread blocks", making load balance matter more — the Fig. 13
+ * worker count, a GPU-like flag (FKR filter groups kept whole as
+ * "thread blocks", so the thread split is coarser — the Fig. 13
  * observation), and a cache tile budget. See docs/ARCHITECTURE.md,
  * "Substitutions".
  */

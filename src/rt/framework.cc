@@ -321,16 +321,8 @@ std::unique_ptr<ConvEngine>
 CompiledModel::selectConvEngine(const Executor& ex) const
 {
     const ConvDesc& c = ex.conv;
-    if (ex.fkw) {
-        LayerwiseRep lr;
-        lr.device = device_.gpu_like ? "GPU" : "CPU";
-        lr.conv = c;
-        lr.opts = ex.opts;
-        lr.tuning = ex.tuning;
-        for (size_t p = 0; p < ex.fkw->patterns.size(); ++p)
-            lr.pattern_types.push_back(static_cast<int>(p));
-        return std::make_unique<PatternConv>(c, &*ex.fkw, lr, device_);
-    }
+    if (ex.fkw)
+        return std::make_unique<PatternConv>(c, &*ex.fkw, ex.tuning, ex.opts, device_);
     if (kind_ == FrameworkKind::kCsrSparse && c.groups == 1)
         return std::make_unique<CsrConv>(c, buildCsr(ex.weight), device_);
     if (ex.quantized && denseQuantEligible(kind_, c))

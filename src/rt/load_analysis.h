@@ -25,7 +25,8 @@ struct LoadCounts
 };
 
 /**
- * Count register loads for executing `fkw` under `lr` on `device`.
+ * Count register loads for executing `fkw` under `tuning` and `opts` on
+ * `device`.
  *
  * Without LRE every entry performs its own pass: each output element is
  * re-loaded per entry and every input value is loaded per use. A
@@ -38,6 +39,7 @@ struct LoadCounts
  * (kernel, entry, register block of 4 vectors of the device's ISA).
  */
 LoadCounts analyzeLoads(const ConvDesc& desc, const FkwLayer& fkw,
-                        const LayerwiseRep& lr, const DeviceSpec& device);
+                        const TuneParams& tuning, const OptSwitches& opts,
+                        const DeviceSpec& device);
 
 }  // namespace patdnn

@@ -1,21 +1,22 @@
 /**
  * @file
- * Layerwise Representation (LR), paper Section 5.1 / Fig. 8.
+ * The tuning half of the Layerwise Representation (LR), paper Section
+ * 5.1 / Fig. 8.
  *
  * The LR is the high-level, sparsity-aware description of one layer
- * that the execution-code-generation stage consumes: which pattern
- * types are present, how the weights are stored (FKW), and the
- * tuning-decided parameters (row tile, task size, the loop
- * permutation). The pattern engine is configured entirely from an LR,
- * and the auto-tuner's job is to fill in its `tuning` block.
+ * that the execution-code-generation stage consumes. Here it is a
+ * CompiledLayerState (rt/framework.h): its `conv` (the layer's
+ * geometry), `fkw` (the pattern types present and their FKW storage),
+ * `tuning` (the TuneParams below) and `opts` (the OptSwitches below).
+ * PatternConv is built from exactly those four. The auto-tuner's job is
+ * to fill in `tuning`; the split of filters across threads is not a
+ * tuned value, since PatternConv derives it from the FKW kernel counts
+ * (preparePatternPlan).
  */
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "nn/conv_desc.h"
 
 namespace patdnn {
 
@@ -38,7 +39,6 @@ struct TuneParams
     LoopPermutation permute = LoopPermutation::kCoHWCi;
     bool blocked = true;      ///< Spatial tiling on/off.
     int64_t tile_oh = 16;     ///< Output-row tile (when blocked).
-    int filters_per_task = 8; ///< Scheduling granularity.
 
     // Dense packed-GEMM cache blocking (rt/gemm_packed.h). 0 = derive
     // from the ISA tile footprint and the device tile budget; the
@@ -52,21 +52,6 @@ struct OptSwitches
 {
     bool reorder = true;  ///< FKR applied.
     bool lre = true;      ///< Register-level load redundancy elimination.
-};
-
-/** The LR: everything needed to generate execution code for a layer. */
-struct LayerwiseRep
-{
-    std::string device = "CPU";
-    std::string storage = "tight";  ///< FKW compact storage.
-    ConvDesc conv;
-    std::vector<int> pattern_types;  ///< Pattern ids present.
-    std::string layout = "FKW";
-    TuneParams tuning;
-    OptSwitches opts;
-
-    /** Render in the Fig. 8 YAML-like style. */
-    std::string str() const;
 };
 
 }  // namespace patdnn

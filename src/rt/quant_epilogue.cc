@@ -20,19 +20,6 @@ requantRowToF32(const int32_t* acc, int64_t n, float scale, float bias,
 }
 
 void
-requantRowToI8(const int32_t* acc, int64_t n, float scale, float bias,
-               bool relu, float out_scale, int8_t* out)
-{
-    float inv = out_scale > 0.0f ? 1.0f / out_scale : 0.0f;
-    for (int64_t i = 0; i < n; ++i) {
-        float v = static_cast<float>(acc[i]) * scale + bias;
-        if (relu && v < 0.0f)
-            v = 0.0f;
-        out[i] = quantizeValue(v, inv);
-    }
-}
-
-void
 quantizeRowToI8(const float* x, int64_t n, float scale, int8_t* out)
 {
     // The portable entry: the scalar table's quantize_row_i8 is the

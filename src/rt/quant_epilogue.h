@@ -7,10 +7,8 @@
  *
  *   f32 out = i32 acc * (weight_scale[ch] * act_scale) + bias [, ReLU]
  *
- * An i8 output variant (saturating, for a future quantized interchange
- * format) is provided alongside. The requant loops are plain scalar
- * code — they touch each element once and are bandwidth-bound next to
- * the GEMM. The activation-side quantizeRowToI8 is different: it covers
+ * The requant loop is plain scalar code — it touches each element once
+ * and is bandwidth-bound next to the GEMM. The activation-side quantizeRowToI8 is different: it covers
  * the whole im2col patch matrix per call, so the run path uses the
  * per-ISA SimdOps::quantize_row_i8 kernel and the function here is the
  * portable wrapper over the scalar reference table (rounding pinned by
@@ -27,11 +25,6 @@ namespace patdnn {
 /** out[i] = acc[i] * scale + bias, optionally clamped at 0 (ReLU). */
 void requantRowToF32(const int32_t* acc, int64_t n, float scale, float bias,
                      bool relu, float* out);
-
-/** Saturating i8 requant: the f32 result of requantRowToF32 quantized
- * at 1/out_scale (round-to-nearest, clamp to [-127, 127]). */
-void requantRowToI8(const int32_t* acc, int64_t n, float scale, float bias,
-                    bool relu, float out_scale, int8_t* out);
 
 /** Quantize one f32 row at 1/scale (the activation-side entry into the
  * i8 GEMM): round-to-nearest, saturating clamp to [-127, 127]. */

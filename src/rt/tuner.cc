@@ -11,7 +11,7 @@ namespace {
 /** Chromosome: indices into each axis of the TuneSpace. */
 struct Genes
 {
-    int tile_oh = 0, filters_per_task = 0, permutation = 0, blocked = 0;
+    int tile_oh = 0, permutation = 0, blocked = 0;
     int gemm_kc = 0, gemm_nc = 0;
 };
 
@@ -20,7 +20,6 @@ decode(const Genes& g, const TuneSpace& s)
 {
     TuneParams p;
     p.tile_oh = s.tile_oh[static_cast<size_t>(g.tile_oh)];
-    p.filters_per_task = s.filters_per_task[static_cast<size_t>(g.filters_per_task)];
     p.permute = s.permutations[static_cast<size_t>(g.permutation)];
     p.blocked = s.blocked[static_cast<size_t>(g.blocked)];
     p.gemm_kc = s.gemm_kc[static_cast<size_t>(g.gemm_kc)];
@@ -36,7 +35,6 @@ randomGenes(const TuneSpace& s, Rng& rng)
     };
     Genes g;
     g.tile_oh = pick(s.tile_oh.size());
-    g.filters_per_task = pick(s.filters_per_task.size());
     g.permutation = pick(s.permutations.size());
     g.blocked = pick(s.blocked.size());
     g.gemm_kc = pick(s.gemm_kc.size());
@@ -49,7 +47,6 @@ crossover(const Genes& a, const Genes& b, Rng& rng)
 {
     Genes c;
     c.tile_oh = rng.bernoulli(0.5) ? a.tile_oh : b.tile_oh;
-    c.filters_per_task = rng.bernoulli(0.5) ? a.filters_per_task : b.filters_per_task;
     c.permutation = rng.bernoulli(0.5) ? a.permutation : b.permutation;
     c.blocked = rng.bernoulli(0.5) ? a.blocked : b.blocked;
     c.gemm_kc = rng.bernoulli(0.5) ? a.gemm_kc : b.gemm_kc;
@@ -65,7 +62,6 @@ mutate(Genes& g, const TuneSpace& s, double rate, Rng& rng)
             gene = static_cast<int>(rng.uniformInt(0, static_cast<int64_t>(n) - 1));
     };
     maybe(g.tile_oh, s.tile_oh.size());
-    maybe(g.filters_per_task, s.filters_per_task.size());
     maybe(g.permutation, s.permutations.size());
     maybe(g.blocked, s.blocked.size());
     maybe(g.gemm_kc, s.gemm_kc.size());
@@ -176,7 +172,6 @@ PerfEstimator::features(const TuneParams& p)
     return {
         1.0,
         std::log2(static_cast<double>(std::max<int64_t>(1, p.tile_oh))),
-        std::log2(static_cast<double>(std::max(1, p.filters_per_task))),
         p.permute == LoopPermutation::kCoHWCi ? 1.0 : 0.0,
         p.blocked ? 1.0 : 0.0,
         // 0 = "heuristic blocking" decodes to log2(1) = 0, a neutral
@@ -252,24 +247,22 @@ PerfEstimator::argminOver(const TuneSpace& space) const
     TuneParams best;
     double best_y = 1e30;
     for (int64_t toh : space.tile_oh)
-        for (int fpt : space.filters_per_task)
-            for (auto perm : space.permutations)
-                for (bool blk : space.blocked)
-                    for (int64_t gkc : space.gemm_kc)
-                        for (int64_t gnc : space.gemm_nc) {
-                            TuneParams p;
-                            p.tile_oh = toh;
-                            p.filters_per_task = fpt;
-                            p.permute = perm;
-                            p.blocked = blk;
-                            p.gemm_kc = gkc;
-                            p.gemm_nc = gnc;
-                            double y = predict(p);
-                            if (y < best_y) {
-                                best_y = y;
-                                best = p;
-                            }
+        for (auto perm : space.permutations)
+            for (bool blk : space.blocked)
+                for (int64_t gkc : space.gemm_kc)
+                    for (int64_t gnc : space.gemm_nc) {
+                        TuneParams p;
+                        p.tile_oh = toh;
+                        p.permute = perm;
+                        p.blocked = blk;
+                        p.gemm_kc = gkc;
+                        p.gemm_nc = gnc;
+                        double y = predict(p);
+                        if (y < best_y) {
+                            best_y = y;
+                            best = p;
                         }
+                    }
     return best;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parameter auto-tuning (paper Section 5.5): a Genetic-Algorithm
- * explorer over the configuration space (row tiles / task sizes / loop
- * permutations / dense GEMM blocking) plus a learned performance
+ * explorer over the configuration space (row tiles / spatial blocking /
+ * loop permutations / dense GEMM blocking) plus a learned performance
  * estimator (linear least-squares over configuration features, the
  * paper's "performance estimation model created from historical data")
  * that warm-starts tuning on a new platform.
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/conv_desc.h"
 #include "rt/device.h"
 #include "rt/lr.h"
 #include "rt/simd/dispatch.h"
@@ -27,7 +28,6 @@ namespace patdnn {
 struct TuneSpace
 {
     std::vector<int64_t> tile_oh = {4, 8, 16, 32};
-    std::vector<int> filters_per_task = {2, 4, 8, 16};
     std::vector<LoopPermutation> permutations = {LoopPermutation::kCoCiHW,
                                                  LoopPermutation::kCoHWCi};
     std::vector<bool> blocked = {false, true};

@@ -114,7 +114,6 @@ putTuning(std::vector<uint8_t>& out, const TuneParams& p)
     putU32(out, p.permute == LoopPermutation::kCoCiHW ? 0u : 1u);
     putU32(out, p.blocked ? 1u : 0u);
     putI64(out, p.tile_oh);
-    putU32(out, static_cast<uint32_t>(p.filters_per_task));
     putI64(out, p.gemm_kc);
     putI64(out, p.gemm_nc);
 }
@@ -160,7 +159,6 @@ struct Reader : bytes::Reader
         p.permute = u32() == 0 ? LoopPermutation::kCoCiHW : LoopPermutation::kCoHWCi;
         p.blocked = u32() != 0;
         p.tile_oh = i64();
-        p.filters_per_task = static_cast<int>(u32());
         p.gemm_kc = i64();
         p.gemm_nc = i64();
         return ok;

@@ -99,7 +99,7 @@ inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 11;
+constexpr uint32_t kModelArtifactVersion = 12;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

@@ -61,7 +61,6 @@ class InferenceSession
     /** Per-layer profiling on/off (on by default; the per-node clock
      * reads cost well under a percent of a model run). */
     void setProfilingEnabled(bool on) { profiling_ = on; }
-    bool profilingEnabled() const { return profiling_; }
 
     /** Bytes of this session's activation arena: the model's
      * memoryPlan().arenaBytes() at the largest batch run so far (0

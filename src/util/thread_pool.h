@@ -3,12 +3,12 @@
  * A fixed-size worker thread pool with a parallel-for primitive.
  *
  * This is the substrate standing in for the paper's mobile execution
- * backends: the CPU path maps filter groups onto pool workers (the
- * paper's "8 threads on CPU"), and the GPU-like device preset maps each
- * filter group to a "thread block" by scheduling groups as indivisible
- * chunks. Static chunked scheduling is used deliberately so that load
- * imbalance between filters of different lengths is visible end-to-end,
- * which is the effect Filter Kernel Reorder exists to fix (Fig. 14a).
+ * backends (the paper's "8 threads on CPU"). Scheduling is static: each
+ * worker gets one contiguous chunk of equal index count, whatever the
+ * iterations cost. Callers whose iterations differ in cost balance them
+ * before the call; the pattern engine passes one index per worker and
+ * maps it to a filter range cut at equal kernel counts
+ * (rt/conv_pattern.h, preparePatternPlan).
  */
 #pragma once
 

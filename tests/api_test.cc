@@ -20,9 +20,8 @@ innerLayerOptions()
 bool
 sameTuning(const TuneParams& a, const TuneParams& b)
 {
-    return a.permute == b.permute && a.blocked == b.blocked &&
-           a.tile_oh == b.tile_oh && a.filters_per_task == b.filters_per_task && a.gemm_kc == b.gemm_kc &&
-           a.gemm_nc == b.gemm_nc;
+    return a.permute == b.permute && a.blocked == b.blocked && a.tile_oh == b.tile_oh &&
+           a.gemm_kc == b.gemm_kc && a.gemm_nc == b.gemm_nc;
 }
 
 TEST(Api, CompressThenCompileThenExecute)
@@ -79,7 +78,6 @@ TEST(Api, TuneLayerThenCompile)
     // The tuned parameters must be a legal configuration, and the
     // compiled pattern layer must carry them.
     EXPECT_GT(tuned.value().tile_oh, 0);
-    EXPECT_GT(tuned.value().filters_per_task, 0);
     auto model = compiler.compile(singleConvModel(d, 3));
     ASSERT_TRUE(model.ok()) << model.status().toString();
     std::vector<CompiledLayerState> state = model.value()->exportState();

@@ -266,17 +266,13 @@ TEST_P(PatternEngineSweep, MatchesReferenceOnPrunedWeights)
     Status valid = validateFkw(fkw);
     ASSERT_TRUE(valid.ok()) << valid.toString();
 
-    LayerwiseRep lr;
-    lr.conv = d;
-    lr.opts.reorder = pc.reorder;
-    lr.opts.lre = pc.lre;
-    lr.tuning.blocked = pc.blocked;
-    lr.tuning.permute = pc.perm;
-    lr.tuning.tile_oh = 4;
-    lr.tuning.filters_per_task = 5;
-
-    DeviceSpec dev = pc.gpu ? makeGpuDevice() : makeCpuDevice(4);
-    PatternConv engine(d, &fkw, lr, dev);
+    OptSwitches sw;
+    sw.reorder = pc.reorder;
+    sw.lre = pc.lre;
+    TuneParams tune;
+    tune.blocked = pc.blocked;
+    tune.permute = pc.perm;
+    tune.tile_oh = 4;
 
     Tensor in(Shape{1, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
@@ -286,9 +282,20 @@ TEST_P(PatternEngineSweep, MatchesReferenceOnPrunedWeights)
 
     Tensor expect = makeConvOutput(d, 1);
     convReference(d, w, in, expect, ep);
-    Tensor got = makeConvOutput(d, 1);
-    engine.run(in, got, ep);
-    EXPECT_LT(Tensor::maxAbsDiff(expect, got), 1e-3);
+    // Pool widths from one range to more ranges than FKR groups; the
+    // GPU-like case cuts at group ends only.
+    std::vector<DeviceSpec> devices;
+    if (pc.gpu)
+        devices.push_back(makeGpuDevice());
+    else
+        for (int t : {1, 3, 4, 8})
+            devices.push_back(makeFixedWidthCpuDevice(t));
+    for (const DeviceSpec& dev : devices) {
+        PatternConv engine(d, &fkw, tune, sw, dev);
+        Tensor got = makeConvOutput(d, 1);
+        engine.run(in, got, ep);
+        EXPECT_LT(Tensor::maxAbsDiff(expect, got), 1e-3) << dev.threads << " threads";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,10 +321,7 @@ TEST(PatternEngineBatch, BatchedInputMatchesReference)
     PatternAssignment asg = projectJoint(w, set, 40);
     FkrResult fkr = filterKernelReorder(asg);
     FkwLayer fkw = buildFkw(w, set, asg, fkr);
-    LayerwiseRep lr;
-    lr.conv = d;
-    DeviceSpec dev = makeCpuDevice(2);
-    PatternConv engine(d, &fkw, lr, dev);
+    PatternConv engine(d, &fkw, TuneParams{}, OptSwitches{}, makeCpuDevice(2));
 
     Tensor in(Shape{3, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
@@ -338,9 +342,7 @@ TEST(PatternEngineStride, Stride2Geometry)
     PatternAssignment asg = projectJoint(w, set, 16);
     FkrResult fkr = filterKernelReorder(asg);
     FkwLayer fkw = buildFkw(w, set, asg, fkr);
-    LayerwiseRep lr;
-    lr.conv = d;
-    PatternConv engine(d, &fkw, lr, makeCpuDevice(2));
+    PatternConv engine(d, &fkw, TuneParams{}, OptSwitches{}, makeCpuDevice(2));
     Tensor in(Shape{1, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
     Tensor expect = makeConvOutput(d, 1);

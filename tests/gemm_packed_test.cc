@@ -439,7 +439,7 @@ TEST(DenseTuning, ParallelGaMatchesSerialSearch)
     // bit-for-bit on every explored configuration.
     std::function<double(const TuneParams&)> measure =
         [](const TuneParams& p) -> double {
-        return static_cast<double>(p.tile_oh) + 0.1 * p.filters_per_task +
+        return static_cast<double>(p.tile_oh) + (p.blocked ? 0.1 : 0.2) +
                0.01 * static_cast<double>(p.gemm_kc % 97) +
                0.001 * static_cast<double>(p.gemm_nc % 89);
     };

@@ -28,14 +28,13 @@ struct Built
 TEST(LoadAnalysis, LreReducesTotalLoads)
 {
     Built b;
-    LayerwiseRep with;
-    with.conv = b.desc;
-    with.opts.lre = true;
-    LayerwiseRep without = with;
-    without.opts.lre = false;
+    OptSwitches with;
+    with.lre = true;
+    OptSwitches without = with;
+    without.lre = false;
     DeviceSpec dev = makeCpuDevice(4);
-    LoadCounts on = analyzeLoads(b.desc, b.fkw, with, dev);
-    LoadCounts off = analyzeLoads(b.desc, b.fkw, without, dev);
+    LoadCounts on = analyzeLoads(b.desc, b.fkw, TuneParams{}, with, dev);
+    LoadCounts off = analyzeLoads(b.desc, b.fkw, TuneParams{}, without, dev);
     // Without LRE every entry re-loads the output; the padded kernel
     // loads each accumulator once per filter and row tile (~4.4
     // kernels per filter here). Its pad columns (16 positions per
@@ -55,29 +54,28 @@ TEST(LoadAnalysis, PaddedKernelCountsMatchClosedForm)
         DeviceSpec dev = makeCpuDevice(4);
         dev.simd_isa = isa;
         int64_t block = 4 * resolveSimdOps(isa).width;
-        LayerwiseRep lr;
-        lr.conv = b.desc;
-        lr.tuning.blocked = false;
-        lr.tuning.permute = LoopPermutation::kCoHWCi;
+        TuneParams t;
+        t.blocked = false;
+        t.permute = LoopPermutation::kCoHWCi;
         // One flat row of (OH-1)*(W+2p) + OW positions per filter.
         int64_t n = (oh - 1) * wp + ow;
-        LoadCounts c = analyzeLoads(b.desc, b.fkw, lr, dev);
+        LoadCounts c = analyzeLoads(b.desc, b.fkw, t, OptSwitches{}, dev);
         EXPECT_EQ(c.output_loads, b.desc.cout * n) << isaName(isa);
         EXPECT_EQ(c.input_loads, kernels * 4 * n) << isaName(isa);
         EXPECT_EQ(c.weight_loads, kernels * 4 * ((n + block - 1) / block))
             << isaName(isa);
         // Pixel block inside the kernel loop: accumulators reload per
         // kernel.
-        lr.tuning.permute = LoopPermutation::kCoCiHW;
-        c = analyzeLoads(b.desc, b.fkw, lr, dev);
+        t.permute = LoopPermutation::kCoCiHW;
+        c = analyzeLoads(b.desc, b.fkw, t, OptSwitches{}, dev);
         EXPECT_EQ(c.output_loads, kernels * n) << isaName(isa);
         // Row tiles of 4 (14 rows: 4+4+4+2) each drop their last row's
         // pad columns and round up to whole blocks on their own.
-        lr.tuning.permute = LoopPermutation::kCoHWCi;
-        lr.tuning.blocked = true;
-        lr.tuning.tile_oh = 4;
+        t.permute = LoopPermutation::kCoHWCi;
+        t.blocked = true;
+        t.tile_oh = 4;
         int64_t t4 = 3 * wp + ow, t2 = wp + ow;
-        c = analyzeLoads(b.desc, b.fkw, lr, dev);
+        c = analyzeLoads(b.desc, b.fkw, t, OptSwitches{}, dev);
         EXPECT_EQ(c.output_loads, b.desc.cout * (3 * t4 + t2)) << isaName(isa);
         EXPECT_EQ(c.weight_loads,
                   kernels * 4 * (3 * ((t4 + block - 1) / block) + (t2 + block - 1) / block))
@@ -90,9 +88,7 @@ TEST(LoadAnalysis, StridedLreCountsOnePassPerKernel)
     Built b;
     ConvDesc d = b.desc;
     d.stride = 2;
-    LayerwiseRep lr;
-    lr.conv = d;
-    LoadCounts c = analyzeLoads(d, b.fkw, lr, makeCpuDevice(4));
+    LoadCounts c = analyzeLoads(d, b.fkw, TuneParams{}, OptSwitches{}, makeCpuDevice(4));
     int64_t pixels = d.outH() * d.outW();
     EXPECT_EQ(c.output_loads, b.fkw.kernelCount() * pixels);
     EXPECT_EQ(c.input_loads, b.fkw.kernelCount() * 4 * pixels);
@@ -102,10 +98,9 @@ TEST(LoadAnalysis, StridedLreCountsOnePassPerKernel)
 TEST(LoadAnalysis, NoLreCountsMatchClosedForm)
 {
     Built b;
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    lr.opts.lre = false;
-    LoadCounts c = analyzeLoads(b.desc, b.fkw, lr, makeCpuDevice(4));
+    OptSwitches no_lre;
+    no_lre.lre = false;
+    LoadCounts c = analyzeLoads(b.desc, b.fkw, TuneParams{}, no_lre, makeCpuDevice(4));
     int64_t pixels = b.desc.outH() * b.desc.outW();
     int64_t kernels = b.fkw.kernelCount();
     // Without LRE each kernel performs entries passes: one output load

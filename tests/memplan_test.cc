@@ -123,10 +123,11 @@ checkPlanInvariants(const MemoryPlan& plan, const std::vector<PlanNode>& nodes,
             const PlanSlot& b = plan.slot(j);
             if (!b.planned)
                 continue;
-            if (livesOverlap(a, b))
+            if (livesOverlap(a, b)) {
                 EXPECT_FALSE(addressesOverlap(a, b))
                     << "slots " << i << " and " << j << " are live together "
                     << "but share arena addresses";
+            }
         }
     }
 }

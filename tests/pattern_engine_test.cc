@@ -1,12 +1,14 @@
-/** @file Pattern engine internals: plans, segments, paths vs reference, LR rendering. */
+/** @file Pattern engine internals: plans, thread cuts, segments, paths vs reference. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "nn/zoo.h"
 #include "prune/projections.h"
 #include "rt/conv_pattern.h"
 #include "rt/conv_ref.h"
+#include "rt/framework.h"
 #include "sparse/fkw.h"
 
 namespace patdnn {
@@ -34,16 +36,14 @@ struct Built
     }
 };
 
-TEST(PatternPlan, ItemsAndSegmentsCoverEveryKernelExactlyOnce)
+TEST(PatternPlan, RangesAndSegmentsCoverEveryKernelExactlyOnce)
 {
     Built b(1);
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    PatternPlan plan = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
+    PatternPlan plan = preparePatternPlan(b.fkw, makeFixedWidthCpuDevice(4));
     std::vector<int> seen(static_cast<size_t>(b.fkw.kernelCount()), 0);
     int64_t filters = 0;
-    for (const auto& item : plan.items) {
-        for (int32_t f = item.filter_begin; f < item.filter_end; ++f, ++filters) {
+    for (size_t w = 0; w + 1 < plan.cuts.size(); ++w) {
+        for (int32_t f = plan.cuts[w]; f < plan.cuts[w + 1]; ++f, ++filters) {
             forEachSegment(b.fkw, f, [&](int pid, int32_t k0, int32_t count) {
                 EXPECT_GT(count, 0);
                 for (int32_t k = k0; k < k0 + count; ++k) {
@@ -62,25 +62,54 @@ TEST(PatternPlan, ItemsAndSegmentsCoverEveryKernelExactlyOnce)
         EXPECT_EQ(v, 1);
 }
 
-TEST(PatternPlan, GpuDeviceMapsGroupsToSingleItems)
+TEST(PatternPlan, CutsAreMonotoneOneRangePerWorker)
 {
     Built b(3);
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    PatternPlan plan = preparePatternPlan(b.fkw, lr, makeGpuDevice());
-    EXPECT_EQ(plan.items.size(), b.fkw.groups.size());
+    std::vector<DeviceSpec> devices = {makeGpuDevice()};
+    for (int t : {1, 2, 3, 4, 8, 16, 64})
+        devices.push_back(makeFixedWidthCpuDevice(t));
+    for (const DeviceSpec& dev : devices) {
+        PatternPlan plan = preparePatternPlan(b.fkw, dev);
+        ASSERT_EQ(plan.cuts.size(), static_cast<size_t>(dev.threads) + 1) << dev.name;
+        EXPECT_EQ(plan.cuts.front(), 0);
+        EXPECT_EQ(plan.cuts.back(), b.desc.cout);
+        for (size_t w = 1; w < plan.cuts.size(); ++w)
+            EXPECT_LE(plan.cuts[w - 1], plan.cuts[w]) << dev.threads << " threads";
+    }
 }
 
-TEST(PatternPlan, CpuSplitsLargeGroups)
+TEST(PatternPlan, GpuCutsLandOnGroupEnds)
 {
     Built b(4);
-    LayerwiseRep lr;
-    lr.conv = b.desc;
-    lr.tuning.filters_per_task = 2;
-    PatternPlan plan = preparePatternPlan(b.fkw, lr, makeCpuDevice(4));
-    EXPECT_GE(plan.items.size(), b.fkw.groups.size());
-    for (const auto& item : plan.items)
-        EXPECT_LE(item.filter_end - item.filter_begin, 2);
+    ASSERT_GT(b.fkw.groups.size(), 1u);
+    DeviceSpec gpu = makeGpuDevice();
+    for (int t : {2, 3, 4, 8, 64}) {
+        gpu.threads = t;
+        PatternPlan plan = preparePatternPlan(b.fkw, gpu);
+        for (int32_t cut : plan.cuts) {
+            bool on_end = cut == 0;
+            for (const FilterGroup& g : b.fkw.groups)
+                on_end |= cut == g.end;
+            EXPECT_TRUE(on_end) << "cut " << cut << " at " << t << " threads";
+        }
+    }
+}
+
+TEST(PatternPlan, VggCifarCutsBalanceKernelsAtFourThreads)
+{
+    // The busiest of 4 workers holds at most 5% more kernels than the
+    // mean on every VGG-16 CIFAR pattern layer.
+    const DeviceSpec dev = makeFixedWidthCpuDevice(4);
+    CompiledModel compiled(buildVGG16(Dataset::kCifar10), FrameworkKind::kPatDnn, dev);
+    int layers = 0;
+    for (const CompiledLayerState& st : compiled.exportState()) {
+        if (!st.fkw)
+            continue;
+        ++layers;
+        double imbalance = kernelImbalance(*st.fkw, preparePatternPlan(*st.fkw, dev));
+        EXPECT_LE(imbalance, 1.05) << st.conv.name;
+    }
+    EXPECT_EQ(layers, 13);
 }
 
 TEST(PatternPlan, LooseFormatSegmentsAreRunsOfOnePattern)
@@ -144,11 +173,13 @@ TEST(MicroKernels, LreAndNoLreProduceIdenticalResults)
     EXPECT_LT(Tensor::maxAbsDiff(out_a, out_b), 1e-5);
 }
 
-/** Pattern layer `d` run by PatternConv vs convReference on the
- * pruned weights; returns max |diff| / max |reference|. */
+/** Pattern layer `d` run by PatternConv on `dev` vs convReference on
+ * the pruned weights; returns max |diff| / max |reference|, and the
+ * engine's thread cuts in *cuts when given. */
 double
 relativeErrorVsReference(const ConvDesc& d, int64_t batch, uint64_t seed,
-                         bool* padded)
+                         bool* padded, const DeviceSpec& dev = makeCpuDevice(2),
+                         std::vector<int32_t>* cuts = nullptr)
 {
     Rng rng(seed);
     Tensor w(Shape{d.cout, d.cin, 3, 3});
@@ -162,10 +193,10 @@ relativeErrorVsReference(const ConvDesc& d, int64_t batch, uint64_t seed,
     in.fillUniform(rng, -1.0f, 1.0f);
     Epilogue ep;
     ep.bias = &bias;
-    LayerwiseRep lr;
-    lr.conv = d;
-    PatternConv engine(d, &fkw, lr, makeCpuDevice(2));
+    PatternConv engine(d, &fkw, TuneParams{}, OptSwitches{}, dev);
     *padded = engine.padded();
+    if (cuts != nullptr)
+        *cuts = engine.plan().cuts;
     Tensor want = makeConvOutput(d, batch);
     convReference(d, w, in, want, ep);
     Tensor got = makeConvOutput(d, batch);
@@ -207,17 +238,24 @@ TEST(PatternConv, StrideTwoLayerKeepsGuardedPathAndMatchesReference)
     }
 }
 
-TEST(LayerwiseRepStr, RendersFig8Fields)
+TEST(PatternConv, MoreWorkersThanFiltersLeavesEmptyRanges)
 {
-    LayerwiseRep lr;
-    lr.conv = ConvDesc{"conv_op1", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
-    lr.pattern_types = {1, 2};
-    std::string s = lr.str();
-    EXPECT_NE(s.find("conv_op1"), std::string::npos);
-    EXPECT_NE(s.find("\"type\": [1, 2]"), std::string::npos);
-    EXPECT_NE(s.find("FKW"), std::string::npos);
-    EXPECT_NE(s.find("cohwci_b"), std::string::npos);
-    EXPECT_NE(s.find("strides"), std::string::npos);
+    // 3 filters over 8 workers: at least 5 ranges are empty, on the
+    // padded and the guarded path alike.
+    for (int64_t stride : {1, 2}) {
+        ConvDesc d{"few", 8, 3, 3, 3, 9, 9, stride, 1, 1, 1};
+        bool padded = false;
+        std::vector<int32_t> cuts;
+        EXPECT_LE(relativeErrorVsReference(d, 2, 19, &padded, makeFixedWidthCpuDevice(8),
+                                           &cuts),
+                  1e-6);
+        EXPECT_EQ(padded, stride == 1);
+        ASSERT_EQ(cuts.size(), 9u);
+        int empty = 0;
+        for (size_t i = 0; i + 1 < cuts.size(); ++i)
+            empty += cuts[i] == cuts[i + 1] ? 1 : 0;
+        EXPECT_GE(empty, 5);
+    }
 }
 
 }  // namespace

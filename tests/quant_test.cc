@@ -100,11 +100,13 @@ checkRoundTrip(Rng& rng, int64_t cout, int64_t celems, float amplitude)
             EXPECT_LE(std::fabs(bd[at] - wd[at]), scale * 0.5f * (1.0f + 1e-5f))
                 << "channel " << c << " elem " << i;
             // Exact zero must survive exactly (sparsity preservation).
-            if (wd[at] == 0.0f)
+            if (wd[at] == 0.0f) {
                 EXPECT_EQ(bd[at], 0.0f);
+            }
             // The channel absmax maps to ±127 (full range used).
-            if (std::fabs(wd[at]) == absmax && absmax > 0.0f)
+            if (std::fabs(wd[at]) == absmax && absmax > 0.0f) {
                 EXPECT_EQ(std::abs(static_cast<int>(q.data[at])), 127);
+            }
         }
     }
 }

@@ -13,7 +13,9 @@
  *  - stats are monotonic while serving and reconcile exactly
  *    afterwards: accepted == completed + deadline_exceeded + cancelled
  *    per model, with an empty queue, and every typed refusal is one
- *    the server counted as rejected.
+ *    the server counted as rejected. One model's server starts paused
+ *    and serves only once its queue has refused a request, so that
+ *    reconciliation is checked at a nonzero count.
  *
  * Runs under the CI ASan/UBSan and TSan jobs, which is where the
  * locking and promise-handoff bugs this hunts would surface.
@@ -93,14 +95,20 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
     ShardRouter router(ropts);
 
     // One caller-made replica per model: the test keeps each server to
-    // cancel by the RequestId the router hands back.
+    // cancel by the RequestId the router hands back. Model 0's server
+    // starts paused, so its queue fills; the first producer it refuses
+    // starts it.
+    constexpr int kPaused = 0;
+    std::atomic<bool> paused_started{false};
     std::vector<std::shared_ptr<const CompiledModel>> models;
     std::vector<std::shared_ptr<InferenceServer>> servers;
     for (int i = 0; i < kModels; ++i) {
         models.push_back(std::make_shared<const CompiledModel>(
             stressModel(widths[i], 1000 + static_cast<uint64_t>(i)),
             FrameworkKind::kPatDnn, dev));
-        servers.push_back(std::make_shared<InferenceServer>(models.back(), sopts));
+        ServerOptions o = sopts;
+        o.start_paused = i == kPaused;
+        servers.push_back(std::make_shared<InferenceServer>(models.back(), o));
         router.addReplica(names[i], std::make_shared<LocalReplica>(servers.back()));
     }
 
@@ -192,12 +200,18 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
                     EXPECT_EQ(id.code(), ErrorCode::kResourceExhausted)
                         << id.status().toString();
                     p.refused = true;
+                    if (p.model == kPaused && !paused_started.exchange(true))
+                        server->start();
                 }
                 per_thread[static_cast<size_t>(t)].push_back(std::move(p));
             }
         });
     for (auto& t : producers)
         t.join();
+    // Never refused (the assertion below fails): start it so the drain
+    // returns.
+    if (!paused_started.exchange(true))
+        servers[kPaused]->start();
     router.drainAll();
     done.store(true, std::memory_order_relaxed);
     monitor.join();
@@ -257,6 +271,7 @@ TEST(ServeStress, MultiModelProducersWithDeadlinesAndCancellations)
         total += s.accepted + s.rejected;
     }
     EXPECT_EQ(total, int64_t{kProducers} * kRequestsPerProducer);
+    EXPECT_GT(refused[kPaused], 0) << names[kPaused];
     router.shutdownAll();
 }
 

@@ -461,8 +461,9 @@ prunedFkwWithEmptyFilter(const ConvDesc& d, uint64_t seed, Tensor* weight)
 TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
 {
     // Every ISA x the four Fig. 15 loop orders ({pixel block outside,
-    // inside the kernel loop} x {row-tiled, not}) must give the same
-    // bits: they differ only in blocking, never in a position's chain.
+    // inside the kernel loop} x {row-tiled, not}) x pool widths 1-8
+    // must give the same bits: they differ only in blocking and in
+    // which thread runs a filter, never in a position's chain.
     // Planes from 32x32 down to 2x2 plus an odd 7x5, pad 0 and 1,
     // batch 3, one filter without kernels (and, with 8 patterns over
     // few kernels per filter, many empty pattern segments).
@@ -494,28 +495,29 @@ TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
                 for (LoopPermutation perm :
                      {LoopPermutation::kCoHWCi, LoopPermutation::kCoCiHW}) {
                     for (bool blocked : {false, true}) {
-                        LayerwiseRep lr;
-                        lr.conv = d;
-                        lr.tuning.permute = perm;
-                        lr.tuning.blocked = blocked;
-                        lr.tuning.tile_oh = 3;
-                        lr.tuning.filters_per_task = 3;
-                        DeviceSpec dev = makeCpuDevice(2);
-                        dev.simd_isa = isa;
-                        PatternConv engine(d, &fkw, lr, dev);
-                        ASSERT_TRUE(engine.padded());
-                        Tensor got = makeConvOutput(d, 3);
-                        engine.run(in, got, ep);
-                        if (!have_want) {
-                            want = got;
-                            have_want = true;
-                            continue;
+                        for (int threads : {1, 3, 4, 8}) {
+                            TuneParams tune;
+                            tune.permute = perm;
+                            tune.blocked = blocked;
+                            tune.tile_oh = 3;
+                            DeviceSpec dev = makeFixedWidthCpuDevice(threads);
+                            dev.simd_isa = isa;
+                            PatternConv engine(d, &fkw, tune, OptSwitches{}, dev);
+                            ASSERT_TRUE(engine.padded());
+                            Tensor got = makeConvOutput(d, 3);
+                            engine.run(in, got, ep);
+                            if (!have_want) {
+                                want = got;
+                                have_want = true;
+                                continue;
+                            }
+                            EXPECT_BITWISE_EQ(got.data(), want.data(),
+                                              static_cast<size_t>(got.numel()),
+                                              isaName(isa)
+                                                  << " " << permutationName(perm, blocked)
+                                                  << " " << threads << " threads " << d.h
+                                                  << "x" << d.w << " pad=" << pad);
                         }
-                        EXPECT_BITWISE_EQ(got.data(), want.data(),
-                                          static_cast<size_t>(got.numel()),
-                                          isaName(isa) << " " << permutationName(perm, blocked)
-                                                       << " " << d.h << "x" << d.w
-                                                       << " pad=" << pad);
                     }
                 }
             }

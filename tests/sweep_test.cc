@@ -68,10 +68,8 @@ TEST_P(PipelineSweep, PipelineInvariantsHold)
     Tensor expect = makeConvOutput(d, 1);
     convReference(d, pruned, in, expect);
     for (bool gpu : {false, true}) {
-        LayerwiseRep lr;
-        lr.conv = d;
         DeviceSpec dev = gpu ? makeGpuDevice() : makeCpuDevice(4);
-        PatternConv engine(d, &fkw, lr, dev);
+        PatternConv engine(d, &fkw, TuneParams{}, OptSwitches{}, dev);
         Tensor got = makeConvOutput(d, 1);
         engine.run(in, got);
         EXPECT_LT(Tensor::maxAbsDiff(expect, got), 1e-3)

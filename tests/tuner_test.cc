@@ -14,7 +14,6 @@ syntheticCost(const TuneParams& p)
 {
     double cost = 1.0;
     cost += std::fabs(std::log2(static_cast<double>(p.tile_oh)) - 3.0);   // Best 8.
-    cost += 0.5 * std::fabs(std::log2(static_cast<double>(p.filters_per_task)) - 2.0);
     cost += p.permute == LoopPermutation::kCoHWCi ? 0.0 : 1.0;
     cost += p.blocked ? 0.0 : 0.7;
     return cost;
@@ -35,7 +34,9 @@ TEST(Tuner, ReturnsLegalConfiguration)
         return false;
     };
     EXPECT_TRUE(contains(space.tile_oh, r.best.tile_oh));
-    EXPECT_TRUE(contains(space.filters_per_task, r.best.filters_per_task));
+    EXPECT_TRUE(contains(space.permutations, r.best.permute));
+    EXPECT_TRUE(contains(space.gemm_kc, r.best.gemm_kc));
+    EXPECT_TRUE(contains(space.gemm_nc, r.best.gemm_nc));
 }
 
 TEST(Tuner, FindsNearOptimalOnSyntheticSurface)
@@ -103,7 +104,6 @@ TEST(PerfEstimator, LearnsTheSurfaceShape)
     TuneParams good = r.best;
     TuneParams bad;
     bad.tile_oh = 32;
-    bad.filters_per_task = 16;
     bad.permute = LoopPermutation::kCoCiHW;
     bad.blocked = false;
     EXPECT_LT(est.predict(good), est.predict(bad));
