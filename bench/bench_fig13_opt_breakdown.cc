@@ -10,12 +10,14 @@
  *   +Reorder+LRE    — adds register-level load redundancy elimination:
  *                     the padded flat-row kernel with per-filter
  *                     register accumulators;
- *   +Reorder+LRE+Tune — adds the GA-tuned row tile / blocking /
- *                     permutation.
+ *   +Reorder+LRE+Tune — adds the tuned row tile and loop order:
+ *                     Compiler::tuneLayer times every candidate the
+ *                     pattern engine lists and keeps the fastest.
  *
  * Every level splits the filters across threads the same way: the
  * engine cuts them at equal kernel counts (PatternConv::plan()), which
- * nothing tunes.
+ * nothing tunes. The Tuned column names each layer's winning loop
+ * order and row tile.
  */
 #include "bench_common.h"
 
@@ -23,61 +25,55 @@ using namespace patdnn;
 
 namespace {
 
+/** "cohwci/16" or "cocihw/whole". */
+std::string
+tuningName(const TuneParams& t)
+{
+    return permutationName(t.permute) + "/" +
+           (t.tile_oh > 0 ? std::to_string(t.tile_oh) : std::string("whole"));
+}
+
+/** Conv time (ms) of `d` at one optimization level; with `tuning`
+ * set, at that tuning instead of the bland defaults. */
 double
 timeConfig(const ConvDesc& d, const DeviceSpec& dev, bool reorder, bool lre,
-           bool tune)
+           const TuneParams* tuning = nullptr)
 {
     CompileOptions opts;
     opts.opts.reorder = reorder;
     opts.opts.lre = lre;
-    if (!tune) {
-        // Deliberately bland defaults: whole-plane, no spatial
-        // blocking, weight-stationary loop order; LRE alone keeps each
-        // filter's accumulators in registers across its kernels.
-        opts.default_tuning.blocked = false;
+    if (tuning != nullptr) {
+        opts.default_tuning = *tuning;
+    } else {
+        // Deliberately bland defaults: whole-plane, weight-stationary
+        // loop order; LRE alone keeps each filter's accumulators in
+        // registers across its kernels.
+        opts.default_tuning.tile_oh = 0;
         opts.default_tuning.permute = lre ? LoopPermutation::kCoHWCi
                                           : LoopPermutation::kCoCiHW;
     }
-    bench::ConvLayerModel layer(d, FrameworkKind::kPatDnn, dev, opts);
-    if (!tune)
-        return layer.timeMs();
-    // GA auto-tuning (Section 5.5) on top of reorder+LRE. A candidate
-    // is timed by rebuilding the layer from its exported state with the
-    // candidate's tuning: no re-pruning, same weights.
-    auto time_with = [&](const TuneParams& p, int reps) {
-        std::vector<CompiledLayerState> states = layer.model.exportState();
-        for (CompiledLayerState& st : states)
-            st.tuning = p;
-        CompiledModel tuned(FrameworkKind::kPatDnn, dev, std::move(states),
-                            layer.model.outputNode(), layer.model.tunedIsa(),
-                            layer.model.compileOptions());
-        return tuned.convOnlyTimeMs(layer.input, 1, reps);
-    };
-    TunerConfig tc;
-    tc.population = 8;
-    tc.generations = 2;
-    tc.measure_reps = 1;
-    std::function<double(const TuneParams&)> measure =
-        [&](const TuneParams& p) { return time_with(p, 1); };
-    TuneResult r = tuneLayer(measure, TuneSpace{}, tc);
-    return time_with(r.best, bench::reps());
+    return bench::ConvLayerModel(d, FrameworkKind::kPatDnn, dev, opts).timeMs();
 }
 
 void
 runDevice(const char* label, const DeviceSpec& dev)
 {
     std::printf("--- %s ---\n", label);
-    Table t({"Layer", "No-opt (ms)", "+Reorder", "+Reorder+LRE",
-             "+Reorder+LRE+Tune"});
+    Table t({"Layer", "No-opt (ms)", "+Reorder", "+Reorder+LRE", "+Reorder+LRE+Tune",
+             "Tuned"});
     auto layers = vggUniqueLayers(bench::spatialScale());
     for (const auto& d : layers) {
-        double base = timeConfig(d, dev, false, false, false);
-        double reorder = timeConfig(d, dev, true, false, false);
-        double lre = timeConfig(d, dev, true, true, false);
-        double tuned = timeConfig(d, dev, true, true, true);
+        double base = timeConfig(d, dev, false, false);
+        double reorder = timeConfig(d, dev, true, false);
+        double lre = timeConfig(d, dev, true, true);
+        // Section 5.5 on top of reorder+LRE: the one tuner, on the same
+        // one-conv model (seed, inner-layer rate) the level times.
+        Result<TuneParams> tuning = Compiler(dev).tuneLayer(d, FrameworkKind::kPatDnn);
+        PATDNN_CHECK(tuning.ok(), tuning.status().toString());
+        double tuned = timeConfig(d, dev, true, true, &tuning.value());
         auto speedup = [&](double ms) { return Table::num(base / ms, 2) + "x"; };
         t.addRow({d.name, Table::num(base, 2), speedup(reorder), speedup(lre),
-                  speedup(tuned)});
+                  speedup(tuned), tuningName(tuning.value())});
     }
     t.print();
     std::printf("\n");

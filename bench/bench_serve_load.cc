@@ -273,7 +273,7 @@ run()
         TrialResult r = closedLoop(model, RoutePolicy::kConsistentHash, clients,
                                    iters);
         capacity_qps = std::max(capacity_qps, r.qps());
-        closed.addRow({"c" + std::to_string(clients), Table::num(r.qps(), 0),
+        closed.addRow({std::string("c").append(std::to_string(clients)), Table::num(r.qps(), 0),
                        Table::num(r.lat.p50, 3), Table::num(r.lat.p99, 3),
                        Table::num(r.lat.p999, 3)});
     }

@@ -2,14 +2,16 @@
  * @file
  * Quickstart: compile one conv layer with pattern + connectivity
  * pruning for the simulated mobile CPU (pattern set mined from the
- * weights, FKR + FKW + LR, GA auto-tuning) and run it, verifying
- * against the reference convolution. Exits nonzero when the pattern
- * engine disagrees with the reference by more than 1e-3.
+ * weights, FKR + FKW + LR, tuning over the engine's candidates) and
+ * run it, verifying against the reference convolution. Exits nonzero
+ * when the pattern engine disagrees with the reference by more than
+ * 1e-3.
  *
  * Build & run:   cmake -B build -G Ninja && cmake --build build
  *                ./build/examples/quickstart
  */
 #include <cstdio>
+#include <string>
 
 #include "core/patdnn.h"
 
@@ -33,8 +35,9 @@ main()
     copts.first_layer_rate = copts.connectivity_rate;
     Compiler compiler(makeCpuDevice(8), copts);
 
-    // Section 5.5: GA auto-tuning of the pattern engine for this
-    // geometry; compile() then picks the result up from the TuneCache.
+    // Section 5.5: time every row tile and loop order the pattern
+    // engine lists for this geometry and keep the fastest; compile()
+    // then picks the result up from the TuneCache.
     Result<TuneParams> tuned = compiler.tuneLayer(desc, FrameworkKind::kPatDnn);
     if (!tuned.ok()) {
         std::printf("tune failed: %s\n", tuned.status().toString().c_str());
@@ -54,9 +57,10 @@ main()
     std::printf("pattern set mined from the weights:\n");
     for (size_t i = 0; i < fkw.patterns.size(); ++i)
         std::printf("-- pattern %zu --\n%s\n", i, fkw.patterns[i].str().c_str());
-    std::printf("tuned parameters: permute %s, %lld-row tile\n",
-                permutationName(t.permute, t.blocked).c_str(),
-                static_cast<long long>(t.tile_oh));
+    const std::string tile =
+        t.tile_oh > 0 ? std::to_string(t.tile_oh) + "-row tile" : "whole-plane rows";
+    std::printf("tuned parameters: permute %s, %s\n", permutationName(t.permute).c_str(),
+                tile.c_str());
     std::printf("FKW storage: %lld non-empty kernels, %.1f KB weights, %.1f KB "
                 "index structures\n",
                 static_cast<long long>(fkw.kernelCount()),

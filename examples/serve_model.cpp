@@ -35,10 +35,9 @@ main()
     // execution-code-generation products all land in the
     // CompiledModel), as a model-build farm would.
     Model model = buildVGG16(Dataset::kCifar10);
+    // Every model compiled or loaded for a device of this width runs
+    // on the process's one pool of that width.
     DeviceSpec device = makeCpuDevice(8);
-    // Materialize the compute pool first: every model compiled or loaded
-    // for a copy of `device` then runs on this one pool.
-    device.pool();
     std::printf("compiling %s for %s (pattern engine)...\n",
                 model.name().c_str(), device.name.c_str());
     Compiler compiler(device);

@@ -8,28 +8,9 @@ namespace patdnn {
 
 namespace {
 
-/** GA budget of the facade auto-tune path (small: the cache makes the
- * search a one-time cost per (shape, ISA)). Candidate evaluations run
- * in parallel on the process-wide pool — a distinct pool from any
- * device pool the measured engines fork on, so the nested fork-join is
- * legal (ThreadPool serializes concurrent submitters but is not
- * reentrant). The measured times gain cross-candidate contention
- * noise; the GA only ranks candidates, and the search it runs is
- * identical to the serial schedule. */
-TunerConfig
-facadeTunerConfig()
-{
-    TunerConfig cfg;
-    cfg.population = 8;
-    cfg.generations = 2;
-    cfg.measure_reps = 1;
-    cfg.eval_pool = &ThreadPool::global();
-    return cfg;
-}
-
-/** Connectivity rate in the TuneCache key of `kind`: the GA measures a
- * concrete FKW / CSR density on the sparse kinds; the dense kinds prune
- * nothing, so any rate is the same workload. */
+/** Connectivity rate in the TuneCache key of `kind`: the tuner measures
+ * a concrete FKW / CSR density on the sparse kinds; the dense kinds
+ * prune nothing, so any rate is the same workload. */
 double
 tuneKeyRate(FrameworkKind kind, const CompileOptions& opts)
 {
@@ -154,29 +135,29 @@ Compiler::tuneLayer(const ConvDesc& desc, FrameworkKind kind) const
         return cached;
 
     // The layer stands for an inner one: prune it at the connectivity
-    // rate, not the first-layer rate.
+    // rate, not the first-layer rate. Its engine is built at the
+    // default tuning, which heads its candidate list.
     CompileOptions opts = opts_;
     opts.first_layer_rate = opts.connectivity_rate;
+    opts.tune_lookup = nullptr;
     const CompiledModel base(singleConvModel(desc, opts.seed), kind, device_, opts);
+    const auto conv = static_cast<size_t>(base.outputNode());  // The lone conv.
     Tensor in(Shape{1, desc.cin, desc.h, desc.w});
     Rng rng(17);
     in.fillUniform(rng, -1.0f, 1.0f);
-    // Thread-safe for parallel GA evaluation: each candidate rebuilds
-    // its own model (engine, packing, workspace) from a deep copy of
-    // the base state; `base` and `in` are only read.
-    std::function<double(const TuneParams&)> measure =
-        [&](const TuneParams& params) -> double {
+    // Each candidate rebuilds the model from the base state with its
+    // TuneParams, then reads the median of 3 warm runs.
+    auto measure = [&](const TuneParams& params) {
         std::vector<CompiledLayerState> states = base.exportState();
-        for (CompiledLayerState& st : states)
-            st.tuning = params;
+        states[conv].tuning = params;
         CompiledModel candidate(kind, device_, std::move(states), base.outputNode(),
                                 base.tunedIsa(), base.compileOptions());
-        return candidate.convOnlyTimeMs(in, /*warmup=*/1, /*reps=*/1);
+        return candidate.convOnlyTimeMs(in, /*warmup=*/1, /*reps=*/3);
     };
-    TuneResult tuned = patdnn::tuneLayer(measure, tuneSpaceFor(device_.simd_isa),
-                                         facadeTunerConfig());
-    TuneCache::instance().insert(desc, device_, kind, rate, tuned.best);
-    return tuned.best;
+    TuneParams best = patdnn::tuneLayer(base.tuneCandidates(conv), measure,
+                                        base.layerState(conv)->tuning);
+    TuneCache::instance().insert(desc, device_, kind, rate, best);
+    return best;
 }
 
 }  // namespace patdnn

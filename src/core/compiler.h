@@ -22,7 +22,7 @@
  *
  * Tunings live in the process-wide TuneCache (rt/tuner.h), keyed by
  * (layer geometry, framework kind, kernel ISA, device fingerprint,
- * connectivity rate): tuneLayer pays for the GA once per
+ * connectivity rate): tuneLayer pays for the search once per
  * configuration, and every later compile() of that kind picks the
  * result up for free.
  */
@@ -82,13 +82,17 @@ class Compiler
 
     /**
      * Auto-tune (Section 5.5) the engine `kind` runs for one layer
-     * geometry: compile the one-conv model of `desc` once (pruned at
-     * the connectivity rate, as an inner layer), then GA-search
-     * tuneSpaceFor(device ISA), timing each candidate by rebuilding
-     * that model from its exported state with the candidate's
-     * TuneParams. Memoized in the TuneCache under `kind`, so compile()
-     * applies the result only to the engine it was measured on.
-     * kInvalidArgument on a malformed descriptor or nonsense options.
+     * geometry: compile the one-conv model of `desc` once at the
+     * options' default tuning (pruned at the connectivity rate, as an
+     * inner layer), then time every TuneParams its engine lists
+     * (ConvEngine::tuneCandidates, the default first), serially, each
+     * by rebuilding that model from its exported state with the
+     * candidate and taking the median of 3 warm runs; the fastest
+     * wins, ties to the earlier. An engine that lists at most one
+     * candidate is not timed. Memoized in the TuneCache under `kind`,
+     * so compile() applies the result only to the engine it was
+     * measured on. kInvalidArgument on a malformed descriptor or
+     * nonsense options.
      */
     Result<TuneParams> tuneLayer(const ConvDesc& desc, FrameworkKind kind) const;
 

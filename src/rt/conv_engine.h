@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "rt/conv_ref.h"
+#include "rt/lr.h"
 
 namespace patdnn {
 
@@ -54,6 +56,15 @@ class ConvEngine
 
     /** Numeric path the engine runs. */
     virtual Precision precision() const { return Precision::kF32; }
+
+    /**
+     * Every TuneParams this engine can tell apart, the one it was built
+     * with first: the whole space the tuner times (Section 5.5). Each
+     * entry differs from the others in a field this engine reads; the
+     * fields it ignores are copied from its own tuning. Empty for an
+     * engine that reads no tuning.
+     */
+    virtual std::vector<TuneParams> tuneCandidates() const { return {}; }
 };
 
 }  // namespace patdnn

@@ -11,7 +11,7 @@ namespace patdnn {
 Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                        TuneParams tuning)
     : desc_(std::move(desc)), device_(std::move(device)),
-      ops_(&resolveSimdOps(device_.simd_isa))
+      ops_(&resolveSimdOps(device_.simd_isa)), tuning_(tuning)
 {
     int64_t opg = desc_.coutPerGroup();
     int64_t k_dim = desc_.cinPerGroup() * desc_.kh * desc_.kw;
@@ -31,7 +31,7 @@ Im2colConv::Im2colConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                        TuneParams tuning, float act_scale,
                        std::vector<float> weight_scales)
     : desc_(std::move(desc)), device_(std::move(device)),
-      ops_(&resolveSimdOps(device_.simd_isa)),
+      ops_(&resolveSimdOps(device_.simd_isa)), tuning_(tuning),
       quantized_(true), act_scale_(act_scale)
 {
     PATDNN_CHECK_GT(act_scale_, 0.0f,

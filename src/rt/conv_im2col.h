@@ -56,6 +56,11 @@ class Im2colConv : public ConvEngine
         return quantized_ ? Precision::kInt8 : Precision::kF32;
     }
 
+    std::vector<TuneParams> tuneCandidates() const override
+    {
+        return gemmTuneCandidates(*ops_, tuning_, /*n_blocked=*/true);
+    }
+
     /** Expose im2col for testing: [cin*kh*kw, outH*outW] column matrix. */
     static Tensor im2col(const ConvDesc& d, const Tensor& in, int64_t batch_index,
                          int64_t group);
@@ -70,6 +75,7 @@ class Im2colConv : public ConvEngine
     DeviceSpec device_;
     const SimdOps* ops_;   ///< Resolved kernel table (never null).
     Tensor packed_w_;      ///< [groups][lhs-tile panels] packed filters (f32).
+    TuneParams tuning_;
     GemmBlocking blocking_;
 
     // Int8 mode (see the quantized constructor).

@@ -73,6 +73,32 @@ PatternConv::PatternConv(ConvDesc desc, const FkwLayer* fkw, const TuneParams& t
     }
 }
 
+std::vector<TuneParams>
+PatternConv::tuneCandidates() const
+{
+    // The No-opt loops read neither the row tile nor the loop order.
+    if (!opts_.reorder && !opts_.lre)
+        return {};
+    const int64_t oh = desc_.outH();
+    const LoopPermutation other = tuning_.permute == LoopPermutation::kCoHWCi
+                                      ? LoopPermutation::kCoCiHW
+                                      : LoopPermutation::kCoHWCi;
+    std::vector<TuneParams> list;
+    for (int64_t tile : {tuning_.tile_oh, int64_t{4}, int64_t{8}, int64_t{16},
+                         int64_t{32}, int64_t{0}})
+        for (LoopPermutation perm : {tuning_.permute, other}) {
+            TuneParams t = tuning_;
+            t.tile_oh = tile;
+            t.permute = perm;
+            // Tiles past the plane all run the whole plane.
+            if (std::none_of(list.begin(), list.end(), [&](const TuneParams& u) {
+                    return u.permute == perm && u.rowTile(oh) == t.rowTile(oh);
+                }))
+                list.push_back(t);
+        }
+    return list;
+}
+
 void
 PatternConv::forEachRange(const std::function<void(int32_t, int32_t)>& body) const
 {
@@ -97,7 +123,7 @@ PatternConv::runPaddedFilters(int32_t f_begin, int32_t f_end, const float* padde
     const int64_t wp = d.w + 2 * d.pad;
     const int64_t plane = (d.h + 2 * d.pad) * wp;
     const TuneParams& t = tuning_;
-    const int64_t tile = t.blocked ? std::max<int64_t>(1, t.tile_oh) : oh;
+    const int64_t tile = t.rowTile(oh);
     // Fig. 15's loop orders: the pixel block outside the kernel loop
     // (accumulators stay in registers across the filter's kernels) or
     // inside it (one op call per kernel, accumulators round-trip memory).
@@ -157,8 +183,7 @@ PatternConv::runPadded(const Tensor& in, Tensor& out, const Epilogue& ep) const
     const int64_t oh = d.outH(), ow = d.outW();
     const int64_t wp = d.w + 2 * d.pad;
     const int64_t plane = (d.h + 2 * d.pad) * wp;
-    const int64_t tile =
-        tuning_.blocked ? std::min(oh, std::max<int64_t>(1, tuning_.tile_oh)) : oh;
+    const int64_t tile = tuning_.rowTile(oh);
     // Per-call scratch (run() is const and may race across sessions):
     // the zero-padded planes — borders stay zero, interiors are rewritten
     // per sample — plus `width` floats of slack for the last vector's
@@ -240,7 +265,7 @@ PatternConv::runGuardedFilters(int32_t f_begin, int32_t f_end, const float* in,
     }
 
     // One guarded pass of a kernel over the row tile starting at y0.
-    const int64_t tile = t.blocked ? std::max<int64_t>(1, t.tile_oh) : oh;
+    const int64_t tile = t.rowTile(oh);
     auto accumulate = [&](const PatternKernel& pk, const float* w,
                           const float* in_plane, float* optr, int64_t y0) {
         g.y0 = y0;
@@ -260,8 +285,8 @@ PatternConv::runGuardedFilters(int32_t f_begin, int32_t f_end, const float* in,
                     accumulate(pk, w, in_plane, out_plane(f), y0);
                 });
     } else {
-        // Kernel outer, full plane inner (weight-stationary). Blocked
-        // variant still tiles rows inside each kernel for cache reuse.
+        // Kernel outer, full plane inner (weight-stationary); a row
+        // tile still tiles rows inside each kernel for cache reuse.
         for (int32_t f = f_begin; f < f_end; ++f)
             for_each_kernel(f, [&](const PatternKernel& pk, const float* w,
                                    const float* in_plane) {

@@ -105,6 +105,11 @@ class PatternConv : public ConvEngine
     void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
     const char* name() const override { return "pattern"; }
 
+    /** Row tiles {4, 8, 16, 32, whole plane}, deduplicated by the tile
+     * they run on this plane, times both loop orders (none on the
+     * No-opt level, which reads neither). */
+    std::vector<TuneParams> tuneCandidates() const override;
+
     const PatternPlan& plan() const { return plan_; }
 
     /** True when run() takes the padded flat-row path (stride 1 + LRE). */

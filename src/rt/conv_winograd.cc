@@ -71,7 +71,7 @@ transformOutput(const float m[16], float y[4])
 WinogradConv::WinogradConv(ConvDesc desc, const Tensor* weight, DeviceSpec device,
                            TuneParams tuning)
     : desc_(std::move(desc)), device_(std::move(device)),
-      ops_(&resolveSimdOps(device_.simd_isa))
+      ops_(&resolveSimdOps(device_.simd_isa)), tuning_(tuning)
 {
     PATDNN_CHECK(applies(desc_), "Winograd needs a stride-1 3x3 conv");
     // The transformed filters fill the stage-2 RHS column panels of the

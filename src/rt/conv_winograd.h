@@ -38,12 +38,18 @@ class WinogradConv : public ConvEngine
 
     void run(const Tensor& in, Tensor& out, const Epilogue& ep = {}) const override;
     const char* name() const override { return "winograd"; }
+    /** gemm_kc only: each stage-2 GEMM is one column panel wide. */
+    std::vector<TuneParams> tuneCandidates() const override
+    {
+        return gemmTuneCandidates(*ops_, tuning_, /*n_blocked=*/false);
+    }
 
   private:
     ConvDesc desc_;
     DeviceSpec device_;
     const SimdOps* ops_ = nullptr;  ///< Resolved kernel table.
     Tensor packed_u_;     ///< 16 packed RHS column-panel sets of U^T.
+    TuneParams tuning_;
     GemmBlocking blocking_;
 };
 

@@ -1,6 +1,8 @@
 #include "rt/device.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -9,13 +11,16 @@ namespace patdnn {
 ThreadPool&
 DeviceSpec::pool() const
 {
-    // Concurrent sessions may trigger the lazy creation from several
-    // threads; a process-wide guard keeps exactly one pool per spec.
-    static std::mutex create_mutex;
-    std::lock_guard<std::mutex> lk(create_mutex);
-    if (!pool_)
-        pool_ = std::make_shared<ThreadPool>(threads);
-    return *pool_;
+    static ThreadPool inline_pool(1);
+    if (threads <= 1)
+        return inline_pool;
+    static std::mutex mutex;
+    static std::map<int, std::unique_ptr<ThreadPool>> pools;
+    std::lock_guard<std::mutex> lk(mutex);
+    std::unique_ptr<ThreadPool>& pool = pools[threads];
+    if (!pool)
+        pool = std::make_unique<ThreadPool>(threads);
+    return *pool;
 }
 
 namespace {

@@ -12,7 +12,6 @@
  */
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "rt/simd/dispatch.h"
@@ -39,11 +38,12 @@ struct DeviceSpec
     /** Active-ISA display name ("scalar"/"avx2"/"neon"). */
     const char* simdName() const { return isaName(resolveSimdOps(simd_isa).isa); }
 
-    /** Lazily created pool shared by every executor on this device. */
+    /**
+     * The process's one pool of width `threads`, created on first use
+     * and shared by every device of that width (and so by every
+     * executor on them); a one-thread device's pool runs inline.
+     */
     ThreadPool& pool() const;
-
-  private:
-    mutable std::shared_ptr<ThreadPool> pool_;
 };
 
 /** Snapdragon-855-class CPU stand-in (the paper's primary platform).

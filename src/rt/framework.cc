@@ -579,6 +579,13 @@ CompiledModel::layerState(size_t id) const
     return executors_[id].get();
 }
 
+std::vector<TuneParams>
+CompiledModel::tuneCandidates(size_t id) const
+{
+    const Executor* ex = executors_[id].get();
+    return ex && ex->engine ? ex->engine->tuneCandidates() : std::vector<TuneParams>{};
+}
+
 bool
 CompiledModel::acceptsInput(const Tensor& input) const
 {

@@ -285,6 +285,10 @@ class CompiledModel
      * slot. Valid for the model's lifetime. */
     const CompiledLayerState* layerState(size_t id) const;
 
+    /** The tuning candidates of node `id`'s conv engine
+     * (ConvEngine::tuneCandidates); empty for any other node. */
+    std::vector<TuneParams> tuneCandidates(size_t id) const;
+
     /** Node-id of the output value. */
     int outputNode() const { return output_node_; }
 

@@ -37,6 +37,26 @@ gemmBlockingFor(const SimdOps& ops, int64_t k, int64_t n,
     return b;
 }
 
+std::vector<TuneParams>
+gemmTuneCandidates(const SimdOps& ops, const TuneParams& own, bool n_blocked)
+{
+    const int64_t nr = ops.gemm_nr;
+    const std::vector<int64_t> ncs =
+        n_blocked ? std::vector<int64_t>{0, 4 * nr, 8 * nr, 16 * nr}
+                  : std::vector<int64_t>{own.gemm_nc};
+    std::vector<TuneParams> list = {own};
+    for (int64_t kc : {int64_t{0}, int64_t{64}, int64_t{128}, int64_t{256}})
+        for (int64_t nc : ncs) {
+            if (kc == own.gemm_kc && nc == own.gemm_nc)
+                continue;
+            TuneParams t = own;
+            t.gemm_kc = kc;
+            t.gemm_nc = nc;
+            list.push_back(t);
+        }
+    return list;
+}
+
 int64_t
 packedLhsElems(int64_t m, int64_t k, int mr)
 {

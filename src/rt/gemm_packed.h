@@ -22,14 +22,17 @@
  * ISAs and blocking choices (the cross-ISA contract of dispatch.h).
  *
  * Blocking defaults derive from the ISA's tile footprint and the
- * device's cache budget (IREE KernelDispatch-style); the auto-tuner can
- * override them per layer via TuneParams::gemm_kc / gemm_nc, memoized
- * in the process-wide TuneCache (see rt/tuner.h).
+ * device's cache budget (IREE KernelDispatch-style); the tuner times
+ * the gemmTuneCandidates() grid per layer and overrides them through
+ * TuneParams::gemm_kc / gemm_nc, memoized in the process-wide TuneCache
+ * (see rt/tuner.h).
  */
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "rt/lr.h"
 #include "rt/simd/dispatch.h"
 
 namespace patdnn {
@@ -51,6 +54,16 @@ struct GemmBlocking
 GemmBlocking gemmBlockingFor(const SimdOps& ops, int64_t k, int64_t n,
                              int64_t tile_budget_kb, int64_t kc_override = 0,
                              int64_t nc_override = 0);
+
+/**
+ * The dense engines' tuning candidates: gemm_kc {0, 64, 128, 256} x
+ * gemm_nc {0, 4, 8, 16} whole tiles of `ops.gemm_nr` (0 = the heuristic
+ * above), `own` first; every other field is copied from `own`. An
+ * engine whose GEMMs are one column panel wide (`n_blocked` false)
+ * never reads gemm_nc, so it keeps `own`'s and only gemm_kc varies.
+ */
+std::vector<TuneParams> gemmTuneCandidates(const SimdOps& ops, const TuneParams& own,
+                                           bool n_blocked);
 
 /** Packed-buffer extents (in floats). */
 int64_t packedLhsElems(int64_t m, int64_t k, int mr);

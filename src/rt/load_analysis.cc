@@ -25,7 +25,7 @@ analyzeLoads(const ConvDesc& desc, const FkwLayer& fkw, const TuneParams& tuning
     // The padded flat-row kernel, tile by tile as PatternConv runs it.
     const int64_t wp = desc.w + 2 * desc.pad;
     const int64_t block = 4 * resolveSimdOps(device.simd_isa).width;
-    const int64_t tile = tuning.blocked ? std::max<int64_t>(1, tuning.tile_oh) : oh;
+    const int64_t tile = tuning.rowTile(oh);
     int64_t positions = 0, blocks = 0;
     for (int64_t y0 = 0; y0 < oh; y0 += tile) {
         const int64_t len = (std::min(oh, y0 + tile) - y0 - 1) * wp + ow;

@@ -3,10 +3,9 @@
 namespace patdnn {
 
 std::string
-permutationName(LoopPermutation p, bool blocked)
+permutationName(LoopPermutation p)
 {
-    std::string base = p == LoopPermutation::kCoCiHW ? "cocihw" : "cohwci";
-    return blocked ? base + "_b" : base;
+    return p == LoopPermutation::kCoCiHW ? "cocihw" : "cohwci";
 }
 
 }  // namespace patdnn

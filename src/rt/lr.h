@@ -8,13 +8,15 @@
  * CompiledLayerState (rt/framework.h): its `conv` (the layer's
  * geometry), `fkw` (the pattern types present and their FKW storage),
  * `tuning` (the TuneParams below) and `opts` (the OptSwitches below).
- * PatternConv is built from exactly those four. The auto-tuner's job is
- * to fill in `tuning`; the split of filters across threads is not a
- * tuned value, since PatternConv derives it from the FKW kernel counts
- * (preparePatternPlan).
+ * PatternConv is built from exactly those four. The tuner fills in
+ * `tuning` with the fastest of the configurations the layer's engine
+ * lists (ConvEngine::tuneCandidates); the split of filters across
+ * threads is not a tuned value, since PatternConv derives it from the
+ * FKW kernel counts (preparePatternPlan).
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -30,21 +32,26 @@ enum class LoopPermutation
     kCoHWCi,  ///< filter -> spatial -> kernel (accumulators stay put).
 };
 
-/** Permutation display name ("cohwci_b"-style as in Fig. 8). */
-std::string permutationName(LoopPermutation p, bool blocked);
+/** Permutation display name ("cohwci" as in Fig. 8). */
+std::string permutationName(LoopPermutation p);
 
 /** Tuning-decided execution parameters of one layer. */
 struct TuneParams
 {
     LoopPermutation permute = LoopPermutation::kCoHWCi;
-    bool blocked = true;      ///< Spatial tiling on/off.
-    int64_t tile_oh = 16;     ///< Output-row tile (when blocked).
+    int64_t tile_oh = 16;     ///< Output-row tile; 0 = the whole plane.
 
     // Dense packed-GEMM cache blocking (rt/gemm_packed.h). 0 = derive
     // from the ISA tile footprint and the device tile budget; the
-    // auto-tuner searches concrete values per layer.
+    // tuner times concrete values per layer.
     int64_t gemm_kc = 0;      ///< K elements per GEMM block.
     int64_t gemm_nc = 0;      ///< N columns per GEMM block.
+
+    /** The row tile the pattern engine runs on an `oh`-row plane. */
+    int64_t rowTile(int64_t oh) const
+    {
+        return tile_oh > 0 ? std::min(oh, tile_oh) : oh;
+    }
 };
 
 /** Optimization switches (the Fig. 13 ablation axes). */

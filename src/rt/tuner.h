@@ -1,11 +1,14 @@
 /**
  * @file
- * Parameter auto-tuning (paper Section 5.5): a Genetic-Algorithm
- * explorer over the configuration space (row tiles / spatial blocking /
- * loop permutations / dense GEMM blocking) plus a learned performance
- * estimator (linear least-squares over configuration features, the
- * paper's "performance estimation model created from historical data")
- * that warm-starts tuning on a new platform.
+ * Parameter tuning (paper Section 5.5). The paper searches its
+ * generated code's large configuration space with a genetic algorithm
+ * and a performance-estimation model. The engines here read a much
+ * smaller space: each lists the configurations it can tell apart
+ * (ConvEngine::tuneCandidates, at most 10 for the pattern engine and 16
+ * for the dense GEMM engines), so tuning times every one of them
+ * (docs/ARCHITECTURE.md, "Substitutions"). Tuning never changes an
+ * output bit: every row tile, loop order and GEMM block keeps each
+ * output's accumulation order.
  */
 #pragma once
 
@@ -19,83 +22,18 @@
 #include "nn/conv_desc.h"
 #include "rt/device.h"
 #include "rt/lr.h"
-#include "rt/simd/dispatch.h"
-#include "util/rng.h"
 
 namespace patdnn {
 
-/** The discrete configuration space the GA explores. */
-struct TuneSpace
-{
-    std::vector<int64_t> tile_oh = {4, 8, 16, 32};
-    std::vector<LoopPermutation> permutations = {LoopPermutation::kCoCiHW,
-                                                 LoopPermutation::kCoHWCi};
-    std::vector<bool> blocked = {false, true};
-    // Dense packed-GEMM cache blocking (rt/gemm_packed.h); 0 = the
-    // budget-derived heuristic stays in the running as a candidate.
-    std::vector<int64_t> gemm_kc = {0, 64, 128, 256};
-    std::vector<int64_t> gemm_nc = {0, 32, 64, 128};
-};
-
 /**
- * Search space specialized to the kernel ISA the layer will execute
- * with: dense GEMM N-blocks are whole tile widths of its gemm_nr, so
- * tuned TuneParams are meaningful for the kernels that will actually
- * run (and an artifact records which ISA its parameters were searched
- * on — serve/artifact.h).
+ * The fastest of `candidates` under `measure` (ms per run of the layer
+ * built with those params): each is measured once, in order, and ties
+ * go to the earlier one. A list of at most one entry is returned
+ * without measuring (`fallback` when empty).
  */
-TuneSpace tuneSpaceFor(SimdIsa isa);
-
-/** GA knobs. */
-struct TunerConfig
-{
-    int population = 12;
-    int generations = 4;
-    double mutation_rate = 0.25;
-    int measure_reps = 2;     ///< Timed runs per fitness evaluation.
-    uint64_t seed = 99;
-
-    /**
-     * Evaluate each batch of candidates (initial population, then each
-     * generation's children) in parallel on this pool instead of
-     * serially. Candidate *selection* is unchanged — every generation's
-     * children are bred from the previous generation only, so the RNG
-     * sequence and the explored configurations are identical to the
-     * serial schedule, and history keeps its deterministic order.
-     * Requirements: `measure` must be thread-safe, and the pool must
-     * not be one `measure` itself forks on (ThreadPool fork-joins are
-     * not reentrant). Measured times gain cross-candidate contention
-     * noise; with a deterministic measure, results are bit-identical
-     * to serial.
-     */
-    ThreadPool* eval_pool = nullptr;
-};
-
-/** One explored configuration with its measured cost. */
-struct TuneRecord
-{
-    TuneParams params;
-    double time_ms = 0.0;
-};
-
-/** Result of a tuning run. */
-struct TuneResult
-{
-    TuneParams best;
-    double best_ms = 0.0;
-    std::vector<TuneRecord> history;  ///< All evaluated points.
-    int evaluations = 0;
-};
-
-/**
- * Tune a layer: `measure` runs the layer under the given params and
- * returns median time in ms. The GA initializes an arbitrary number of
- * chromosomes (paper: better parallelism than simulated annealing),
- * evolves with tournament selection, uniform crossover and point
- * mutation, and returns the best configuration found.
- */
-TuneResult tuneLayer(const std::function<double(const TuneParams&)>& measure,
-                     const TuneSpace& space = {}, const TunerConfig& cfg = {});
+TuneParams tuneLayer(const std::vector<TuneParams>& candidates,
+                     const std::function<double(const TuneParams&)>& measure,
+                     const TuneParams& fallback = {});
 
 /** Engine family a tuning was measured on (defined in rt/framework.h). */
 enum class FrameworkKind;
@@ -108,8 +46,8 @@ enum class FrameworkKind;
  * kind selects for the layer (a pattern tile, an im2col GEMM and a
  * Winograd GEMM block differently), the layer geometry, the kernel
  * vector width, the device's pool width / scheduling model / tile
- * budget, and the sparsity the GA measured (connectivity rate fixes the
- * FKW density). All of that is in the key, so once
+ * budget, and the sparsity the tuner measured (connectivity rate fixes
+ * the FKW density). All of that is in the key, so once
  * Compiler::tuneLayer has tuned one configuration, every later
  * Compiler::compile over the same configuration reuses the result and
  * skips the search, and a different engine, device or pruning rate
@@ -128,8 +66,8 @@ class TuneCache
     bool lookup(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                 double connectivity_rate, TuneParams* params) const;
 
-    /** Record the GA's best; later inserts for the same key overwrite
-     * (newest tuning wins). */
+    /** Record the tuner's pick; later inserts for the same key
+     * overwrite (newest tuning wins). */
     void insert(const ConvDesc& desc, const DeviceSpec& device, FrameworkKind kind,
                 double connectivity_rate, const TuneParams& params);
 
@@ -149,31 +87,6 @@ class TuneCache
     mutable std::mutex mutex_;
     std::map<std::string, TuneParams> entries_;
     mutable int64_t hits_ = 0;
-};
-
-/**
- * Performance estimator trained on tuning history: ridge-regularized
- * least squares over configuration features. Predicts time for unseen
- * configurations so a new platform can start from a good guess.
- */
-class PerfEstimator
-{
-  public:
-    /** Fit from records (needs >= 4 points). */
-    void fit(const std::vector<TuneRecord>& history);
-
-    /** Predict time (ms) for a configuration. */
-    double predict(const TuneParams& params) const;
-
-    bool trained() const { return trained_; }
-
-    /** Best configuration in `space` according to the model. */
-    TuneParams argminOver(const TuneSpace& space) const;
-
-  private:
-    static std::vector<double> features(const TuneParams& p);
-    std::vector<double> coef_;
-    bool trained_ = false;
 };
 
 }  // namespace patdnn

@@ -112,7 +112,6 @@ void
 putTuning(std::vector<uint8_t>& out, const TuneParams& p)
 {
     putU32(out, p.permute == LoopPermutation::kCoCiHW ? 0u : 1u);
-    putU32(out, p.blocked ? 1u : 0u);
     putI64(out, p.tile_oh);
     putI64(out, p.gemm_kc);
     putI64(out, p.gemm_nc);
@@ -157,7 +156,6 @@ struct Reader : bytes::Reader
     tuning(TuneParams& p)
     {
         p.permute = u32() == 0 ? LoopPermutation::kCoCiHW : LoopPermutation::kCoHWCi;
-        p.blocked = u32() != 0;
         p.tile_oh = i64();
         p.gemm_kc = i64();
         p.gemm_nc = i64();

@@ -30,7 +30,8 @@
  *    precision and calibration settings);
  *  - the output-node id and one record per graph-node slot: op kind,
  *    ConvDesc, producer ids, fused ReLU, pool / FC geometry, tuned
- *    parameters (including the dense GEMM blocking gemm_kc / gemm_nc),
+ *    parameters (loop order, row tile with 0 for the whole plane, and
+ *    the dense GEMM blocking gemm_kc / gemm_nc),
  *    an optional quant record (activation scale + per-output-channel
  *    weight scales), the dense weight and bias tensors, and the FKW
  *    storage of pattern-compiled convs (sparse/fkw.h's serializer),
@@ -99,7 +100,7 @@ inline constexpr char kBadQuantRecord[] = "artifact/bad-quant-record";
 
 /** The artifact format version: the only one written and the only one
  * loaded. Any layout change must bump it. */
-constexpr uint32_t kModelArtifactVersion = 12;
+constexpr uint32_t kModelArtifactVersion = 13;
 
 /** Load-time strictness knobs. */
 struct ArtifactLoadOptions

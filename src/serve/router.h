@@ -31,10 +31,9 @@
  *   - Model lifecycle: removeModel() takes a name out of routing, shuts
  *     its replicas down and drops it from the admission weights.
  *
- * Several models in one process share one compute pool when they are
- * compiled or loaded for copies of one DeviceSpec whose pool() was
- * materialized first (DeviceSpec copies share the lazily created
- * util::ThreadPool). A queue never blocks a submitter: a full replica
+ * Several models in one process share one compute pool when their
+ * devices have one width (DeviceSpec::pool() is the process's pool of
+ * that width). A queue never blocks a submitter: a full replica
  * refuses with kResourceExhausted and the router fails over.
  *
  * Replicas are ReplicaEndpoint instances. LocalReplica wraps an

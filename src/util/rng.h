@@ -2,9 +2,9 @@
  * @file
  * Deterministic random number generation.
  *
- * All stochastic components (weight init, dataset synthesis, the genetic
- * tuner, ADMM SGD shuffling) draw from a seeded Rng so every experiment
- * in EXPERIMENTS.md is exactly reproducible.
+ * All stochastic components (weight init, dataset synthesis, ADMM SGD
+ * shuffling) draw from a seeded Rng so every experiment in
+ * EXPERIMENTS.md is exactly reproducible.
  */
 #pragma once
 

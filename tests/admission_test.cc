@@ -274,7 +274,7 @@ TEST(AdmissionServer, BlockingSubmitShedSurfacesSlugThroughFuture)
     sopts.max_queue = 16;
     sopts.start_paused = true;
     sopts.admission = admission;
-    sopts.admission_name = "m";
+    sopts.admission_name = "tiny";
     InferenceServer server(compiledTiny(), sopts);
 
     std::future<Tensor> ok = server.submit(makeInput(1));

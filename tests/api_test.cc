@@ -1,6 +1,7 @@
 /** @file Public API (core/patdnn.h) end-to-end pipeline tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/patdnn.h"
@@ -20,8 +21,8 @@ innerLayerOptions()
 bool
 sameTuning(const TuneParams& a, const TuneParams& b)
 {
-    return a.permute == b.permute && a.blocked == b.blocked && a.tile_oh == b.tile_oh &&
-           a.gemm_kc == b.gemm_kc && a.gemm_nc == b.gemm_nc;
+    return a.permute == b.permute && a.tile_oh == b.tile_oh && a.gemm_kc == b.gemm_kc &&
+           a.gemm_nc == b.gemm_nc;
 }
 
 TEST(Api, CompressThenCompileThenExecute)
@@ -75,14 +76,48 @@ TEST(Api, TuneLayerThenCompile)
     Compiler compiler(makeCpuDevice(2), innerLayerOptions());
     auto tuned = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
     ASSERT_TRUE(tuned.ok()) << tuned.status().toString();
-    // The tuned parameters must be a legal configuration, and the
-    // compiled pattern layer must carry them.
-    EXPECT_GT(tuned.value().tile_oh, 0);
+    // The tuned parameters must be one of the candidates the layer's
+    // pattern engine lists, and the compiled pattern layer must carry
+    // them.
+    CompiledModel base(singleConvModel(d, 5), FrameworkKind::kPatDnn, compiler.device(),
+                       innerLayerOptions());
+    std::vector<TuneParams> candidates =
+        base.tuneCandidates(static_cast<size_t>(base.outputNode()));
+    EXPECT_EQ(candidates.size(), 6u);  // Tiles 4, 8 and the whole 12-row plane.
+    EXPECT_TRUE(std::any_of(candidates.begin(), candidates.end(), [&](const TuneParams& t) {
+        return sameTuning(t, tuned.value());
+    }));
     auto model = compiler.compile(singleConvModel(d, 3));
     ASSERT_TRUE(model.ok()) << model.status().toString();
     std::vector<CompiledLayerState> state = model.value()->exportState();
     ASSERT_TRUE(state[0].fkw);
     EXPECT_TRUE(sameTuning(state[0].tuning, tuned.value()));
+    TuneCache::instance().clear();
+}
+
+/** Engines that read no tuning (naive, CSR) get the options' default
+ * tuning back, untimed, and it is cached like a searched one. */
+TEST(Compiler, UntunableEnginesKeepTheDefaultTuning)
+{
+    TuneCache::instance().clear();
+    ConvDesc d{"plain", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
+    CompileOptions opts;
+    opts.default_tuning.tile_oh = 7;
+    opts.default_tuning.gemm_kc = 48;
+    Compiler compiler(makeFixedWidthCpuDevice(2), opts);
+    for (FrameworkKind kind : {FrameworkKind::kTfliteLike, FrameworkKind::kCsrSparse}) {
+        auto tuned = compiler.tuneLayer(d, kind);
+        ASSERT_TRUE(tuned.ok()) << tuned.status().toString();
+        EXPECT_TRUE(sameTuning(tuned.value(), opts.default_tuning)) << frameworkName(kind);
+        TuneParams cached;
+        EXPECT_TRUE(TuneCache::instance().lookup(d, compiler.device(), kind,
+                                                 kind == FrameworkKind::kCsrSparse
+                                                     ? opts.connectivity_rate
+                                                     : 0.0,
+                                                 &cached));
+        EXPECT_TRUE(sameTuning(cached, opts.default_tuning)) << frameworkName(kind);
+    }
+    EXPECT_EQ(TuneCache::instance().size(), 2u);
     TuneCache::instance().clear();
 }
 
@@ -259,19 +294,19 @@ TEST(Compiler, CompileWholeModelRunsAndValidates)
     EXPECT_EQ(rejected.status().code(), ErrorCode::kInvalidArgument);
 }
 
-TEST(Compiler, TuneCacheSkipsRepeatGaRuns)
+TEST(Compiler, TuneCacheSkipsRepeatSearches)
 {
     TuneCache::instance().clear();
     ConvDesc d{"cached", 8, 16, 3, 3, 12, 12, 1, 1, 1, 1};
     Compiler compiler(makeFixedWidthCpuDevice(2));
 
-    // The first tuneLayer pays for the GA and populates the cache.
+    // The first tuneLayer pays for the search and populates the cache.
     auto first = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
     ASSERT_TRUE(first.ok()) << first.status().toString();
     EXPECT_EQ(TuneCache::instance().size(), 1u);
     int64_t hits_before = TuneCache::instance().hits();
 
-    // Repeat tuning of the same shape: a cache hit, the GA skipped,
+    // Repeat tuning of the same shape: a cache hit, the search skipped,
     // and the same tuned parameters returned.
     auto second = compiler.tuneLayer(d, FrameworkKind::kPatDnn);
     ASSERT_TRUE(second.ok()) << second.status().toString();
@@ -292,7 +327,7 @@ TEST(Compiler, TuneCacheSkipsRepeatGaRuns)
 
     // Whole-model compiles consult the cache through the tune_lookup
     // plumbing: a model containing the cached shape picks up its tuned
-    // parameters without re-running the GA.
+    // parameters without re-running the search.
     Model m("cache-consumer", "test");
     Layer conv;
     conv.kind = OpKind::kConv;

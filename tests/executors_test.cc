@@ -233,7 +233,8 @@ TEST(WinogradBitwise, MatchesDocumentedOrderOnEveryIsa)
 /** Pattern engine vs reference across every optimization combination. */
 struct PatternCase
 {
-    bool reorder, lre, blocked;
+    bool reorder, lre;
+    int64_t tile_oh;  ///< 0 = the whole plane.
     LoopPermutation perm;
     bool gpu;
 };
@@ -270,9 +271,8 @@ TEST_P(PatternEngineSweep, MatchesReferenceOnPrunedWeights)
     sw.reorder = pc.reorder;
     sw.lre = pc.lre;
     TuneParams tune;
-    tune.blocked = pc.blocked;
     tune.permute = pc.perm;
-    tune.tile_oh = 4;
+    tune.tile_oh = pc.tile_oh;
 
     Tensor in(Shape{1, d.cin, d.h, d.w});
     in.fillUniform(rng, -1.0f, 1.0f);
@@ -301,15 +301,15 @@ TEST_P(PatternEngineSweep, MatchesReferenceOnPrunedWeights)
 INSTANTIATE_TEST_SUITE_P(
     OptCombos, PatternEngineSweep,
     ::testing::Values(
-        PatternCase{false, false, false, LoopPermutation::kCoCiHW, false},
-        PatternCase{true, false, false, LoopPermutation::kCoCiHW, false},
-        PatternCase{true, true, false, LoopPermutation::kCoCiHW, false},
-        PatternCase{true, true, true, LoopPermutation::kCoCiHW, false},
-        PatternCase{true, true, true, LoopPermutation::kCoHWCi, false},
-        PatternCase{false, true, true, LoopPermutation::kCoHWCi, false},
-        PatternCase{true, false, true, LoopPermutation::kCoHWCi, false},
-        PatternCase{true, true, true, LoopPermutation::kCoHWCi, true},
-        PatternCase{false, false, true, LoopPermutation::kCoHWCi, false}));
+        PatternCase{false, false, 0, LoopPermutation::kCoCiHW, false},
+        PatternCase{true, false, 0, LoopPermutation::kCoCiHW, false},
+        PatternCase{true, true, 0, LoopPermutation::kCoCiHW, false},
+        PatternCase{true, true, 4, LoopPermutation::kCoCiHW, false},
+        PatternCase{true, true, 4, LoopPermutation::kCoHWCi, false},
+        PatternCase{false, true, 4, LoopPermutation::kCoHWCi, false},
+        PatternCase{true, false, 4, LoopPermutation::kCoHWCi, false},
+        PatternCase{true, true, 4, LoopPermutation::kCoHWCi, true},
+        PatternCase{false, false, 4, LoopPermutation::kCoHWCi, false}));
 
 TEST(PatternEngineBatch, BatchedInputMatchesReference)
 {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "rt/framework.h"
 
@@ -290,6 +291,51 @@ TEST(ConvEngineSelection, PatternRowBytesCountFkwWeights)
     EXPECT_EQ(e.kind, "pattern");
     const int64_t fkw_weights = static_cast<int64_t>(states[out_id].fkw->weights.size());
     EXPECT_EQ(e.bytes, 4 * (in.numel() + out.numel() + fkw_weights));
+}
+
+/** DeviceSpec::pool() is one pool per width for the whole process:
+ * devices made separately share it, and so does every engine compiled
+ * for them; concurrent runs on two models still compute the reference
+ * convolution. */
+TEST(DevicePool, OnePoolPerWidth)
+{
+    DeviceSpec a = makeFixedWidthCpuDevice(3);
+    DeviceSpec b = makeFixedWidthCpuDevice(3);
+    EXPECT_EQ(&a.pool(), &b.pool());
+    EXPECT_EQ(a.pool().numThreads(), 3);
+    EXPECT_NE(&a.pool(), &makeFixedWidthCpuDevice(2).pool());
+
+    ConvDesc d{"L", 16, 32, 3, 3, 14, 14, 1, 1, 1, 1};
+    const CompiledModel pat(singleConvModel(d, 5), FrameworkKind::kPatDnn, a);
+    const CompiledModel dense(singleConvModel(d, 5), FrameworkKind::kPatDnnDense, b);
+    EXPECT_EQ(&pat.device().pool(), &a.pool());
+    EXPECT_EQ(&dense.device().pool(), &a.pool());
+
+    Tensor in(Shape{1, d.cin, d.h, d.w});
+    Rng rng(12);
+    in.fillUniform(rng, -1.0f, 1.0f);
+    std::vector<Tensor> want;
+    for (const CompiledModel* m : {&pat, &dense}) {
+        std::vector<CompiledLayerState> states = denseState(*m);
+        const CompiledLayerState& st = states[static_cast<size_t>(m->outputNode())];
+        want.push_back(makeConvOutput(d, 1));
+        Epilogue ep;
+        ep.bias = &st.bias;
+        convReference(d, st.weight, in, want.back(), ep);
+    }
+    // Two callers per model, all forking on the one 3-wide pool.
+    std::vector<double> worst(4, 0.0);
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < worst.size(); ++c)
+        callers.emplace_back([&, c] {
+            const CompiledModel& m = c % 2 == 0 ? pat : dense;
+            for (int i = 0; i < 10; ++i)
+                worst[c] = std::max(worst[c], Tensor::maxAbsDiff(m.run(in), want[c % 2]));
+        });
+    for (std::thread& t : callers)
+        t.join();
+    for (size_t c = 0; c < worst.size(); ++c)
+        EXPECT_LT(worst[c], 2e-3) << "caller " << c;
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
  * agreement across ISAs and blocking choices (the dispatch.h contract
  * extended to gemm_tile), differential correctness of the rebuilt
  * im2col executor against the reference convolution, and the dense
- * auto-tune path (TuneCache memoization, parallel-GA determinism).
+ * auto-tune path (TuneCache memoization).
  */
 #include <gtest/gtest.h>
 
@@ -428,40 +428,6 @@ TEST(DenseTuning, TuneLayerIsMemoizedInTuneCache)
     EXPECT_EQ(first.value().gemm_kc, second.value().gemm_kc);
     EXPECT_EQ(first.value().gemm_nc, second.value().gemm_nc);
     TuneCache::instance().clear();
-}
-
-/** Parallel candidate evaluation explores the identical search: same
- * candidates, same order, same best as the serial schedule. */
-TEST(DenseTuning, ParallelGaMatchesSerialSearch)
-{
-    // Deterministic synthetic cost (no timing noise): the GA's choices
-    // depend only on these values, so serial and parallel must agree
-    // bit-for-bit on every explored configuration.
-    std::function<double(const TuneParams&)> measure =
-        [](const TuneParams& p) -> double {
-        return static_cast<double>(p.tile_oh) + (p.blocked ? 0.1 : 0.2) +
-               0.01 * static_cast<double>(p.gemm_kc % 97) +
-               0.001 * static_cast<double>(p.gemm_nc % 89);
-    };
-    TunerConfig serial;
-    serial.population = 8;
-    serial.generations = 3;
-    serial.measure_reps = 1;
-    TunerConfig parallel = serial;
-    parallel.eval_pool = &ThreadPool::global();
-
-    TuneResult a = tuneLayer(measure, TuneSpace{}, serial);
-    TuneResult b = tuneLayer(measure, TuneSpace{}, parallel);
-
-    EXPECT_EQ(a.best_ms, b.best_ms);
-    EXPECT_EQ(a.evaluations, b.evaluations);
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (size_t i = 0; i < a.history.size(); ++i) {
-        EXPECT_EQ(a.history[i].time_ms, b.history[i].time_ms) << i;
-        EXPECT_EQ(a.history[i].params.gemm_kc, b.history[i].params.gemm_kc) << i;
-        EXPECT_EQ(a.history[i].params.gemm_nc, b.history[i].params.gemm_nc) << i;
-        EXPECT_EQ(a.history[i].params.tile_oh, b.history[i].params.tile_oh) << i;
-    }
 }
 
 }  // namespace

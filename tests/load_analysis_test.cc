@@ -55,7 +55,7 @@ TEST(LoadAnalysis, PaddedKernelCountsMatchClosedForm)
         dev.simd_isa = isa;
         int64_t block = 4 * resolveSimdOps(isa).width;
         TuneParams t;
-        t.blocked = false;
+        t.tile_oh = 0;
         t.permute = LoopPermutation::kCoHWCi;
         // One flat row of (OH-1)*(W+2p) + OW positions per filter.
         int64_t n = (oh - 1) * wp + ow;
@@ -72,7 +72,6 @@ TEST(LoadAnalysis, PaddedKernelCountsMatchClosedForm)
         // Row tiles of 4 (14 rows: 4+4+4+2) each drop their last row's
         // pad columns and round up to whole blocks on their own.
         t.permute = LoopPermutation::kCoHWCi;
-        t.blocked = true;
         t.tile_oh = 4;
         int64_t t4 = 3 * wp + ow, t2 = wp + ow;
         c = analyzeLoads(b.desc, b.fkw, t, OptSwitches{}, dev);

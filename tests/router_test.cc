@@ -431,10 +431,9 @@ TEST(Router, UnknownModelIsNotFound)
 
 TEST(Router, RoutesByNameSharesPoolAndRemoves)
 {
-    // Models compiled for copies of one device whose compute pool was
-    // materialized first all execute on that ONE pool.
+    // Models compiled for devices of one width all execute on that
+    // width's ONE pool.
     DeviceSpec dev = makeFixedWidthCpuDevice(2);
-    dev.pool();
     Model m = tinyModel();
     auto sparse =
         std::make_shared<const CompiledModel>(m, FrameworkKind::kPatDnn, dev);

@@ -1261,7 +1261,7 @@ TEST(Artifact, RejectsEveryOtherVersion)
     CompiledModel compiled(m, FrameworkKind::kPatDnn, dev);
     const std::vector<uint8_t> bytes = serializeModel(compiled);
     for (uint32_t version :
-         {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 13u, 0xFFFFFFFFu}) {
+         {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 14u, 0xFFFFFFFFu}) {
         std::vector<uint8_t> bad = bytes;
         poke(bad, 4, version, 4);
         expectBothLoadersRefuse(bad, dev, ErrorCode::kInvalidArgument,
@@ -1302,7 +1302,6 @@ formatPinModel()
     };
     TuneParams tune;
     tune.permute = LoopPermutation::kCoHWCi;
-    tune.blocked = true;
     tune.tile_oh = 2;
     tune.gemm_kc = 16;
     tune.gemm_nc = 8;
@@ -1380,7 +1379,7 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
     // re-pin these values: loaders refuse every other version. `h` is a
     // byte-wise FNV-1a fingerprint of the whole artifact; the trailer
     // holds the word-wise payload checksum.
-    ASSERT_EQ(kModelArtifactVersion, 12u);
+    ASSERT_EQ(kModelArtifactVersion, 13u);
     std::shared_ptr<CompiledModel> model = formatPinModel();
     std::vector<uint8_t> bytes = serializeModel(*model);
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -1388,8 +1387,8 @@ TEST(Artifact, FormatPinnedForTheCurrentVersion)
         h ^= b;
         h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(bytes.size(), 1713u);
-    EXPECT_EQ(h, 0x73d260e4a5b89416ULL);
+    EXPECT_EQ(bytes.size(), 1697u);
+    EXPECT_EQ(h, 0x3bc10fa61c641cf8ULL);
     EXPECT_EQ(resealArtifact(bytes), bytes);
     auto loaded = deserializeModel(bytes, makeFixedWidthCpuDevice(2));
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();

@@ -494,12 +494,11 @@ TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
             for (SimdIsa isa : availableSimdIsas()) {
                 for (LoopPermutation perm :
                      {LoopPermutation::kCoHWCi, LoopPermutation::kCoCiHW}) {
-                    for (bool blocked : {false, true}) {
+                    for (int64_t tile : {0, 3}) {
                         for (int threads : {1, 3, 4, 8}) {
                             TuneParams tune;
                             tune.permute = perm;
-                            tune.blocked = blocked;
-                            tune.tile_oh = 3;
+                            tune.tile_oh = tile;
                             DeviceSpec dev = makeFixedWidthCpuDevice(threads);
                             dev.simd_isa = isa;
                             PatternConv engine(d, &fkw, tune, OptSwitches{}, dev);
@@ -514,7 +513,8 @@ TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
                             EXPECT_BITWISE_EQ(got.data(), want.data(),
                                               static_cast<size_t>(got.numel()),
                                               isaName(isa)
-                                                  << " " << permutationName(perm, blocked)
+                                                  << " " << permutationName(perm) << " tile "
+                                                  << tile
                                                   << " " << threads << " threads " << d.h
                                                   << "x" << d.w << " pad=" << pad);
                         }
@@ -522,15 +522,6 @@ TEST(SimdExecutors, PatternConvBitIdenticalAcrossIsasAndLoopOrders)
                 }
             }
         }
-    }
-}
-
-TEST(SimdExecutors, TuneSpaceBlocksInWholeGemmTiles)
-{
-    for (SimdIsa isa : availableSimdIsas()) {
-        const SimdOps& ops = *simdOpsFor(isa);
-        for (int64_t nc : tuneSpaceFor(isa).gemm_nc)
-            EXPECT_EQ(nc % ops.gemm_nr, 0) << isaName(isa) << " gemm_nc=" << nc;
     }
 }
 
